@@ -18,6 +18,8 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass
 class Complex2:
@@ -122,32 +124,31 @@ def _vertex_links_are_circles(C: Complex2) -> bool:
     return True
 
 
-def _is_connected(C: Complex2) -> bool:
-    cells = [("v", v) for v in C.vertices]
-    if not cells:
-        return True
-    index = {c: i for i, c in enumerate(cells)}
-    parent = list(range(len(cells)))
+def _components(adj):
+    """Connected components of the graph whose symmetric boolean adjacency
+    matrix is adj, as index arrays ordered by their smallest index."""
+    adj = np.asarray(adj, dtype=bool)
+    seen = np.zeros(len(adj), dtype=bool)
+    comps = []
+    while not seen.all():
+        member = frontier = np.arange(len(adj)) == np.argmin(seen)
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~member
+            member = member | frontier
+        seen |= member
+        comps.append(np.flatnonzero(member))
+    return comps
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[ra] = rb
-
-    for e, (a, b) in C.edges.items():
-        union(("v", a), ("v", b))
-    for f, walk in C.faces.items():
-        for e, _ in walk:
-            a, b = C.edges[e]
-            union(("v", a), ("v", b))
-    roots = {find(i) for i in range(len(cells))}
-    return len(roots) == 1
+def _vertex_components(C: Complex2):
+    """Vertex sets of the connected components of C's 1-skeleton, ordered
+    by their smallest label (labels compared as strings)."""
+    labels = sorted(C.vertices, key=str)
+    index = {v: i for i, v in enumerate(labels)}
+    adj = np.zeros((len(labels), len(labels)), dtype=bool)
+    for a, b in C.edges.values():
+        adj[index[a], index[b]] = adj[index[b], index[a]] = True
+    return [{labels[i] for i in comp} for comp in _components(adj)]
 
 
 def surface_report(C: Complex2) -> SurfaceReport:
@@ -164,7 +165,7 @@ def surface_report(C: Complex2) -> SurfaceReport:
     tr = _edge_traversals(C)
     closed = (f > 0 and all(len(tr[eid]) == 2 for eid in C.edges)
               and _vertex_links_are_circles(C))
-    connected = _is_connected(C)
+    connected = len(_vertex_components(C)) <= 1
     orientable = False
     if closed:
         orientable = True
@@ -203,33 +204,14 @@ def surface_report(C: Complex2) -> SurfaceReport:
 
 
 def connected_components(C: Complex2):
-    """Split a complex into its connected sub-complexes."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in C.vertices:
-        parent[v] = v
-    for e, (a, b) in C.edges.items():
-        union(a, b)
-    groups = defaultdict(set)
-    for v in C.vertices:
-        groups[find(v)].add(v)
+    """Split a complex into its connected sub-complexes, ordered by their
+    smallest vertex label (labels compared as strings)."""
     out = []
-    for root, verts in sorted(groups.items(), key=lambda kv: str(kv[0])):
+    for verts in _vertex_components(C):
         edges = {e: ab for e, ab in C.edges.items() if ab[0] in verts}
         faces = {f: walk for f, walk in C.faces.items()
                  if C.edges[walk[0][0]][0] in verts}
-        out.append(Complex2(set(verts), dict(edges), dict(faces)))
+        out.append(Complex2(verts, edges, faces))
     return out
 
 

@@ -9,7 +9,6 @@ environment variable FRAMELAB_TOL overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
                    "connected": r.connected, "genus": r.genus}, args.format)
             return 0
         raise ValueError(f"unknown command {args.cmd!r}")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"framelab: {exc}", file=sys.stderr)
         return 2
 

@@ -20,13 +20,17 @@ _FIELDS = ("R", "C")
 
 
 def _as_matrix(entries, field: str) -> np.ndarray:
+    """A finite, read-only float64 (field "R") or complex128 ("C") copy of a
+    2-d matrix; a real matrix may not carry nonzero imaginary parts."""
+    if field not in _FIELDS:
+        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
     a = np.asarray(entries)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if field == "R":
         if np.iscomplexobj(a):
             if a.size and np.max(np.abs(a.imag)) > 0:
-                raise ValueError("real frame with nonzero imaginary entries")
+                raise ValueError("real matrix with nonzero imaginary entries")
             a = a.real
         a = np.array(a, dtype=np.float64)
     else:
@@ -53,8 +57,6 @@ class Frame:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.field not in _FIELDS:
-            raise ValueError(f"field must be 'R' or 'C', got {self.field!r}")
         object.__setattr__(self, "entries", _as_matrix(self.entries, self.field))
 
     @property

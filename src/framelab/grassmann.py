@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, Frame, frame_operator, is_spherical, is_tight
+from .frames import DEFAULT_TOL, Frame, _as_matrix, is_spherical, is_tight
 
 #: maximum allowed max-norm gap between consecutive Gram points in a loop
 DEFAULT_LOOP_STEP = 0.2
@@ -35,24 +35,11 @@ class GramPoint:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = _as_matrix(self.entries, self.field)
+        if a.shape[0] != a.shape[1]:
             raise ValueError("Gram point entries must be square")
-        if self.field == "R":
-            if np.iscomplexobj(a):
-                if a.size and np.max(np.abs(a.imag)) > 0:
-                    raise ValueError("real Gram point with complex entries")
-                a = a.real
-            a = np.array(a, dtype=np.float64)
-        elif self.field == "C":
-            a = np.array(a, dtype=np.complex128)
-        else:
-            raise ValueError(f"field must be 'R' or 'C', got {self.field!r}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite entries")
         if not (0 < self.n < a.shape[0]):
             raise ValueError(f"need 0 < n < k, got n={self.n}, k={a.shape[0]}")
-        a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
     @property
@@ -84,6 +71,16 @@ class GramCheck:
     @property
     def ok(self) -> bool:
         return self.self_adjoint and self.idempotent and self.unit_diagonal and self.rank_ok
+
+
+def _spectral_split(P, n: int):
+    """Eigenvalues (descending), matching eigenvectors and the gap
+    ev[n-1] - ev[n] of the self-adjoint part of P."""
+    ev, V = np.linalg.eigh((P + P.conj().T) / 2)
+    ev, V = ev[::-1], V[:, ::-1]
+    if not 0 < n < len(ev):
+        raise ValueError(f"need 0 < n < k, got n={n}, k={len(ev)}")
+    return ev, V, float(ev[n - 1] - ev[n])
 
 
 def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
@@ -121,10 +118,10 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     P = (n / k) * M
     idem = bool(np.max(np.abs(P @ P - P)) <= tol * scale)
     diag = bool(np.max(np.abs(np.diag(M) - 1.0)) <= tol)
-    Psym = (P + P.conj().T) / 2
-    ev = np.linalg.eigvalsh(Psym)[::-1]
-    rank_ok = bool(0 < n < k and ev[n - 1] - ev[n] >= RANK_GAP
-                   and abs(ev[0] - 1.0) <= 0.25 and abs(ev[-1]) <= 0.25)
+    rank_ok = False
+    if 0 < n < k:
+        ev, _, gap = _spectral_split(P, n)
+        rank_ok = bool(gap >= RANK_GAP and abs(ev[0] - 1.0) <= 0.25 and abs(ev[-1]) <= 0.25)
     return GramCheck(sa, idem, diag, rank_ok)
 
 
@@ -146,16 +143,10 @@ def frame_from_gram(R: GramPoint) -> Frame:
     sqrt(k/n).  Requires the spectrum of P to split with a gap of at least
     RANK_GAP between the n-th and (n+1)-th eigenvalues.
     """
-    k, n = R.k, R.n
-    P = R.projection()
-    P = (P + P.conj().T) / 2
-    ev, V = np.linalg.eigh(P)
-    ev, V = ev[::-1], V[:, ::-1]
-    if ev[n - 1] - ev[n] < RANK_GAP:
-        raise ValueError(
-            f"eigenvalues not clustered at 0 and 1 (gap {ev[n-1]-ev[n]:.3g} < {RANK_GAP})")
-    F = np.sqrt(k / n) * V[:, :n].conj().T
-    return Frame(R.field, F)
+    _, V, gap = _spectral_split(R.projection(), R.n)
+    if gap < RANK_GAP:
+        raise ValueError(f"eigenvalues not clustered at 0 and 1 (gap {gap:.3g} < {RANK_GAP})")
+    return Frame(R.field, np.sqrt(R.k / R.n) * V[:, :R.n].conj().T)
 
 
 def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
@@ -216,16 +207,14 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
         raise ValueError("need n >= 1")
     points = []
     perm_canon = set()
-    sign_canon = set()
     for bits in range(2 ** n):
         signs = [1] + [1 - 2 * ((bits >> j) & 1) for j in range(n)]
         v = np.array(signs, dtype=np.float64) / np.sqrt(n + 1)
         points.append(GramPoint("R", 1, (n + 1) * np.outer(v, v)))
         flipped = tuple(-s for s in signs)
         perm_canon.add(max(tuple(sorted(signs)), tuple(sorted(flipped))))
-        # diag(s) R diag(s) realises any off-diagonal sign pattern: one orbit
-        sign_canon.add((1,) * (n + 1))
-    return OneRedundantEnumeration(tuple(points), len(perm_canon), len(sign_canon))
+    # diag(s) R diag(s) realises any off-diagonal sign pattern: one orbit
+    return OneRedundantEnumeration(tuple(points), len(perm_canon), 1)
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -289,8 +278,8 @@ def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> Gr
     k = M.shape[0]
     R = (M + M.conj().T) / 2
     for _ in range(max_iter):
-        ev, V = np.linalg.eigh((n / k) * R)
-        P = V[:, -n:] @ V[:, -n:].conj().T
+        _, V, _ = _spectral_split((n / k) * R, n)
+        P = V[:, :n] @ V[:, :n].conj().T
         R = (k / n) * P
         d = np.real(np.diag(R)) - 1.0
         err_diag = float(np.max(np.abs(d)))

@@ -8,6 +8,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -31,9 +32,26 @@ def _matrix_out(M, field):
 
 
 def _matrix_in(rows, field):
+    a = np.array(rows, dtype=np.float64)
     if field == "C":
-        return np.array([[complex(a, b) for a, b in row] for row in rows])
-    return np.array(rows, dtype=np.float64)
+        if a.ndim != 3 or a.shape[2] != 2:
+            raise ValueError("complex entries must be [re, im] pairs")
+        return a.view(np.complex128)[..., 0]
+    return a
+
+
+def _decoder(fn):
+    """Make a document of the wrong shape (not an object, a key missing, a
+    value of the wrong type) raise ValueError, the error callers handle."""
+    @functools.wraps(fn)
+    def decode(d):
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        try:
+            return fn(d)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed JSON document ({type(exc).__name__}: {exc})") from None
+    return decode
 
 
 def frame_to_dict(F: Frame) -> dict:
@@ -41,6 +59,7 @@ def frame_to_dict(F: Frame) -> dict:
             "entries": _matrix_out(F.entries, F.field)}
 
 
+@_decoder
 def frame_from_dict(d: dict) -> Frame:
     F = Frame(d["field"], _matrix_in(d["entries"], d["field"]))
     if (F.n, F.k) != (int(d["n"]), int(d["k"])):
@@ -53,6 +72,7 @@ def gram_to_dict(R: GramPoint) -> dict:
             "entries": _matrix_out(R.entries, R.field)}
 
 
+@_decoder
 def gram_from_dict(d: dict) -> GramPoint:
     R = GramPoint(d["field"], int(d["n"]), _matrix_in(d["entries"], d["field"]))
     if R.k != int(d["k"]):
@@ -64,6 +84,7 @@ def loop_to_dict(points) -> dict:
     return {"points": [gram_to_dict(p) for p in points]}
 
 
+@_decoder
 def loop_from_dict(d: dict):
     return [gram_from_dict(p) for p in d["points"]]
 
@@ -72,6 +93,7 @@ def partition_to_dict(p: Partition) -> dict:
     return {"k": p.k, "blocks": [list(b) for b in p.blocks]}
 
 
+@_decoder
 def partition_from_dict(d: dict) -> Partition:
     return Partition(int(d["k"]), tuple(tuple(b) for b in d["blocks"]))
 
@@ -87,6 +109,7 @@ def path_to_dict(p: FramePath) -> dict:
                         for t, pt in zip(p.ts, p.points)]}
 
 
+@_decoder
 def path_from_dict(d: dict) -> FramePath:
     ts = [s["t"] for s in d["samples"]]
     pts = [np.array([complex(a, b) for a, b in s["z"]]) for s in d["samples"]]
@@ -102,6 +125,7 @@ def complex_to_dict(C: Complex2) -> dict:
     }
 
 
+@_decoder
 def complex_from_dict(d: dict) -> Complex2:
     vertices = set(d["vertices"])
     edges = {e["id"]: tuple(e["ends"]) for e in d["edges"]}

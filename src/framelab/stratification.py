@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cellcomplex import _components
 from .frames import DEFAULT_TOL, Frame
-from .grassmann import GramPoint, gram
+from .grassmann import RANK_GAP, GramPoint, _spectral_split, gram
 
-#: relative singular-value cutoff for numerical rank decisions
+#: relative eigenvalue cutoff for numerical rank decisions
 RANK_RTOL = 1e-8
 
 
@@ -67,25 +68,7 @@ def commutant_partition(M, tol: float = DEFAULT_TOL) -> Partition:
     k = M.shape[0]
     thresh = tol * float(np.max(np.abs(M))) if M.size else 0.0
     support = np.abs(M) > thresh
-    # union-find over indices
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if support[i, j] or support[j, i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i + 1)
-    return Partition(k, tuple(tuple(g) for g in groups.values()))
+    return Partition(k, tuple(tuple(c + 1) for c in _components(support | support.T)))
 
 
 def is_orthodecomposable(F: Frame, tol: float = DEFAULT_TOL):
@@ -116,31 +99,22 @@ def _stratum_block_dim(k_blk: int, n_blk: int, field: str) -> int:
 def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
     """Numerical rank of the diagonal-extraction differential at R.
 
-    Orthonormal bases u_1..u_n of range(P) and u_{n+1}..u_k of ker(P) are
-    read off the eigendecomposition of P = (n/k) R.  The differential's
-    range is spanned by the real vectors Re(u_i * conj(u_j)) (entrywise
-    product), plus Im(...) in the complex case, over 1 <= i <= n < j <= k.
-    The point is regular iff the rank is k-1 (always <= k-1: every
-    spanning vector sums to zero).  stratum_dim sums the per-block
-    closed-form dimensions over the commutant partition of R.
+    With orthonormal bases u_1..u_n of range(P) and u_{n+1}..u_k of ker(P),
+    P = (n/k) R, the differential's range is spanned by the real vectors
+    Re(u_i * conj(u_j)) (entrywise product), plus Im(...) in the complex
+    case, over 1 <= i <= n < j <= k.  Their Gram matrix is the Hadamard
+    product Re(P * conj(I - P)), whose eigenvalues give the rank.  The
+    point is regular iff the rank is k-1 (always <= k-1: every spanning
+    vector sums to zero).  stratum_dim sums the per-block closed-form
+    dimensions over the commutant partition of R.
     """
     k, n = R.k, R.n
-    P = R.projection()
-    P = (P + P.conj().T) / 2
-    ev, V = np.linalg.eigh(P)
-    ev, V = ev[::-1], V[:, ::-1]
-    if ev[n - 1] - ev[n] < 0.5:
+    _, V, gap = _spectral_split(R.projection(), n)
+    if gap < RANK_GAP:
         raise ValueError("not a valid Gram point: eigenvalues of P not split at rank n")
-    cols = []
-    for i in range(n):
-        for j in range(n, k):
-            prod = V[:, i] * V[:, j].conj()
-            cols.append(np.real(prod))
-            if R.field == "C":
-                cols.append(np.imag(prod))
-    span = np.column_stack(cols)
-    sv = np.linalg.svd(span, compute_uv=False)
-    rank = int(np.sum(sv > sv[0] * RANK_RTOL)) if sv[0] > 0 else 0
+    P = V[:, :n] @ V[:, :n].conj().T
+    ev = np.linalg.eigvalsh(np.real(P * (np.eye(k) - P).conj()))
+    rank = int(np.sum(ev > ev[-1] * RANK_RTOL)) if ev[-1] > 0 else 0
     sigma = commutant_partition(R.entries, tol)
     dim = 0
     for blk in sigma.blocks:

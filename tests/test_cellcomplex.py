@@ -70,6 +70,21 @@ def test_two_tori():
         assert rc.closed_surface and rc.orientable and rc.genus == 1
 
 
+def test_components_partition_the_complex():
+    tori = disjoint_union(torus(), torus())
+    C = fl.Complex2(tori.vertices | {"x"}, tori.edges, tori.faces)
+    comps = fl.connected_components(C)
+    assert [sorted(comp.vertices) for comp in comps] == [["1:v"], ["2:v"], ["x"]]
+    assert [(len(comp.edges), len(comp.faces)) for comp in comps] == [(2, 1), (2, 1), (0, 0)]
+    merged = fl.Complex2(set(), {}, {})
+    for comp in comps:
+        merged.vertices |= comp.vertices
+        merged.edges.update(comp.edges)
+        merged.faces.update(comp.faces)
+    assert (merged.vertices, merged.edges, merged.faces) == (C.vertices, C.edges, C.faces)
+    assert not fl.surface_report(C).connected
+
+
 def test_g42_counts_and_regularity():
     C = fl.build_g42()
     assert len(C.vertices) == 12

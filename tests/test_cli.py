@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -141,6 +142,25 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2 and "framelab:" in err
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("cmd", ["gram", "complement", "tangent", "holonomy",
+                                 "surface-report"])
+@pytest.mark.parametrize("doc", ['[1,2]', 'null',
+                                 '{"field":"C","n":1,"k":2,"entries":[[1,2]]}',
+                                 '{"field":"R","n":null,"k":2,"entries":[[1,2]]}'])
+def test_malformed_document_exits_2(capsys, monkeypatch, cmd, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, cmd, "-")
+    assert code == 2 and out == ""
+    assert err.startswith("framelab: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries", [[[1, 2]], [[[1, 2, 3, 4]]], [[[1, 2], [3]]]])
+def test_complex_entries_must_be_pairs(entries):
+    with pytest.raises(ValueError):
+        jsonio.frame_from_dict({"field": "C", "n": 1, "k": 1, "entries": entries})
 
 
 def test_text_format(capsys):

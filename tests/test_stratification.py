@@ -15,6 +15,9 @@ def test_commutant_partition_block_matrix():
     M[2:, 2:] = [[1, 0.2, 0.0], [0.2, 1, 0.3], [0.0, 0.3, 1]]
     p = fl.commutant_partition(M)
     assert p.blocks == ((1, 2), (3, 4, 5))
+    # a path graph: one block, reached only through a chain of neighbours
+    T = np.eye(6) + np.diag(np.full(5, 0.4), 1) + np.diag(np.full(5, 0.4), -1)
+    assert fl.commutant_partition(T).blocks == ((1, 2, 3, 4, 5, 6),)
 
 
 def test_commutant_partition_simplex_is_trivial():
@@ -91,6 +94,49 @@ def test_block_count_equals_corank():
         rep = fl.tangent_report(R)
         sigma = fl.commutant_partition(R.entries)
         assert len(sigma) == R.k - rep.rank
+
+
+def _column_rank(R):
+    """The tangent rank by definition: the numerical rank of the n(k-n)
+    columns Re(u_i * conj(u_j)), plus Im(...) in the complex case, over
+    eigenvectors u_i of range(P) and u_j of ker(P)."""
+    k, n = R.k, R.n
+    P = R.projection()
+    _, V = np.linalg.eigh((P + P.conj().T) / 2)
+    V = V[:, ::-1]
+    cols = []
+    for i in range(n):
+        for j in range(n, k):
+            prod = V[:, i] * V[:, j].conj()
+            cols.append(prod.real)
+            if R.field == "C":
+                cols.append(prod.imag)
+    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return int(np.sum(sv > sv[0] * 1e-8))
+
+
+def _random_point(k, n, field, seed):
+    F = fl.random_tight_frame(k, n, field, np.random.default_rng(seed), spread=0.05)
+    return fl.gram(F)
+
+
+def _block_point():
+    block = np.zeros((12, 12))
+    block[:6, :6] = _random_point(6, 3, "R", 8).entries
+    block[6:, 6:] = _random_point(6, 3, "R", 9).entries
+    return fl.GramPoint("R", 6, block)
+
+
+@pytest.mark.parametrize("make,rank", [
+    (lambda: _random_point(6, 3, "R", 1), 5),
+    (lambda: _random_point(48, 24, "R", 2), 47),
+    (lambda: fl.construct_regular_point(64, 24), 63),
+    (lambda: _random_point(9, 4, "C", 3), 8),
+    (_block_point, 10),
+], ids=["R(6,3)", "R(48,24)", "regular(64,24)", "C(9,4)", "block(12,6)"])
+def test_tangent_rank_matches_column_definition(make, rank):
+    R = make()
+    assert fl.tangent_report(R).rank == _column_rank(R) == rank
 
 
 def test_expected_dimensions_values():
