@@ -18,7 +18,16 @@ from . import cellcomplex, frames, grassmann, jsonio, planar, stratification
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("FRAMELAB_TOL", frames.DEFAULT_TOL))
+    raw = os.environ.get("FRAMELAB_TOL")
+    if raw is None:
+        return frames.DEFAULT_TOL
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")
+    if not np.isfinite(tol):
+        raise ValueError(f"FRAMELAB_TOL must be a finite number, got {raw!r}")
+    return tol
 
 
 def _emit(doc, fmt: str) -> None:
@@ -126,8 +135,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.cmd == "verify":
             return _cmd_verify(args)
         if args.cmd == "gram":
@@ -179,7 +188,7 @@ def main(argv=None) -> int:
         if args.cmd == "planar-connect":
             F = jsonio.frame_from_dict(jsonio.read_json(args.frame))
             z = planar.to_planar(F, args.tol)
-            path = planar.connect_to_standard(z, args.max_step)
+            path = planar.connect_to_standard(z, args.max_step, args.tol)
             _emit(jsonio.path_to_dict(path), args.format)
             return 0
         if args.cmd == "lift":

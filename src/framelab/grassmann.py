@@ -25,6 +25,14 @@ DEFAULT_LOOP_STEP = 0.2
 RANK_GAP = 0.5
 
 
+def check_step(max_step) -> float:
+    """``max_step`` as a float; ValueError unless it is finite and positive."""
+    step = float(max_step)
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"max_step must be finite and > 0, got {max_step!r}")
+    return step
+
+
 @dataclass(frozen=True)
 class GramPoint:
     """A k-by-k self-adjoint matrix R = (k/n) P, P a rank-n projection
@@ -233,6 +241,7 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     Procrustes fit.  Returns sign(det U) for the final U with F_N = U F_0.
     Refuses (ValueError) when a step is too large to track reliably.
     """
+    max_step = check_step(max_step)
     pts = list(loop)
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")

@@ -42,14 +42,15 @@ def _matrix_in(rows, field):
 
 def _decoder(fn):
     """Make a document of the wrong shape (not an object, a key missing, a
-    value of the wrong type) raise ValueError, the error callers handle."""
+    value of the wrong type or out of range) raise ValueError, the error
+    callers handle."""
     @functools.wraps(fn)
     def decode(d):
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         try:
             return fn(d)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed JSON document ({type(exc).__name__}: {exc})") from None
     return decode
 
@@ -104,16 +105,20 @@ def tangent_to_dict(r: TangentReport) -> dict:
 
 
 def path_to_dict(p: FramePath) -> dict:
+    z = p.points.view(np.float64).reshape(*p.points.shape, 2).tolist()
     return {"kind": p.kind, "k": p.k, "max_step": p.max_step,
-            "samples": [{"t": float(t), "z": [[float(z.real), float(z.imag)] for z in pt]}
-                        for t, pt in zip(p.ts, p.points)]}
+            "samples": [{"t": t, "z": row} for t, row in zip(p.ts.tolist(), z)]}
 
 
 @_decoder
 def path_from_dict(d: dict) -> FramePath:
-    ts = [s["t"] for s in d["samples"]]
-    pts = [np.array([complex(a, b) for a, b in s["z"]]) for s in d["samples"]]
-    return FramePath(d["kind"], tuple(ts), tuple(pts), float(d.get("max_step", 1.0)))
+    samples = d["samples"]
+    p = FramePath(d["kind"], [s["t"] for s in samples],
+                  _matrix_in([s["z"] for s in samples], "C"),
+                  float(d.get("max_step", 1.0)))
+    if p.k != int(d["k"]):
+        raise ValueError("path samples do not match the declared k")
+    return p
 
 
 def complex_to_dict(C: Complex2) -> dict:

@@ -13,15 +13,17 @@ coordinate subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .frames import DEFAULT_TOL, Frame, is_spherical, is_tight
-from .grassmann import GramPoint, gram
+from .grassmann import GramPoint, check_step, gram
 
-MODULUS_TOL = 1e-12
 DEFAULT_MAX_STEP = 0.05
+#: most samples one leg may take; a smaller max_step is refused, not sampled
+MAX_LEG_SAMPLES = 2 ** 16
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -30,7 +32,7 @@ def _unit_tuple(values, constraint, tol, what):
     z = np.asarray(values, dtype=np.complex128).ravel()
     if z.size < 1:
         raise ValueError(f"{what} must be nonempty")
-    if np.max(np.abs(np.abs(z) - 1.0)) > MODULUS_TOL:
+    if not np.max(np.abs(np.abs(z) - 1.0)) <= tol:
         raise ValueError(f"{what} entries must be unimodular")
     if abs(constraint(z)) > tol:
         raise ValueError(f"{what} constraint violated by {abs(constraint(z)):.3g}")
@@ -40,11 +42,12 @@ def _unit_tuple(values, constraint, tol, what):
 
 @dataclass(frozen=True)
 class PlanarFrame:
-    """k unit complex numbers with sum of squares zero."""
+    """k unit complex numbers with sum of squares zero (both within tol)."""
 
     z: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float = DEFAULT_TOL):
+    def __post_init__(self, tol):
         object.__setattr__(self, "z", _unit_tuple(
             self.z, lambda v: np.sum(v ** 2), tol, "planar frame"))
 
@@ -58,8 +61,9 @@ class Chain:
     """k unit complex numbers summing to zero (a closed unit-link chain)."""
 
     w: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float = DEFAULT_TOL):
+    def __post_init__(self, tol):
         object.__setattr__(self, "w", _unit_tuple(
             self.w, np.sum, tol, "chain"))
 
@@ -72,35 +76,44 @@ class Chain:
 class FramePath:
     """A sampled path of planar frames or chains.
 
-    ``points[i]`` is the complex k-vector at parameter ``ts[i]``; the
-    parameters increase strictly from 0 to 1 and consecutive points stay
-    within ``max_step`` in the max norm.
+    ``points`` is a read-only (samples x k) complex array whose row i is
+    the k-vector at parameter ``ts[i]``; the parameters increase strictly
+    from 0 to 1 and consecutive rows stay within ``max_step`` in the max
+    norm.  Every sample must be finite.
     """
 
     kind: str
-    ts: tuple
-    points: tuple
+    ts: np.ndarray
+    points: np.ndarray
     max_step: float
 
     def __post_init__(self):
         if self.kind not in ("planar", "chain"):
             raise ValueError(f"kind must be 'planar' or 'chain', got {self.kind!r}")
-        ts = tuple(float(t) for t in self.ts)
-        pts = tuple(np.asarray(p, dtype=np.complex128) for p in self.points)
-        if len(ts) != len(pts) or len(ts) < 2:
+        try:
+            ts = np.array(self.ts, dtype=np.float64)
+            pts = np.array(self.points, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise ValueError("path samples must be numbers, in rows of equal length") from None
+        if ts.ndim != 1 or pts.ndim != 2 or len(ts) != len(pts) or len(ts) < 2:
             raise ValueError("path needs matching ts/points with at least two samples")
+        if pts.shape[1] < 1:
+            raise ValueError("path samples must be nonempty")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(pts))):
+            raise ValueError("path samples must be finite")
         if abs(ts[0]) > 1e-15 or abs(ts[-1] - 1.0) > 1e-15:
             raise ValueError("path parameter must run from 0 to 1")
-        if any(t1 - t0 <= 0 for t0, t1 in zip(ts, ts[1:])):
+        if np.any(np.diff(ts) <= 0):
             raise ValueError("path parameter must be strictly increasing")
-        for p in pts:
-            p.flags.writeable = False
+        ts.flags.writeable = False
+        pts.flags.writeable = False
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "max_step", check_step(self.max_step))
 
     @property
     def k(self) -> int:
-        return self.points[0].size
+        return self.points.shape[1]
 
     @property
     def start(self) -> np.ndarray:
@@ -136,7 +149,7 @@ def to_planar(F: Frame, tol: float = DEFAULT_TOL) -> PlanarFrame:
     tight, _ = is_tight(F, tol)
     if not tight:
         raise ValueError("frame is not tight")
-    return PlanarFrame(F.entries[0] + 1j * F.entries[1])
+    return PlanarFrame(F.entries[0] + 1j * F.entries[1], tol)
 
 
 def from_planar(z) -> Frame:
@@ -145,9 +158,13 @@ def from_planar(z) -> Frame:
     return Frame("R", np.vstack([z.real, z.imag]))
 
 
-def square_map(pf: PlanarFrame) -> Chain:
-    """The covering map z -> z^2 (coordinatewise); the image sums to zero."""
-    return Chain(pf.z ** 2)
+def square_map(pf: PlanarFrame, tol: float = DEFAULT_TOL) -> Chain:
+    """The covering map z -> z^2 (coordinatewise); the image sums to zero.
+
+    ``tol`` is the tolerance ``pf`` was accepted at.  Squaring turns a
+    modulus error e into 2e + e^2, so the chain is checked at tol(2 + tol).
+    """
+    return Chain(pf.z ** 2, tol * (2 + tol))
 
 
 def to_gram_loop(path: FramePath, tol: float = DEFAULT_TOL):
@@ -189,63 +206,69 @@ def canonical_planar(k: int) -> PlanarFrame:
 
 def _sample_leg(fn, max_step: float, atol: float = 1e-12):
     """Sample fn: [0,1] -> C^k adaptively until consecutive max-norm steps
-    are below max_step.  Returns the list of sampled points."""
-    ts = [0.0, 0.5, 1.0]
-    pts = [fn(t) for t in ts]
+    are below max_step.  ``fn`` maps a vector of parameters to the
+    (len(t) x k) array of points; every interval whose step is too long is
+    bisected, all of them at once in each round."""
+    ts = np.array([0.0, 0.5, 1.0])
+    pts = fn(ts)
     for _ in range(40):
-        new_ts = []
-        new_pts = []
-        refined = False
-        for (t0, p0), (t1, p1) in zip(zip(ts, pts), zip(ts[1:], pts[1:])):
-            new_ts.append(t0)
-            new_pts.append(p0)
-            if np.max(np.abs(p1 - p0)) > max_step - atol:
-                tm = (t0 + t1) / 2
-                new_ts.append(tm)
-                new_pts.append(fn(tm))
-                refined = True
-        new_ts.append(ts[-1])
-        new_pts.append(pts[-1])
-        ts, pts = new_ts, new_pts
-        if not refined:
+        long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > max_step - atol)
+        if long.size == 0:
             return pts
+        if len(ts) + long.size > MAX_LEG_SAMPLES:
+            raise ValueError(f"max_step {max_step:g} needs more than "
+                             f"{MAX_LEG_SAMPLES} samples on one leg")
+        tm = (ts[long] + ts[long + 1]) / 2
+        ts = np.insert(ts, long + 1, tm)
+        pts = np.insert(pts, long + 1, fn(tm), axis=0)
     raise ValueError("leg sampling did not meet the step bound (discontinuous leg?)")
 
 
 def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
-    pts = [legs[0][0]]
-    for leg in legs:
-        if np.max(np.abs(leg[0] - pts[-1])) > 1e-9:
-            raise AssertionError("legs are not contiguous")
-        pts.extend(leg[1:])
+    for prev, leg in zip(legs, legs[1:]):
+        if np.max(np.abs(leg[0] - prev[-1])) > 1e-9:
+            raise ValueError("legs are not contiguous")
+    pts = np.concatenate([legs[0][:1]] + [leg[1:] for leg in legs])
     # collapse consecutive duplicates so the parameter stays strictly monotone
-    cleaned = [pts[0]]
-    for p in pts[1:]:
-        if np.max(np.abs(p - cleaned[-1])) > 0:
-            cleaned.append(p)
-    if len(cleaned) == 1:
-        cleaned.append(cleaned[0].copy())
-    ts = np.linspace(0.0, 1.0, len(cleaned))
-    return FramePath(kind, tuple(ts), tuple(cleaned), max_step)
+    pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
+    if len(pts) == 1:
+        pts = np.vstack([pts, pts])
+    return FramePath(kind, np.linspace(0.0, 1.0, len(pts)), pts, max_step)
 
 
-def _rotation_leg(state: np.ndarray, idxs, angle: float, max_step: float, check=True):
-    """Rotate coordinates ``idxs`` of a planar frame by a common phase.
+def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float, check=True):
+    """Rotate coordinates ``idxs`` by a phase growing linearly to ``angle``
+    (one angle for all, or one per index), in the fewest equal steps whose
+    chords stay within max_step less the 1e-12 margin of _sample_leg.
 
-    Valid whenever the squares of the rotated coordinates sum to zero,
-    which the common rotation then preserves.
+    On a planar frame this is valid whenever the squares of the rotated
+    coordinates sum to zero, which a common rotation then preserves.
     """
     state = np.asarray(state, dtype=np.complex128)
-    if check and abs(np.sum(state[list(idxs)] ** 2)) > 1e-9:
-        raise AssertionError(f"subset {idxs} has nonzero square sum; rotation invalid")
     idxs = list(idxs)
+    if check and abs(np.sum(state[idxs] ** 2)) > 1e-9:
+        raise AssertionError(f"subset {idxs} has nonzero square sum; rotation invalid")
+    theta = np.zeros(state.size)
+    theta[idxs] = angle
+    moving = theta != 0
+    # a coordinate of modulus r turning by phi moves by the chord 2 r sin(phi / 2)
+    with np.errstate(divide="ignore"):
+        reach = np.clip((max_step - 1e-12) / (2 * np.abs(state[moving])), 0.0, 1.0)
+        need = np.max(np.abs(theta[moving]) / (2 * np.arcsin(reach)), initial=0.0)
+    if not need < MAX_LEG_SAMPLES:
+        raise ValueError(f"max_step {max_step:g} needs more than "
+                         f"{MAX_LEG_SAMPLES} samples on one leg")
+    t = np.linspace(0.0, 1.0, max(1, int(np.ceil(need))) + 1)
+    return state * np.exp(1j * np.outer(t, theta))
 
-    def fn(t):
-        out = state.copy()
-        out[idxs] = out[idxs] * np.exp(1j * angle * t)
-        return out
 
-    return _sample_leg(fn, max_step)
+def _rotation_path(state: np.ndarray, stages, max_step: float):
+    """Rotation legs for the (subset, angle) stages, applied in turn."""
+    legs = []
+    for idxs, angle in stages:
+        legs.append(_rotation_leg(state, idxs, angle, max_step))
+        state = legs[-1][-1]
+    return legs
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +279,34 @@ def lift_path(cp: FramePath, start: PlanarFrame, tol: float = DEFAULT_TOL) -> Fr
     """Lift a chain path through the squaring covering map.
 
     ``start`` must square to the chain at t = 0; at every step each
-    coordinate picks the square root nearest its predecessor.  Raises
-    ValueError naming the coordinate and parameter when the two roots are
-    too close to equidistant to choose reliably (step too large).
+    coordinate takes the square root nearest its predecessor, which is the
+    half-angle of the unwrapped chain angle once the signs are seeded from
+    ``start``.  Raises ValueError naming the coordinate and parameter when
+    the two roots are too close to equidistant to choose reliably (step
+    too large).
     """
     if cp.kind != "chain":
         raise ValueError("lift_path needs a chain path")
-    if np.max(np.abs(start.z ** 2 - cp.points[0])) > max(tol, 1e-9):
+    w = cp.points
+    if np.max(np.abs(start.z ** 2 - w[0])) > max(tol, 1e-9):
         raise ValueError("start does not lie over the chain path's first point")
-    prev = np.array(start.z)
-    lifted = [prev.copy()]
-    for i, w in enumerate(cp.points[1:], start=1):
-        if np.max(np.abs(w - cp.points[i - 1])) >= 1.0:
-            raise ValueError(f"chain step at index {i} moves a coordinate by >= 1")
-        root = np.exp(0.5j * np.angle(w)) * np.sqrt(np.abs(w))
-        pick = np.where(np.abs(root - prev) <= np.abs(-root - prev), root, -root)
-        margin = np.abs(np.abs(root - prev) - np.abs(root + prev))
-        j = int(np.argmin(margin))
-        if margin[j] < 1e-6:
-            raise ValueError(
-                f"ambiguous square root for coordinate {j} at t={cp.ts[i]:.6g}; "
-                "refine the chain path")
-        prev = pick
-        lifted.append(prev.copy())
-    return FramePath("planar", cp.ts, tuple(lifted), cp.max_step)
+    roots = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w), axis=0))
+    lifted = np.where(np.abs(roots[0] - start.z) <= np.abs(roots[0] + start.z),
+                      roots, -roots)
+    lifted[0] = start.z
+    prev, cur = lifted[:-1], lifted[1:]
+    margin = np.abs(np.abs(cur - prev) - np.abs(cur + prev))
+    coord = np.argmin(margin, axis=1)
+    too_far = np.max(np.abs(np.diff(w, axis=0)), axis=1) >= 1.0
+    ambiguous = margin[np.arange(len(coord)), coord] < 1e-6
+    if np.any(too_far | ambiguous):
+        i = int(np.argmax(too_far | ambiguous))
+        if too_far[i]:
+            raise ValueError(f"chain step at index {i + 1} moves a coordinate by >= 1")
+        raise ValueError(
+            f"ambiguous square root for coordinate {coord[i]} at t={cp.ts[i + 1]:.6g}; "
+            "refine the chain path")
+    return FramePath("planar", cp.ts, lifted, cp.max_step)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +327,7 @@ def _segment_pair_tracker(w_first: complex, rho0: complex, rho1: complex):
     there the perpendicular direction is taken from the segment direction,
     which keeps the branch continuous.  Returns (pre_target, track) where
     pre_target is a required re-orientation of an initially antipodal pair
-    (or None) and track maps t to the pair.
+    (or None) and track maps a vector of t to the pair of vectors.
     """
     d = rho1 - rho0
     seg_len = abs(d)
@@ -330,15 +357,14 @@ def _segment_pair_tracker(w_first: complex, rho0: complex, rho1: complex):
 
     def track(t):
         rho = (1 - t) * rho0 + t * rho1
-        r = abs(rho)
-        if r > 1e-13:
-            u = rho / r
+        r = np.abs(rho)
+        if cross_t is None:
+            s, away = s0, dhat
         else:
-            u = dhat if (cross_t is None or t >= cross_t) else -dhat
-        s = s0
-        if cross_t is not None and t >= cross_t:
-            s = -s0
-        h = np.sqrt(max(0.0, 1.0 - r * r / 4))
+            past = t >= cross_t
+            s, away = np.where(past, -s0, s0), np.where(past, dhat, -dhat)
+        u = np.where(r > 1e-13, rho / np.where(r > 1e-13, r, 1.0), away)
+        h = np.sqrt(np.maximum(0.0, 1.0 - r * r / 4))
         wa = rho / 2 + s * 1j * u * h
         return wa, rho - wa
 
@@ -348,52 +374,28 @@ def _segment_pair_tracker(w_first: complex, rho0: complex, rho1: complex):
 def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     """A path in chain space from c to the standard chain.
 
-    Even k: opposite links are paired (1,2), (3,4), ...; every pair sum is
-    shrunk radially to zero (the total stays zero because the pair sums
-    already summed to zero), then each antipodal pair is rotated to
-    (1, -1).  Odd k: links 1-3 are reserved; the remaining pairs collapse
-    as before while the reserved triple absorbs the complementary sum (its
-    third link stays fixed and its first two links track the required pair
-    sum along a segment); the zero-sum triple is then rotated to the
-    standard orientation, with a bounded elbow-flip cycle when it lands
-    mirror-reversed.
+    The links are first scaled onto the unit circle (a step no longer than
+    c's modulus error).  Even k: opposite links are paired (1,2), (3,4),
+    ...; every pair sum is shrunk radially to zero (the total stays zero
+    because the pair sums already summed to zero), then each antipodal
+    pair is rotated to (1, -1).  Odd k: links 1-3 are reserved; the
+    remaining pairs collapse as before while the reserved triple absorbs
+    the complementary sum (its third link stays fixed and its first two
+    links track the required pair sum along a segment); the zero-sum
+    triple is then rotated to the standard orientation, with a bounded
+    elbow-flip cycle when it lands mirror-reversed.
     """
+    max_step = check_step(max_step)
     k = c.k
     if k < 4:
         raise ValueError("chain straightening needs k >= 4")
-    w0 = np.array(c.w)
-    legs = []
-    state = w0.copy()
+    state = c.w / np.abs(c.w)
+    legs = [np.vstack([c.w, state])]
 
     if k % 2 == 0:
-        pair_starts = list(range(0, k, 2))
-        reserved = ()
+        pairs = np.arange(0, k, 2)
     else:
-        pair_starts = list(range(3, k, 2))
-        reserved = (0, 1, 2)
-
-    # stage 1: collapse pair sums, the reserved triple absorbing the slack
-    trackers = []
-    for p in pair_starts:
-        sigma0 = state[p] + state[p + 1]
-        if abs(sigma0) < 1e-14:
-            trackers.append((p, None))
-            continue
-        u = sigma0 / abs(sigma0)
-        s = _pair_initial_sign(state[p], sigma0, u)
-
-        def make(p=p, sigma0=sigma0, u=u, s=s):
-            def track(t):
-                sig = (1 - t) * sigma0
-                h = np.sqrt(max(0.0, 1.0 - abs(sig) ** 2 / 4))
-                wa = sig / 2 + s * 1j * u * h
-                return wa, sig - wa
-            return track
-
-        trackers.append((p, make()))
-
-    triple_track = None
-    if reserved:
+        pairs = np.arange(3, k, 2)
         fixed = state[2]
         tau0 = state[0] + state[1] + state[2]
         pre_target, triple_track = _segment_pair_tracker(
@@ -403,60 +405,51 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
             # the pair sums to zero so the common rotation keeps the chain closed
             delta = float(np.angle(pre_target / state[0]))
             legs.append(_rotation_leg(state, (0, 1), delta, max_step, check=False))
-            state = legs[-1][-1].copy()
+            state = legs[-1][-1]
 
-    base = state.copy()
+    # stage 1: collapse pair sums, the reserved triple absorbing the slack
+    sigma0 = state[pairs] + state[pairs + 1]
+    moving = np.abs(sigma0) >= 1e-14
+    p, sigma0 = pairs[moving], sigma0[moving]
+    u = sigma0 / np.abs(sigma0)
+    s = np.array([_pair_initial_sign(state[j], sig, uj)
+                  for j, sig, uj in zip(p, sigma0, u)])
+    base = state
 
     def collapse(t):
-        out = base.copy()
-        for p, track in trackers:
-            if track is None:
-                continue
-            out[p], out[p + 1] = track(t)
-        if triple_track is not None:
-            out[0], out[1] = triple_track(t)
+        out = np.repeat(base[None, :], len(t), axis=0)
+        sig = (1 - t)[:, None] * sigma0
+        h = np.sqrt(np.maximum(0.0, 1.0 - np.abs(sig) ** 2 / 4))
+        wa = sig / 2 + s * 1j * u * h
+        out[:, p], out[:, p + 1] = wa, sig - wa
+        if k % 2:
+            out[:, 0], out[:, 1] = triple_track(t)
         return out
 
     legs.append(_sample_leg(collapse, max_step))
-    state = legs[-1][-1].copy()
+    state = legs[-1][-1]
 
     # stage 2: rotate every antipodal pair onto (1, -1)
-    base2 = state.copy()
-    deltas = {p: -float(np.angle(base2[p])) for p in pair_starts}
+    deltas = -np.angle(state[pairs])
+    legs.append(_rotation_leg(state, np.concatenate([pairs, pairs + 1]),
+                              np.concatenate([deltas, deltas]), max_step, check=False))
+    state = legs[-1][-1]
 
-    def pairs_home(t):
-        out = base2.copy()
-        for p in pair_starts:
-            ph = np.exp(1j * deltas[p] * t)
-            out[p] = base2[p] * ph
-            out[p + 1] = -out[p]
-        return out
-
-    legs.append(_sample_leg(pairs_home, max_step))
-    state = legs[-1][-1].copy()
-
-    if reserved:
+    if k % 2:
         # stage 3: rotate the zero-sum triple so its third link is 1
-        delta = -float(np.angle(state[2]))
-        base3 = state.copy()
-
-        def triple_home(t):
-            out = base3.copy()
-            out[:3] = base3[:3] * np.exp(1j * delta * t)
-            return out
-
-        legs.append(_sample_leg(triple_home, max_step))
-        state = legs[-1][-1].copy()
+        legs.append(_rotation_leg(state, (0, 1, 2), -float(np.angle(state[2])),
+                                  max_step, check=False))
+        state = legs[-1][-1]
 
         if abs(state[0] - np.conj(_OMEGA)) < 1e-6:
             legs.extend(_mirror_fix_legs(state, max_step))
-            state = legs[-1][-1].copy()
+            state = legs[-1][-1]
         elif abs(state[0] - _OMEGA) > 1e-6:
-            raise AssertionError("triple did not land on a third root of unity")
+            raise ValueError("triple did not land on a third root of unity")
 
     path = _concat_legs(legs, "chain", max_step)
     if np.max(np.abs(path.end - standard_chain(k).w)) > 1e-9:
-        raise AssertionError("straightening missed the standard chain")
+        raise ValueError("straightening missed the standard chain")
     return path
 
 
@@ -465,30 +458,25 @@ def _mirror_fix_legs(state: np.ndarray, max_step: float):
     (w, w-bar, 1, ...) by stretching links 1-2 through collinearity while
     the pair (4, 5) absorbs; needs that pair to sit at (1, -1)."""
     if np.max(np.abs(state[3:5] - np.array([1.0, -1.0]))) > 1e-9:
-        raise AssertionError("mirror fix expects links 4,5 at (1,-1)")
-    legs = []
+        raise ValueError("mirror fix expects links 4,5 at (1,-1)")
     # swing the absorber pair perpendicular so it can open along the real axis
-    legs.append(_rotation_leg(state, (3, 4), np.pi / 2, max_step, check=False))
-    state = legs[-1][-1].copy()
-
-    base = state.copy()
+    legs = [_rotation_leg(state, (3, 4), np.pi / 2, max_step, check=False)]
+    base = legs[-1][-1]
 
     def cycle(t):
-        g = 1.0 - abs(2.0 * t - 1.0)
-        s = 1.0 if t < 0.5 else -1.0
-        out = base.copy()
+        g = 1.0 - np.abs(2.0 * t - 1.0)
+        s = np.where(t < 0.5, 1.0, -1.0)
+        out = np.repeat(base[None, :], len(t), axis=0)
         sig12 = -(1.0 + g)
-        h12 = np.sqrt(max(0.0, 1.0 - sig12 * sig12 / 4))
-        out[0] = sig12 / 2 - s * 1j * h12
-        out[1] = sig12 - out[0]
-        out[3] = g / 2 + 1j * np.sqrt(max(0.0, 1.0 - g * g / 4))
-        out[4] = g - out[3]
+        h12 = np.sqrt(np.maximum(0.0, 1.0 - sig12 * sig12 / 4))
+        out[:, 0] = sig12 / 2 - s * 1j * h12
+        out[:, 1] = sig12 - out[:, 0]
+        out[:, 3] = g / 2 + 1j * np.sqrt(np.maximum(0.0, 1.0 - g * g / 4))
+        out[:, 4] = g - out[:, 3]
         return out
 
     legs.append(_sample_leg(cycle, max_step))
-    state = legs[-1][-1].copy()
-
-    legs.append(_rotation_leg(state, (3, 4), -np.pi / 2, max_step, check=False))
+    legs.append(_rotation_leg(legs[-1][-1], (3, 4), -np.pi / 2, max_step, check=False))
     return legs
 
 
@@ -496,73 +484,67 @@ def _mirror_fix_legs(state: np.ndarray, max_step: float):
 # fiber moves over the standard chain
 
 
-def _fiber_generators(k: int):
-    """Sign-flip generators over the standard chain, each a list of
-    (subset, rotation angle) stages with zero square sum at every stage.
-
-    Returns a list of (pattern, stages) where pattern is the flipped index
-    set realised once the stages complete (the chain returns to the
-    standard form; coordinates rotated by a total odd multiple of pi have
-    their lift sign flipped).
-    """
-    gens = []
+def _fiber_signs(k: int):
+    """Index sets of the coordinates whose square over the standard chain
+    is +1 and -1; at odd k the first two (squares w, w-bar) are in neither."""
     if k % 2 == 0:
-        plus = list(range(0, k, 2))
-        minus = list(range(1, k, 2))
-        for p in plus:
-            for q in minus:
-                gens.append((frozenset((p, q)), [((p, q), np.pi)]))
-        gens.append((frozenset((0, 2, 3)), [
-            ((0, 3), np.pi / 2), ((0, 2), np.pi / 2), ((2, 3), np.pi / 2)]))
-    else:
-        plus = [2, 3] + list(range(5, k, 2))
-        minus = list(range(4, k, 2))
-        for p in plus:
-            for q in minus:
-                gens.append((frozenset((p, q)), [((p, q), np.pi)]))
-        gens.append((frozenset((0, 1, 2)), [((0, 1, 2), np.pi)]))
-        gens.append((frozenset(range(k)), [(tuple(range(k)), np.pi)]))
-        gens.append((frozenset((1,)), [
-            ((2, 4), -np.pi / 3), ((1, 4), np.pi / 2),
-            ((1, 2), np.pi / 2), ((2, 4), -np.pi / 6)]))
-        gens.append((frozenset((0, 2, 4)), [
-            ((2, 4), np.pi / 3), ((0, 4), np.pi / 2),
-            ((0, 2), np.pi / 2), ((2, 4), np.pi / 6)]))
-    return gens
+        return set(range(0, k, 2)), set(range(1, k, 2))
+    return {2, 3} | set(range(5, k, 2)), set(range(4, k, 2))
 
 
-def _solve_flip_pattern(k: int, want: frozenset):
-    """Pick generators whose combined flip pattern equals ``want`` (GF(2))."""
-    gens = _fiber_generators(k)
-    cols = np.zeros((k, len(gens)), dtype=np.uint8)
-    for j, (pat, _) in enumerate(gens):
-        for i in pat:
-            cols[i, j] = 1
-    target = np.zeros(k, dtype=np.uint8)
-    for i in want:
-        target[i] = 1
-    A = np.concatenate([cols, target[:, None]], axis=1).astype(np.uint8)
-    m = len(gens)
-    pivots = []
-    row = 0
-    for col in range(m):
-        hit = None
-        for r in range(row, k):
-            if A[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        A[[row, hit]] = A[[hit, row]]
-        for r in range(k):
-            if r != row and A[r, col]:
-                A[r] ^= A[row]
-        pivots.append(col)
-        row += 1
-    if any(A[r, m] for r in range(row, k)):
-        raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
-    chosen = [c for r, c in enumerate(pivots) if A[r, m]]
-    return [gens[c] for c in chosen]
+def _special_generators(k: int):
+    """Sign flips that balanced pi-rotations cannot make, each a (pattern,
+    stages) pair: the stages are (subset, rotation angle) with zero square
+    sum at every stage, and pattern is the index set they negate."""
+    if k % 2 == 0:
+        return [({0, 2, 3}, [((0, 3), np.pi / 2), ((0, 2), np.pi / 2), ((2, 3), np.pi / 2)])]
+    return [
+        ({0, 1, 2}, [((0, 1, 2), np.pi)]),
+        (set(range(k)), [(tuple(range(k)), np.pi)]),
+        ({1}, [((2, 4), -np.pi / 3), ((1, 4), np.pi / 2),
+               ((1, 2), np.pi / 2), ((2, 4), -np.pi / 6)]),
+        ({0, 2, 4}, [((2, 4), np.pi / 3), ((0, 4), np.pi / 2),
+                     ((0, 2), np.pi / 2), ((2, 4), np.pi / 6)]),
+    ]
+
+
+def _balanced_flips(v: set, plus: set, minus: set):
+    """At most two subsets, each with as many +1 as -1 squares, whose
+    symmetric difference is v (which needs |v & plus| = |v & minus| mod 2).
+
+    Rotating such a subset by pi negates exactly it and keeps the square
+    sum zero throughout.  With a = |v & plus| >= c = |v & minus| and
+    d = (a - c) / 2, d minus-indices Q outside v pad both subsets: the first
+    holds c + d of v's plus-indices, all of v's minus-indices and Q, the
+    second the other d plus-indices and Q, so Q is negated twice.  The
+    mirror case swaps the roles of plus and minus.
+    """
+    big, small, pad = sorted(v & plus), sorted(v & minus), minus
+    if len(big) < len(small):
+        big, small, pad = small, big, plus
+    d = (len(big) - len(small)) // 2
+    q = sorted(pad - v)[:d]
+    first = big[:len(small) + d] + small + q
+    second = big[len(small) + d:] + q
+    return [tuple(sorted(f)) for f in (first, second) if f]
+
+
+def _flip_moves(k: int, want) -> list:
+    """(subset, angle) rotation stages over the standard chain that negate
+    exactly the coordinates in ``want``: the fewest special generators that
+    leave a pattern balanced pi-rotations can make, then at most two of
+    those rotations."""
+    plus, minus = _fiber_signs(k)
+    specials = _special_generators(k)
+    for size in range(len(specials) + 1):
+        for chosen in itertools.combinations(specials, size):
+            v = set(int(i) for i in want)
+            for pattern, _ in chosen:
+                v ^= pattern
+            if v <= plus | minus and len(v & plus) % 2 == len(v & minus) % 2:
+                return ([stage for _, stages in chosen for stage in stages]
+                        + [(f, np.pi) for f in _balanced_flips(v, plus, minus)])
+    raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +557,10 @@ def case1_explicit_path(max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     First coordinates 1-2 rotate together by pi, then coordinates 1 and 4;
     each stage rotates a pair with cancelling squares.
     """
-    b = canonical_planar(4).z
-
-    def leg1(t):
-        th = np.pi * t
-        return np.array([np.exp(1j * th), 1j * np.exp(1j * th), 1.0, 1j])
-
-    def leg2(t):
-        th = np.pi * t
-        return np.array([-np.exp(1j * th), -1j, 1.0, 1j * np.exp(1j * th)])
-
-    legs = [_sample_leg(leg1, max_step), _sample_leg(leg2, max_step)]
-    path = _concat_legs(legs, "planar", max_step)
-    assert np.max(np.abs(path.start - b)) < 1e-12
-    return path
+    max_step = check_step(max_step)
+    legs = _rotation_path(canonical_planar(4).z, [((0, 1), np.pi), ((0, 3), np.pi)],
+                          max_step)
+    return _concat_legs(legs, "planar", max_step)
 
 
 #: waypoints reached by the two stages of case1_explicit_path
@@ -602,28 +574,11 @@ CASE1_WAYPOINTS = (
 def case3_explicit_path(max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     """The five-stage homotopy from (e^{i pi/3}, e^{-i pi/3}, 1, 1, i) to
     its coordinatewise conjugate, rotating one cancelling pair per stage."""
+    max_step = check_step(max_step)
     p3 = np.pi / 3
-
-    def leg(start, idxs, offs, span):
-        def fn(t):
-            th = span * t
-            out = np.array(start, dtype=np.complex128)
-            for j, off in zip(idxs, offs):
-                out[j] = np.exp(1j * (th + off))
-            return out
-        return fn
-
-    w1 = [np.exp(1j * p3), np.exp(-1j * p3), 1.0, 1.0, 1j]
-    f1 = leg(w1, (2, 4), (0.0, np.pi / 2), p3)
-    w2 = f1(1.0)
-    f2 = leg(w2, (0, 4), (p3, 5 * np.pi / 6), 4 * np.pi / 3)
-    w3 = f2(1.0)
-    f3 = leg(w3, (1, 4), (-p3, np.pi / 6), np.pi / 6)
-    w4 = f3(1.0)
-    f4 = leg(w4, (1, 2), (-np.pi / 6, p3), np.pi / 2)
-    w5 = f4(1.0)
-    f5 = leg(w5, (2, 4), (5 * np.pi / 6, p3), 7 * np.pi / 6)
-    legs = [_sample_leg(f, max_step) for f in (f1, f2, f3, f4, f5)]
+    stages = [((2, 4), p3), ((0, 4), 4 * p3), ((1, 4), np.pi / 6),
+              ((1, 2), np.pi / 2), ((2, 4), 7 * np.pi / 6)]
+    legs = _rotation_path(CASE3_WAYPOINTS[0], stages, max_step)
     return _concat_legs(legs, "planar", max_step)
 
 
@@ -646,36 +601,33 @@ CASE3_WAYPOINTS = tuple(np.array(v) for v in (
 # full connectivity
 
 
-def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
+def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
+                        tol: float = DEFAULT_TOL) -> FramePath:
     """A validated path from z to the canonical frame canonical_planar(k).
 
     Composes (1) chain straightening of the squared chain, (2) the lift of
     that straightening starting at z, and (3) finitely many subset
     rotations connecting the lift endpoint to the canonical frame inside
-    the fiber over the standard chain.
+    the fiber over the standard chain.  ``tol`` is the tolerance z was
+    accepted at.
     """
+    max_step = check_step(max_step)
     k = z.k
     if k < 4:
         raise ValueError("need k >= 4")
-    cp = chain_straighten(square_map(z), max_step)
-    zp = lift_path(cp, z)
-    legs = [list(zp.points)]
-    state = np.array(zp.end)
+    zp = lift_path(chain_straighten(square_map(z, tol), max_step), z, tol)
     b = canonical_planar(k).z
-    ratio = state / b
+    ratio = zp.end / b
     signs = np.round(ratio.real)
     if np.max(np.abs(ratio - signs)) > 1e-6 or not np.all(np.abs(signs) == 1):
-        raise AssertionError("lift endpoint is not a sign pattern over the canonical frame")
-    want = frozenset(int(i) for i in np.flatnonzero(signs < 0))
-    if want:
-        for _, stages in _solve_flip_pattern(k, want):
-            for idxs, ang in stages:
-                leg = _rotation_leg(state, idxs, ang, max_step)
-                legs.append(leg)
-                state = leg[-1].copy()
+        raise ValueError("lift endpoint is not a sign pattern over the canonical frame")
+    state = signs * b
+    legs = [zp.points, np.vstack([zp.end, state])]
+    legs += _rotation_path(state, _flip_moves(k, np.flatnonzero(signs < 0)), max_step)
+    state = legs[-1][-1]
     if np.max(np.abs(state - b)) > 1e-6:
         raise AssertionError("fiber moves missed the canonical frame")
-    legs.append([state, b.copy()])  # snap the tail rounding error
+    legs.append(np.vstack([state, b]))  # snap the tail rounding error
     return _concat_legs(legs, "planar", max_step)
 
 
@@ -707,28 +659,27 @@ def random_planar_frame(k: int, rng) -> PlanarFrame:
 def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
                   expect_start=None, expect_end=None) -> PathReport:
     """Check unit modulus, the defining constraint, the step bound, and
-    (optionally) the declared endpoints; reports the worst violation."""
-    constraint = (lambda v: np.sum(v ** 2)) if p.kind == "planar" else np.sum
-    worst = -1.0
-    worst_t, worst_idx = 0.0, 0
-    max_mod = 0.0
-    max_con = 0.0
-    for t, pt in zip(p.ts, p.points):
-        mod_err = np.abs(np.abs(pt) - 1.0)
-        j = int(np.argmax(mod_err))
-        if mod_err[j] > worst:
-            worst, worst_t, worst_idx = float(mod_err[j]), t, j
-        max_mod = max(max_mod, float(mod_err[j]))
-        con = abs(constraint(pt))
-        if con > worst:
-            worst, worst_t, worst_idx = float(con), t, -1
-        max_con = max(max_con, float(con))
-    steps = [float(np.max(np.abs(b - a))) for a, b in zip(p.points, p.points[1:])]
-    max_step_seen = max(steps)
+    (optionally) the declared endpoints; reports the worst violation.
+
+    The worst violation is the first largest value in the sample order,
+    each sample's modulus error (worst_index: its coordinate) before its
+    constraint error (worst_index: -1).
+    """
+    pts = p.points
+    mod_err = np.abs(np.abs(pts) - 1.0)
+    coord = np.argmax(mod_err, axis=1)
+    mod = mod_err[np.arange(len(pts)), coord]
+    con = np.abs(np.sum(pts ** 2 if p.kind == "planar" else pts, axis=1))
+    at = int(np.argmax(np.column_stack([mod, con])))
+    i = at // 2
+    worst = float(mod[i] if at % 2 == 0 else con[i])
+    worst_idx = int(coord[i]) if at % 2 == 0 else -1
+    max_mod, max_con = float(np.max(mod)), float(np.max(con))
+    max_step_seen = float(np.max(np.abs(np.diff(pts, axis=0))))
     start_err = float(np.max(np.abs(p.start - expect_start))) if expect_start is not None else 0.0
     end_err = float(np.max(np.abs(p.end - expect_end))) if expect_end is not None else 0.0
     ok = (max_mod <= tol and max_con <= tol
           and max_step_seen <= p.max_step + 1e-12
           and start_err <= tol and end_err <= tol)
     return PathReport(ok, max_mod, max_con, max_step_seen, p.max_step,
-                      start_err, end_err, worst, worst_t, worst_idx)
+                      start_err, end_err, worst, float(p.ts[i]), worst_idx)

@@ -197,6 +197,8 @@ def construct_regular_point(k: int, n: int) -> GramPoint:
     permutation sending basis vector j to 1 + (j-1) k' (1-based).  The
     result keeps unit diagonal and has connected support.
     """
+    if not k > n >= 1:
+        raise ValueError("need k > n >= 1")
     d = math.gcd(k, n)
     if d == 1:
         return gram(harmonic_frame(k, n, "R"))

@@ -153,7 +153,7 @@ def _transported_orientation(z, w):
     to_standard_w = fl.connect_to_standard(w)
     for path, start in ((to_standard_z, z.z), (to_standard_w, w.z)):
         assert fl.validate_path(path, 1e-6, expect_start=start, expect_end=b).ok
-    path = np.array(to_standard_z.points + to_standard_w.points[::-1])
+    path = np.concatenate([to_standard_z.points, to_standard_w.points[::-1]])
     bases, smallest = _horizontal_planes(np.unwrap(np.angle(path), axis=0))
     assert smallest.min() > 0.5, f"rows nearly dependent: {smallest.min():.3g}"
     U = bases[0]

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framelab as fl
 from framelab import cli, jsonio
@@ -183,3 +189,173 @@ def test_json_round_trip_exact(tmp_path, capsys):
     doc = jsonio.frame_to_dict(F)
     back = jsonio.frame_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(back.entries, F.entries)
+
+
+def _per_element_path_to_dict(p):
+    """The per-element path encoder that the array codec replaced."""
+    return {"kind": p.kind, "k": p.k, "max_step": p.max_step,
+            "samples": [{"t": float(t), "z": [[float(z.real), float(z.imag)] for z in pt]}
+                        for t, pt in zip(p.ts, p.points)]}
+
+
+def test_path_json_matches_per_element_codec():
+    z = fl.random_planar_frame(9, np.random.default_rng(5))
+    for path in (fl.connect_to_standard(z), fl.chain_straighten(fl.square_map(z))):
+        for sep in (None, (",", ":")):
+            text = json.dumps(jsonio.path_to_dict(path), separators=sep)
+            assert text == json.dumps(_per_element_path_to_dict(path), separators=sep)
+        back = jsonio.path_from_dict(json.loads(text))
+        assert back.kind == path.kind and back.max_step == path.max_step
+        assert back.ts.tobytes() == path.ts.tobytes()
+        assert back.points.tobytes() == path.points.tobytes()
+    doc = jsonio.path_to_dict(path)
+    doc["k"] += 1
+    with pytest.raises(ValueError, match="declared k"):
+        jsonio.path_from_dict(doc)
+
+
+def _one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("framelab: ") and len(err.splitlines()) == 1
+
+
+def test_lift_rejects_nan_sample(tmp_path, capsys):
+    z = fl.random_planar_frame(5, np.random.default_rng(6))
+    doc = jsonio.path_to_dict(fl.chain_straighten(fl.square_map(z)))
+    doc["samples"][3]["z"][1][0] = float("nan")
+    cpath = write(tmp_path, "cp.json", doc)
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z.z)))
+    _one_line_error(*run(capsys, "lift", cpath, fpath))
+
+
+@pytest.mark.parametrize("err,tol", [(1e-11, None), (1e-7, "1e-6")])
+def test_planar_connect_takes_what_verify_passes(tmp_path, capsys, err, tol):
+    z = fl.random_planar_frame(6, np.random.default_rng(8)).z * (1 + err)
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z)))
+    flags = ["--tol", tol] if tol else []
+    code, out, _ = run(capsys, "verify", fpath, *flags)
+    assert code == 0 and json.loads(out)["pass"]
+    code, out, err_text = run(capsys, "planar-connect", fpath, *flags)
+    assert code == 0 and err_text == ""
+    path = jsonio.path_from_dict(json.loads(out))
+    assert fl.validate_path(path, float(tol or fl.DEFAULT_TOL), expect_start=z,
+                            expect_end=fl.canonical_planar(6).z).ok
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05", "nan", "inf"])
+def test_bad_max_step_exits_2(tmp_path, capsys, step):
+    z = fl.random_planar_frame(6, np.random.default_rng(9))
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z.z)))
+    _one_line_error(*run(capsys, "planar-connect", fpath, "--max-step", step))
+    loop = fl.to_gram_loop(fl.case1_explicit_path())
+    lpath = write(tmp_path, "loop.json", jsonio.loop_to_dict(loop))
+    _one_line_error(*run(capsys, "holonomy", lpath, "--max-step", step))
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan"])
+def test_malformed_env_tolerance_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("FRAMELAB_TOL", value)
+    _one_line_error(*run(capsys, "simplex", "--n", "3"))
+
+
+def _seed_documents():
+    """One valid document of each input kind, small enough to run fast."""
+    z4 = fl.random_planar_frame(4, np.random.default_rng(10))
+    return {
+        "frame": jsonio.frame_to_dict(fl.simplex_frame(2)),
+        "planar": jsonio.frame_to_dict(fl.from_planar(z4.z)),
+        "gram": jsonio.gram_to_dict(fl.gram(fl.simplex_frame(2))),
+        "loop": jsonio.loop_to_dict(fl.to_gram_loop(fl.case1_explicit_path(0.5))),
+        "chainpath": jsonio.path_to_dict(fl.chain_straighten(fl.square_map(z4), 0.5)),
+        "complex": jsonio.complex_to_dict(fl.build_g42()),
+    }
+
+
+_SEEDS = _seed_documents()
+
+#: subcommand -> the seed kind of each document argument
+_DOC_ARGS = {
+    "verify": ("frame",), "gram": ("frame",), "complement": ("gram",),
+    "frame-from-gram": ("gram",), "partition": ("gram",), "tangent": ("gram",),
+    "planar-connect": ("planar",), "lift": ("chainpath", "planar"),
+    "holonomy": ("loop",), "surface-report": ("complex",),
+    "simplex": (), "harmonic": (), "dims": (), "regular-point": (),
+    "enumerate-1red": (), "complex": (),
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats() | st.sampled_from([10 ** 400, -1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=4),
+    max_leaves=10)
+
+
+def _mutated(data, doc):
+    """doc unchanged, or with one value replaced or one key dropped, anywhere."""
+    action = data.draw(st.sampled_from(["keep", "replace", "descend"]))
+    if action == "descend" and isinstance(doc, (dict, list)) and doc:
+        key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                                        else range(len(doc))))
+        doc = copy.copy(doc)
+        if isinstance(doc, dict) and data.draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = _mutated(data, doc[key])
+        return doc
+    return doc if action == "keep" else data.draw(_JSON)
+
+
+def _fuzz_argv(data, cmd, tmpdir):
+    argv = [cmd]
+    for i, kind in enumerate(_DOC_ARGS[cmd]):
+        doc = _mutated(data, _SEEDS[kind]) if data.draw(st.integers(0, 3)) else data.draw(_JSON)
+        text = json.dumps(doc) if data.draw(st.integers(0, 9)) else "{not json"
+        path = os.path.join(tmpdir, f"doc{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv.append(path)
+    small = st.integers(-2, 7).map(str)
+    step = st.sampled_from(["0.05", "0.3"]) | st.floats(0.02, 2.0).map(repr)
+    flags = {
+        "simplex": [("--n", small)], "enumerate-1red": [("--n", small)],
+        "harmonic": [("--k", small), ("--n", small), ("--field", st.sampled_from("RC"))],
+        "dims": [("--k", small), ("--n", small), ("--field", st.sampled_from("RC"))],
+        "regular-point": [("--k", small), ("--n", small)],
+        "complex": [(None, st.sampled_from(["g42", "g52"]))],
+        "verify": [("--axes", st.sampled_from(["1,1", "2,1", "1", "a,b", ""]))],
+        "planar-connect": [("--max-step", step)], "holonomy": [("--max-step", step)],
+    }.get(cmd, [])
+    for flag, values in flags:
+        if flag is None:
+            argv.append(data.draw(values))
+        elif flag in ("--n", "--k") or data.draw(st.booleans()):
+            argv += [flag, data.draw(values)]
+    if _DOC_ARGS[cmd] and data.draw(st.booleans()):
+        argv += ["--tol", data.draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan"]))]
+    if cmd != "complex" and data.draw(st.booleans()):
+        argv += ["--format", "text"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_fuzz_exit_codes(data):
+    """Any document and flags: exit 0, 1 (verify only) or 2 with one
+    stderr line, and never a traceback."""
+    cmd = data.draw(st.sampled_from(sorted(_DOC_ARGS)))
+    with tempfile.TemporaryDirectory() as tmpdir:
+        argv = _fuzz_argv(data, cmd, tmpdir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+                assert code == 2, argv
+    err = err.getvalue()
+    assert "Traceback" not in err, argv
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 1 or cmd == "verify", (argv, err)
+    if code == 2 and err.startswith("framelab: "):
+        assert len(err.splitlines()) == 1, (argv, err)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import planar
 from framelab.planar import CASE1_WAYPOINTS, CASE3_WAYPOINTS, FramePath
 
 
@@ -199,3 +200,136 @@ def test_frame_path_validation():
     with pytest.raises(ValueError):
         FramePath("planar", (0.0, 0.5, 0.5, 1.0),
                   tuple(np.ones(3) for _ in range(4)), 0.05)
+    ts = (0.0, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        FramePath("planar", ts, (np.ones(3), np.array([1, np.nan, 1]), np.ones(3)), 0.05)
+    with pytest.raises(ValueError):
+        FramePath("planar", ts, (np.ones(3), np.ones(4), np.ones(3)), 0.05)
+    with pytest.raises(ValueError):
+        FramePath("planar", (0.0, np.inf, 1.0), tuple(np.ones(3) for _ in ts), 0.05)
+    path = FramePath("chain", ts, tuple(np.ones(3) for _ in ts), 0.05)
+    assert path.points.shape == (3, 3) and not path.points.flags.writeable
+    assert not path.ts.flags.writeable
+
+
+def test_planar_types_take_a_tolerance():
+    z = fl.canonical_planar(6).z * (1 + 1e-7)
+    with pytest.raises(ValueError):
+        fl.PlanarFrame(z)
+    pf = fl.PlanarFrame(z, 1e-6)
+    with pytest.raises(ValueError):
+        fl.square_map(pf)
+    assert np.array_equal(fl.square_map(pf, 1e-6).w, z ** 2)
+    with pytest.raises(ValueError):
+        fl.Chain(z ** 2)
+    fl.Chain(z ** 2, tol=1e-6)
+
+
+def test_connect_to_standard_with_modulus_error():
+    rng = np.random.default_rng(11)
+    for err, tol in ((1e-11, 1e-9), (1e-7, 1e-6)):
+        z = fl.PlanarFrame(fl.random_planar_frame(6, rng).z * (1 + err), tol)
+        path = fl.connect_to_standard(z, tol=tol)
+        rep = fl.validate_path(path, tol, expect_start=z.z,
+                               expect_end=fl.canonical_planar(6).z)
+        assert rep.ok, rep
+        assert np.array_equal(path.start, z.z)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, np.nan, np.inf])
+def test_max_step_must_be_finite_positive(step):
+    z = fl.random_planar_frame(6, np.random.default_rng(12))
+    loop = fl.to_gram_loop(fl.case1_explicit_path())
+    for call in (lambda: fl.connect_to_standard(z, step),
+                 lambda: fl.chain_straighten(fl.square_map(z), step),
+                 lambda: fl.case1_explicit_path(step),
+                 lambda: fl.case3_explicit_path(step),
+                 lambda: fl.holonomy_sign(loop, max_step=step),
+                 lambda: FramePath("chain", (0.0, 1.0), (np.ones(3), np.ones(3)), step)):
+        with pytest.raises(ValueError, match="max_step"):
+            call()
+
+
+def test_tiny_max_step_is_refused_not_sampled():
+    z = fl.random_planar_frame(7, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="samples on one leg"):
+        fl.connect_to_standard(z, 1e-300)
+    with pytest.raises(ValueError, match="samples on one leg"):
+        fl.case1_explicit_path(1e-9)
+
+
+def _apply_stages(state, stages):
+    state = np.array(state)
+    for idxs, angle in stages:
+        idxs = list(idxs)
+        assert abs(np.sum(state[idxs] ** 2)) < 1e-12, (idxs, angle)
+        state[idxs] = state[idxs] * np.exp(1j * angle)
+    return state
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+def test_flip_moves_reach_every_pattern(k):
+    b = fl.canonical_planar(k).z
+    plus, minus = planar._fiber_signs(k)
+    specials = [stages for _, stages in planar._special_generators(k)]
+    for bits in range(2 ** k):
+        want = [j for j in range(k) if (bits >> j) & 1]
+        signs = np.ones(k)
+        signs[want] = -1
+        moves = planar._flip_moves(k, want)
+        assert np.max(np.abs(_apply_stages(signs * b, moves) - b)) < 1e-12, want
+        for stages in specials:
+            if moves[:len(stages)] == stages:
+                moves = moves[len(stages):]
+        assert len(moves) <= 2, (want, moves)
+        for idxs, angle in moves:
+            assert angle == np.pi
+            assert len(plus & set(idxs)) == len(minus & set(idxs)) == len(idxs) / 2
+
+
+def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
+    """The per-sample validate_path loop that the array reductions replaced."""
+    constraint = (lambda v: np.sum(v ** 2)) if p.kind == "planar" else np.sum
+    worst = -1.0
+    worst_t, worst_idx = 0.0, 0
+    max_mod = 0.0
+    max_con = 0.0
+    for t, pt in zip(p.ts, p.points):
+        mod_err = np.abs(np.abs(pt) - 1.0)
+        j = int(np.argmax(mod_err))
+        if mod_err[j] > worst:
+            worst, worst_t, worst_idx = float(mod_err[j]), t, j
+        max_mod = max(max_mod, float(mod_err[j]))
+        con = abs(constraint(pt))
+        if con > worst:
+            worst, worst_t, worst_idx = float(con), t, -1
+        max_con = max(max_con, float(con))
+    steps = [float(np.max(np.abs(b - a))) for a, b in zip(p.points, p.points[1:])]
+    start_err = float(np.max(np.abs(p.start - expect_start))) if expect_start is not None else 0.0
+    end_err = float(np.max(np.abs(p.end - expect_end))) if expect_end is not None else 0.0
+    ok = (max_mod <= tol and max_con <= tol and max(steps) <= p.max_step + 1e-12
+          and start_err <= tol and end_err <= tol)
+    return ok, worst_idx, worst_t, (max_mod, max_con, max(steps), start_err, end_err, worst)
+
+
+def test_validate_path_matches_loop():
+    rng = np.random.default_rng(14)
+    z = fl.random_planar_frame(7, rng)
+    path = fl.connect_to_standard(z)
+    b = fl.canonical_planar(7).z
+    pts = np.array(path.points)
+    pts[17] *= 1.001
+    corrupted = FramePath("planar", path.ts, pts, path.max_step)
+    chain = fl.chain_straighten(fl.square_map(z))
+    nan_end = np.array(b)
+    nan_end[2] = np.nan
+    cases = [(path, z.z, b), (corrupted, z.z, b), (path, z.z, b + 1e-3),
+             (path, z.z + 1e-3, None), (path, None, nan_end), (chain, None, None)]
+    for p, start, end in cases:
+        rep = fl.validate_path(p, 1e-9, expect_start=start, expect_end=end)
+        ok, idx, t, residuals = _validate_path_loop(p, 1e-9, start, end)
+        assert (rep.ok, rep.worst_index, rep.worst_t) == (ok, idx, t)
+        got = (rep.max_modulus_error, rep.max_constraint_error, rep.max_step_seen,
+               rep.start_error, rep.end_error, rep.worst_violation)
+        for a, r in zip(got, residuals):
+            assert (np.isnan(a) and np.isnan(r)) or abs(a - r) <= np.spacing(max(a, r))
