@@ -12,210 +12,159 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import cellcomplex, frames, grassmann, jsonio, planar, stratification
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("FRAMELAB_TOL")
-    if raw is None:
-        return frames.DEFAULT_TOL
+def _tolerance(raw, source: str) -> float:
+    """``raw`` as a float; ValueError naming ``source`` unless finite and > 0."""
     try:
-        tol = float(raw)
+        if 0 < float(raw) < float("inf"):  # NaN fails both comparisons
+            return float(raw)
     except ValueError:
-        tol = float("nan")
-    if not np.isfinite(tol):
-        raise ValueError(f"FRAMELAB_TOL must be a finite number, got {raw!r}")
-    return tol
+        pass
+    raise ValueError(f"{source} must be a finite number > 0, got {raw!r}")
 
 
-def _emit(doc, fmt: str) -> None:
-    if fmt == "text":
-        for key, val in doc.items():
-            print(f"{key}: {val}")
-    else:
-        jsonio.write_json(doc)
+def _frame_in(path: str) -> frames.Frame:
+    return jsonio.frame_from_dict(jsonio.read_json(path))
 
 
-def _add_common(p, tol=True, fmt=True):
-    if tol:
-        p.add_argument("--tol", type=float, default=_default_tol())
-    if fmt:
-        p.add_argument("--format", choices=("json", "text"), default="json")
+def _gram_in(args) -> grassmann.GramPoint:
+    """The Gram point in ``args.input``, checked against its invariants at --tol."""
+    R = jsonio.gram_from_dict(jsonio.read_json(args.input))
+    check = grassmann.is_gram_point(R.entries, R.n, args.tol)
+    failed = [name for name, ok in vars(check).items() if not ok]
+    if failed:
+        raise ValueError(f"not a Gram point at tol {args.tol:g}: {', '.join(failed)} failed")
+    return R
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="framelab")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("verify", help="frame bounds, tightness, sphericity/ellipsoid")
-    p.add_argument("frame")
-    p.add_argument("--axes", help="comma-separated ellipsoid axes (descending)")
-    _add_common(p)
-
-    for name in ("gram", "complement", "frame-from-gram", "partition", "tangent"):
-        p = sub.add_parser(name)
-        p.add_argument("input")
-        _add_common(p)
-
-    p = sub.add_parser("simplex")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, tol=False)
-
-    p = sub.add_parser("harmonic")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", choices=("R", "C"), default="R")
-    _add_common(p, tol=False)
-
-    p = sub.add_parser("dims")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", choices=("R", "C"), default="R")
-    _add_common(p, tol=False)
-
-    p = sub.add_parser("regular-point")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, tol=False)
-
-    p = sub.add_parser("enumerate-1red")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--points", action="store_true", help="include the Gram matrices")
-    _add_common(p, tol=False)
-
-    p = sub.add_parser("planar-connect")
-    p.add_argument("frame")
-    p.add_argument("--max-step", type=float, default=planar.DEFAULT_MAX_STEP)
-    _add_common(p)
-
-    p = sub.add_parser("lift")
-    p.add_argument("chainpath")
-    p.add_argument("start")
-    _add_common(p)
-
-    p = sub.add_parser("holonomy")
-    p.add_argument("loop")
-    p.add_argument("--max-step", type=float, default=grassmann.DEFAULT_LOOP_STEP)
-    _add_common(p)
-
-    p = sub.add_parser("complex")
-    p.add_argument("which", choices=("g42", "g52"))
-    p.add_argument("--export", metavar="PATH", help="write the JSON to PATH")
-    _add_common(p, tol=False, fmt=False)
-
-    p = sub.add_parser("surface-report")
-    p.add_argument("input")
-    _add_common(p, tol=False)
-
-    return ap
-
-
-def _cmd_verify(args) -> int:
-    F = jsonio.frame_from_dict(jsonio.read_json(args.frame))
+def _verify(args):
+    """frame bounds, tightness, sphericity/ellipsoid"""
+    F = _frame_in(args.frame)
     b = frames.frame_bounds(F)
     tight, bound = frames.is_tight(F, args.tol)
     doc = {"n": F.n, "k": F.k, "lower": b.lower, "upper": b.upper,
            "tight": tight, "tight_bound": bound}
-    ok = tight
     if args.axes:
         spec = frames.EllipsoidSpec(tuple(float(x) for x in args.axes.split(",")))
-        on = frames.is_on_ellipsoid(F, spec, args.tol)
-        doc["on_ellipsoid"] = on
+        shape_ok = doc["on_ellipsoid"] = frames.is_on_ellipsoid(F, spec, args.tol)
         doc["expected_tight_bound"] = frames.expected_tight_bound(spec, F.k)
-        ok = ok and on
     else:
-        sph = frames.is_spherical(F, args.tol)
-        doc["spherical"] = sph
-        ok = ok and sph
-    doc["pass"] = ok
-    _emit(doc, args.format)
-    return 0 if ok else 1
+        shape_ok = doc["spherical"] = frames.is_spherical(F, args.tol)
+    doc["pass"] = tight and shape_ok
+    return doc, 0 if doc["pass"] else 1
+
+
+def _partition(args):
+    R = jsonio.gram_from_dict(jsonio.read_json(args.input))
+    return jsonio.partition_to_dict(stratification.commutant_partition(R.entries, args.tol))
+
+
+def _enumerate_one_redundant(args):
+    res = grassmann.enumerate_one_redundant(args.n)
+    doc = {"count": len(res.points), "permutation_orbits": res.permutation_orbits,
+           "sign_orbits": res.sign_orbits}
+    if args.points:
+        doc["points"] = [jsonio.gram_to_dict(p) for p in res.points]
+    return doc
+
+
+def _planar_connect(args):
+    z = planar.to_planar(_frame_in(args.frame), args.tol)
+    return jsonio.path_to_dict(planar.connect_to_standard(z, args.max_step, args.tol))
+
+
+def _lift(args):
+    cp = jsonio.path_from_dict(jsonio.read_json(args.chainpath))
+    start = planar.to_planar(_frame_in(args.start), args.tol)
+    return jsonio.path_to_dict(planar.lift_path(cp, start, args.tol))
+
+
+def _holonomy(args):
+    loop = jsonio.loop_from_dict(jsonio.read_json(args.loop))
+    return {"sign": grassmann.holonomy_sign(loop, args.tol, args.max_step)}
+
+
+def _surface_report(args):
+    C = jsonio.complex_from_dict(jsonio.read_json(args.input))
+    return vars(cellcomplex.surface_report(C))
+
+
+_INPUT = ("input", {})
+_K = ("--k", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_FIELD = ("--field", {"choices": ("R", "C"), "default": "R"})
+_TOL = ("--tol", {})  # default: FRAMELAB_TOL, else frames.DEFAULT_TOL
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+
+_COMPLEXES = {"g42": cellcomplex.build_g42, "g52": cellcomplex.build_g52}
+
+#: subcommand -> (handler, *argument specs); a handler returns a doc or (doc, exit code)
+COMMANDS = {
+    "verify": (_verify, ("frame", {}),
+               ("--axes", {"help": "comma-separated ellipsoid axes (descending)"}),
+               _TOL, _FORMAT),
+    "gram": (lambda a: jsonio.gram_to_dict(grassmann.gram(_frame_in(a.input), a.tol)),
+             _INPUT, _TOL, _FORMAT),
+    "complement": (lambda a: jsonio.gram_to_dict(grassmann.complement(_gram_in(a))),
+                   _INPUT, _TOL, _FORMAT),
+    "frame-from-gram": (lambda a: jsonio.frame_to_dict(grassmann.frame_from_gram(_gram_in(a))),
+                        _INPUT, _TOL, _FORMAT),
+    "partition": (_partition, _INPUT, _TOL, _FORMAT),
+    "tangent": (
+        lambda a: jsonio.tangent_to_dict(stratification.tangent_report(_gram_in(a), a.tol)),
+        _INPUT, _TOL, _FORMAT),
+    "simplex": (lambda a: jsonio.frame_to_dict(frames.simplex_frame(a.n)), _N, _FORMAT),
+    "harmonic": (lambda a: jsonio.frame_to_dict(stratification.harmonic_frame(a.k, a.n, a.field)),
+                 _K, _N, _FIELD, _FORMAT),
+    "dims": (lambda a: stratification.expected_dimensions(a.k, a.n, a.field),
+             _K, _N, _FIELD, _FORMAT),
+    "regular-point": (
+        lambda a: jsonio.gram_to_dict(stratification.construct_regular_point(a.k, a.n)),
+        _K, _N, _FORMAT),
+    "enumerate-1red": (
+        _enumerate_one_redundant, _N,
+        ("--points", {"action": "store_true", "help": "include the Gram matrices"}), _FORMAT),
+    "planar-connect": (_planar_connect, ("frame", {}),
+                       ("--max-step", {"type": float, "default": planar.DEFAULT_MAX_STEP}),
+                       _TOL, _FORMAT),
+    "lift": (_lift, ("chainpath", {}), ("start", {}), _TOL, _FORMAT),
+    "holonomy": (_holonomy, ("loop", {}),
+                 ("--max-step", {"type": float, "default": grassmann.DEFAULT_LOOP_STEP}),
+                 _TOL, _FORMAT),
+    "complex": (lambda a: jsonio.complex_to_dict(_COMPLEXES[a.which]()),
+                ("which", {"choices": tuple(_COMPLEXES)}),
+                ("--export", {"metavar": "PATH", "help": "write the JSON to PATH"})),
+    "surface-report": (_surface_report, _INPUT, _FORMAT),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    tol = _tolerance(os.environ.get("FRAMELAB_TOL", frames.DEFAULT_TOL), "FRAMELAB_TOL")
+    ap = argparse.ArgumentParser(prog="framelab")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (handler, *specs) in COMMANDS.items():
+        # passing help at all, even None, lists the subcommand in -h
+        p = sub.add_parser(name, **({"help": handler.__doc__} if handler.__doc__ else {}))
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler, tol=tol)
+    return ap
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.cmd == "verify":
-            return _cmd_verify(args)
-        if args.cmd == "gram":
-            F = jsonio.frame_from_dict(jsonio.read_json(args.input))
-            _emit(jsonio.gram_to_dict(grassmann.gram(F, args.tol)), args.format)
-            return 0
-        if args.cmd == "complement":
-            R = jsonio.gram_from_dict(jsonio.read_json(args.input))
-            _emit(jsonio.gram_to_dict(grassmann.complement(R)), args.format)
-            return 0
-        if args.cmd == "frame-from-gram":
-            R = jsonio.gram_from_dict(jsonio.read_json(args.input))
-            _emit(jsonio.frame_to_dict(grassmann.frame_from_gram(R)), args.format)
-            return 0
-        if args.cmd == "simplex":
-            _emit(jsonio.frame_to_dict(frames.simplex_frame(args.n)), args.format)
-            return 0
-        if args.cmd == "harmonic":
-            F = stratification.harmonic_frame(args.k, args.n, args.field)
-            _emit(jsonio.frame_to_dict(F), args.format)
-            return 0
-        if args.cmd == "partition":
-            R = jsonio.gram_from_dict(jsonio.read_json(args.input))
-            p = stratification.commutant_partition(R.entries, args.tol)
-            _emit(jsonio.partition_to_dict(p), args.format)
-            return 0
-        if args.cmd == "tangent":
-            R = jsonio.gram_from_dict(jsonio.read_json(args.input))
-            rep = stratification.tangent_report(R, args.tol)
-            _emit(jsonio.tangent_to_dict(rep), args.format)
-            return 0
-        if args.cmd == "dims":
-            _emit(stratification.expected_dimensions(args.k, args.n, args.field),
-                  args.format)
-            return 0
-        if args.cmd == "regular-point":
-            R = stratification.construct_regular_point(args.k, args.n)
-            _emit(jsonio.gram_to_dict(R), args.format)
-            return 0
-        if args.cmd == "enumerate-1red":
-            res = grassmann.enumerate_one_redundant(args.n)
-            doc = {"count": len(res.points),
-                   "permutation_orbits": res.permutation_orbits,
-                   "sign_orbits": res.sign_orbits}
-            if args.points:
-                doc["points"] = [jsonio.gram_to_dict(p) for p in res.points]
-            _emit(doc, args.format)
-            return 0
-        if args.cmd == "planar-connect":
-            F = jsonio.frame_from_dict(jsonio.read_json(args.frame))
-            z = planar.to_planar(F, args.tol)
-            path = planar.connect_to_standard(z, args.max_step, args.tol)
-            _emit(jsonio.path_to_dict(path), args.format)
-            return 0
-        if args.cmd == "lift":
-            cp = jsonio.path_from_dict(jsonio.read_json(args.chainpath))
-            start = planar.to_planar(
-                jsonio.frame_from_dict(jsonio.read_json(args.start)), args.tol)
-            _emit(jsonio.path_to_dict(planar.lift_path(cp, start, args.tol)),
-                  args.format)
-            return 0
-        if args.cmd == "holonomy":
-            loop = jsonio.loop_from_dict(jsonio.read_json(args.loop))
-            sign = grassmann.holonomy_sign(loop, args.tol, args.max_step)
-            _emit({"sign": sign}, args.format)
-            return 0
-        if args.cmd == "complex":
-            C = cellcomplex.build_g42() if args.which == "g42" else cellcomplex.build_g52()
-            doc = jsonio.complex_to_dict(C)
-            jsonio.write_json(doc, args.export or "-")
-            return 0
-        if args.cmd == "surface-report":
-            C = jsonio.complex_from_dict(jsonio.read_json(args.input))
-            r = cellcomplex.surface_report(C)
-            _emit({"v": r.v, "e": r.e, "f": r.f, "euler": r.euler,
-                   "closed_surface": r.closed_surface, "orientable": r.orientable,
-                   "connected": r.connected, "genus": r.genus}, args.format)
-            return 0
-        raise ValueError(f"unknown command {args.cmd!r}")
+        args.tol = _tolerance(args.tol, "--tol")
+        doc = args.handler(args)
+        doc, code = doc if isinstance(doc, tuple) else (doc, 0)
+        if vars(args).get("format") == "text":
+            for key, val in doc.items():
+                print(f"{key}: {val}")
+        else:
+            jsonio.write_json(doc, vars(args).get("export") or "-")
+        return code
     except (ValueError, KeyError, OSError) as exc:
         print(f"framelab: {exc}", file=sys.stderr)
         return 2

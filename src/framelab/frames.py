@@ -87,6 +87,8 @@ class EllipsoidSpec:
         axes = tuple(float(a) for a in self.axes)
         if len(axes) == 0:
             raise ValueError("axes must be nonempty")
+        if not all(np.isfinite(axes)):
+            raise ValueError("axes must be finite")
         if any(a <= 0 for a in axes):
             raise ValueError("axes must be strictly positive")
         if any(axes[i] < axes[i + 1] for i in range(len(axes) - 1)):

@@ -21,14 +21,12 @@ from .planar import FramePath
 from .stratification import Partition, TangentReport
 
 
-def _num(x, field):
-    if field == "C":
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(np.real(x))
-
-
 def _matrix_out(M, field):
-    return [[_num(x, field) for x in row] for row in np.asarray(M)]
+    """Nested lists of floats; complex entries become [re, im] pairs."""
+    if field == "C":
+        a = np.ascontiguousarray(M, dtype=np.complex128)
+        return a.view(np.float64).reshape(*a.shape, 2).tolist()
+    return np.real(M).astype(np.float64).tolist()
 
 
 def _matrix_in(rows, field):
@@ -105,7 +103,7 @@ def tangent_to_dict(r: TangentReport) -> dict:
 
 
 def path_to_dict(p: FramePath) -> dict:
-    z = p.points.view(np.float64).reshape(*p.points.shape, 2).tolist()
+    z = _matrix_out(p.points, "C")
     return {"kind": p.kind, "k": p.k, "max_step": p.max_step,
             "samples": [{"t": t, "z": row} for t, row in zip(p.ts.tolist(), z)]}
 

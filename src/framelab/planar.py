@@ -24,6 +24,9 @@ from .grassmann import GramPoint, check_step, gram
 DEFAULT_MAX_STEP = 0.05
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
+#: largest chain step connect_to_standard straightens with; lift_path refuses
+#: chain steps of 1 or more, and a step of half that keeps the roots apart
+LIFT_SAFE_STEP = 0.5
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -608,14 +611,15 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
     Composes (1) chain straightening of the squared chain, (2) the lift of
     that straightening starting at z, and (3) finitely many subset
     rotations connecting the lift endpoint to the canonical frame inside
-    the fiber over the standard chain.  ``tol`` is the tolerance z was
-    accepted at.
+    the fiber over the standard chain.  The straightening samples at most
+    LIFT_SAFE_STEP apart, so any finite max_step > 0 lifts.  ``tol`` is the
+    tolerance z was accepted at.
     """
     max_step = check_step(max_step)
     k = z.k
     if k < 4:
         raise ValueError("need k >= 4")
-    zp = lift_path(chain_straighten(square_map(z, tol), max_step), z, tol)
+    zp = lift_path(chain_straighten(square_map(z, tol), min(max_step, LIFT_SAFE_STEP)), z, tol)
     b = canonical_planar(k).z
     ratio = zp.end / b
     signs = np.round(ratio.real)

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellcomplex import _components
-from .frames import DEFAULT_TOL, Frame
-from .grassmann import RANK_GAP, GramPoint, _spectral_split, gram
+from .frames import DEFAULT_TOL, Frame, act_orthogonal, act_permutation, act_phases
+from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
+                        gram, torus_point)
+from .planar import from_planar, random_planar_frame
 
 #: relative eigenvalue cutoff for numerical rank decisions
 RANK_RTOL = 1e-8
@@ -236,8 +238,6 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
     column normalization (retrying with smaller kicks if the alternation
     stalls near a stratum boundary).
     """
-    from .frames import act_orthogonal, act_permutation, act_phases
-
     def dress(F):
         if field == "R":
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -254,15 +254,11 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
         return dress(harmonic_frame(k, n, field))
 
     if field == "R" and n == 2:
-        from .planar import from_planar, random_planar_frame
         return dress(from_planar(random_planar_frame(k, rng).z))
     if field == "R" and n == k - 2 and k >= 5:
-        from .grassmann import complement, frame_from_gram, gram
-        from .planar import from_planar, random_planar_frame
         R = gram(from_planar(random_planar_frame(k, rng).z))
         return dress(frame_from_gram(complement(R)))
     if n == k - 1:
-        from .grassmann import complement, frame_from_gram, torus_point, GramPoint
         if field == "C":
             R1 = torus_point(np.exp(2j * np.pi * rng.random(k - 1)))
         else:

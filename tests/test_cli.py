@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -214,6 +215,26 @@ def test_path_json_matches_per_element_codec():
         jsonio.path_from_dict(doc)
 
 
+def _per_element_matrix_out(M, field):
+    """The per-element matrix encoder that the array form replaced."""
+    def num(x):
+        if field == "C":
+            return [float(np.real(x)), float(np.imag(x))]
+        return float(np.real(x))
+    return [[num(x) for x in row] for row in np.asarray(M)]
+
+
+def test_matrix_json_matches_per_element_codec():
+    frames = [fl.harmonic_frame(7, 3, "R"), fl.harmonic_frame(7, 3, "C"), fl.simplex_frame(4),
+              fl.random_tight_frame(9, 4, "C", np.random.default_rng(7), spread=0.3)]
+    for F in frames:
+        R = fl.gram(F)
+        for doc, M, field in ((jsonio.frame_to_dict(F), F.entries, F.field),
+                              (jsonio.gram_to_dict(R), R.entries, R.field)):
+            reference = {**doc, "entries": _per_element_matrix_out(M, field)}
+            assert json.dumps(doc) == json.dumps(reference)
+
+
 def _one_line_error(code, out, err):
     assert code == 2 and out == ""
     assert err.startswith("framelab: ") and len(err.splitlines()) == 1
@@ -252,7 +273,42 @@ def test_bad_max_step_exits_2(tmp_path, capsys, step):
     _one_line_error(*run(capsys, "holonomy", lpath, "--max-step", step))
 
 
-@pytest.mark.parametrize("value", ["abc", "", "nan"])
+def test_coarse_max_step_connects(tmp_path, capsys):
+    z = fl.random_planar_frame(6, np.random.default_rng(9))
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z.z)))
+    code, out, err = run(capsys, "planar-connect", fpath, "--max-step", "2")
+    assert code == 0 and err == ""
+    path = jsonio.path_from_dict(json.loads(out))
+    assert path.max_step == 2.0
+    assert fl.validate_path(path, expect_start=z.z, expect_end=fl.canonical_planar(6).z).ok
+
+
+@pytest.mark.parametrize("axes", ["1,nan", "nan,1", "inf,1"])
+def test_non_finite_axes_exit_2(tmp_path, capsys, axes):
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.simplex_frame(2)))
+    _one_line_error(*run(capsys, "verify", fpath, "--axes", axes))
+
+
+def test_gram_input_is_checked(tmp_path, capsys):
+    bad = write(tmp_path, "bad.json", {"field": "R", "n": 1, "k": 3,
+                                       "entries": np.diag([5.0, 7.0, 1.0]).tolist()})
+    for cmd in ("complement", "frame-from-gram", "tangent"):
+        code, out, err = run(capsys, cmd, bad)
+        _one_line_error(code, out, err)
+        assert "unit_diagonal" in err and "idempotent" in err and "self_adjoint" not in err
+    code, out, _ = run(capsys, "partition", bad)  # defined for any square matrix
+    assert code == 0 and json.loads(out)["blocks"] == [[1], [2], [3]]
+    # --tol reaches the check: a 1e-7 relative error passes at 1e-6 only
+    R = fl.gram(fl.simplex_frame(2))
+    near = write(tmp_path, "near.json", jsonio.gram_to_dict(
+        fl.GramPoint("R", R.n, R.entries * (1 + 1e-7))))
+    for cmd in ("complement", "frame-from-gram", "tangent"):
+        _one_line_error(*run(capsys, cmd, near))
+        code, out, err = run(capsys, cmd, near, "--tol", "1e-6")
+        assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan", "0", "-1"])
 def test_malformed_env_tolerance_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("FRAMELAB_TOL", value)
     _one_line_error(*run(capsys, "simplex", "--n", "3"))
@@ -359,3 +415,58 @@ def test_cli_fuzz_exit_codes(data):
     assert code != 1 or cmd == "verify", (argv, err)
     if code == 2 and err.startswith("framelab: "):
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+def _commands_taking(flag):
+    return [name for name, (_, *specs) in cli.COMMANDS.items()
+            if any(spec_flag == flag for spec_flag, _ in specs)]
+
+
+@pytest.mark.parametrize("cmd", _commands_taking("--tol"))
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+def test_malformed_tol_exits_2(tmp_path, capsys, cmd, tol):
+    paths = [write(tmp_path, f"doc{i}.json", _SEEDS[kind])
+             for i, kind in enumerate(_DOC_ARGS[cmd])]
+    code, out, err = run(capsys, cmd, *paths, "--tol", tol)
+    _one_line_error(code, out, err)
+    assert "--tol" in err and "Traceback" not in err
+
+
+_TOL = ("--tol", 1e-9, False, None)
+_FMT = ("--format", "json", False, ("json", "text"))
+_K = ("--k", None, True, None)
+_N = ("--n", None, True, None)
+_FIELD = ("--field", "R", False, ("R", "C"))
+
+#: every subcommand's arguments in order: (positional name or option string,
+#: default, required, choices), with FRAMELAB_TOL unset
+_SURFACE = {
+    "verify": [("frame", None, True, None), ("--axes", None, False, None), _TOL, _FMT],
+    "gram": [("input", None, True, None), _TOL, _FMT],
+    "complement": [("input", None, True, None), _TOL, _FMT],
+    "frame-from-gram": [("input", None, True, None), _TOL, _FMT],
+    "partition": [("input", None, True, None), _TOL, _FMT],
+    "tangent": [("input", None, True, None), _TOL, _FMT],
+    "simplex": [_N, _FMT],
+    "harmonic": [_K, _N, _FIELD, _FMT],
+    "dims": [_K, _N, _FIELD, _FMT],
+    "regular-point": [_K, _N, _FMT],
+    "enumerate-1red": [_N, ("--points", False, False, None), _FMT],
+    "planar-connect": [("frame", None, True, None), ("--max-step", 0.05, False, None),
+                       _TOL, _FMT],
+    "lift": [("chainpath", None, True, None), ("start", None, True, None), _TOL, _FMT],
+    "holonomy": [("loop", None, True, None), ("--max-step", 0.2, False, None), _TOL, _FMT],
+    "complex": [("which", None, True, ("g42", "g52")), ("--export", None, False, None)],
+    "surface-report": [("input", None, True, None), _FMT],
+}
+
+
+def test_subcommand_surface(monkeypatch):
+    monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [(a.option_strings[0] if a.option_strings else a.dest, a.default,
+                   a.required, a.choices and tuple(a.choices))
+                  for a in p._actions if not isinstance(a, argparse._HelpAction)]
+           for name, p in sub.choices.items()}
+    assert list(got.items()) == list(_SURFACE.items())

@@ -163,6 +163,10 @@ def test_ellipsoid_spec_validation():
         fl.EllipsoidSpec((1, 0))
     with pytest.raises(ValueError):
         fl.EllipsoidSpec(())
+    with pytest.raises(ValueError, match="finite"):
+        fl.EllipsoidSpec((1, float("nan")))
+    with pytest.raises(ValueError, match="finite"):
+        fl.EllipsoidSpec((float("inf"), 1))
 
 
 def test_frame_validation():

@@ -250,6 +250,19 @@ def test_max_step_must_be_finite_positive(step):
             call()
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 9, 17])
+@pytest.mark.parametrize("max_step", [0.05, 1.0, 1.5, 2.0, 3.0])
+def test_connect_to_standard_any_max_step(k, max_step):
+    """The straightening step is capped at LIFT_SAFE_STEP, so a coarse
+    max_step still lifts; every path validates at the step asked for."""
+    end = fl.canonical_planar(k).z
+    for seed in range(20):
+        z = fl.random_planar_frame(k, np.random.default_rng(seed))
+        path = fl.connect_to_standard(z, max_step)
+        assert path.max_step == max_step
+        assert fl.validate_path(path, expect_start=z.z, expect_end=end).ok, seed
+
+
 def test_tiny_max_step_is_refused_not_sampled():
     z = fl.random_planar_frame(7, np.random.default_rng(13))
     with pytest.raises(ValueError, match="samples on one leg"):
