@@ -18,8 +18,6 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class Complex2:
@@ -124,19 +122,29 @@ def _vertex_links_are_circles(C: Complex2) -> bool:
     return True
 
 
-def _components(adj):
-    """Connected components of the graph whose symmetric boolean adjacency
-    matrix is adj, as index arrays ordered by their smallest index."""
-    adj = np.asarray(adj, dtype=bool)
-    seen = np.zeros(len(adj), dtype=bool)
+def _bits(x: int) -> list:
+    """Indices of the set bits of x, ascending."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def _components(k: int, neighbours) -> list:
+    """Connected components of the graph on 0..k-1 in which neighbours(i) is
+    the bitmask of i's neighbours (bit j set iff i ~ j; symmetric), as lists
+    of indices ordered by their smallest index.  neighbours is called at
+    most once per index, so it can build the masks on demand."""
+    unseen = (1 << k) - 1
     comps = []
-    while not seen.all():
-        member = frontier = np.arange(len(adj)) == np.argmin(seen)
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~member
-            member = member | frontier
-        seen |= member
-        comps.append(np.flatnonzero(member))
+    while unseen:
+        member = frontier = unseen & -unseen  # the smallest unseen index
+        # once member holds every unplaced index there is nothing left to reach
+        while frontier and member != unseen:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= neighbours(i)
+            frontier = reach & ~member
+            member |= frontier
+        unseen &= ~member
+        comps.append(_bits(member))
     return comps
 
 
@@ -145,10 +153,12 @@ def _vertex_components(C: Complex2):
     by their smallest label (labels compared as strings)."""
     labels = sorted(C.vertices, key=str)
     index = {v: i for i, v in enumerate(labels)}
-    adj = np.zeros((len(labels), len(labels)), dtype=bool)
+    rows = [0] * len(labels)
     for a, b in C.edges.values():
-        adj[index[a], index[b]] = adj[index[b], index[a]] = True
-    return [{labels[i] for i in comp} for comp in _components(adj)]
+        i, j = index[a], index[b]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return [{labels[i] for i in comp} for comp in _components(len(rows), rows.__getitem__)]
 
 
 def surface_report(C: Complex2) -> SurfaceReport:

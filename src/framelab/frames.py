@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+from .defaults import DEFAULT_TOL
 
 _FIELDS = ("R", "C")
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_LOOP_STEP
 from .frames import DEFAULT_TOL, Frame, _as_matrix, is_spherical, is_tight
-
-#: maximum allowed max-norm gap between consecutive Gram points in a loop
-DEFAULT_LOOP_STEP = 0.2
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5

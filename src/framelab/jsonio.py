@@ -4,6 +4,11 @@ Real scalars are emitted as plain numbers, complex scalars as [re, im]
 pairs; matrices are row-major lists of rows.  Python's float repr gives
 shortest round-trip decimals, so exact-representable data round-trips
 bit-identically.
+
+numpy and the frame, Gram, partition and path types load inside the codecs
+that use them, so the complex codec, `read_json` and `write_json` run
+without numpy.  The annotations name those types but, postponed, are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -12,17 +17,11 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from .cellcomplex import Complex2
-from .frames import Frame
-from .grassmann import GramPoint
-from .planar import FramePath
-from .stratification import Partition, TangentReport
-
 
 def _matrix_out(M, field):
     """Nested lists of floats; complex entries become [re, im] pairs."""
+    import numpy as np
+
     if field == "C":
         a = np.ascontiguousarray(M, dtype=np.complex128)
         return a.view(np.float64).reshape(*a.shape, 2).tolist()
@@ -30,6 +29,8 @@ def _matrix_out(M, field):
 
 
 def _matrix_in(rows, field):
+    import numpy as np
+
     a = np.array(rows, dtype=np.float64)
     if field == "C":
         if a.ndim != 3 or a.shape[2] != 2:
@@ -60,6 +61,8 @@ def frame_to_dict(F: Frame) -> dict:
 
 @_decoder
 def frame_from_dict(d: dict) -> Frame:
+    from .frames import Frame
+
     F = Frame(d["field"], _matrix_in(d["entries"], d["field"]))
     if (F.n, F.k) != (int(d["n"]), int(d["k"])):
         raise ValueError("frame entries do not match the declared n, k")
@@ -73,6 +76,8 @@ def gram_to_dict(R: GramPoint) -> dict:
 
 @_decoder
 def gram_from_dict(d: dict) -> GramPoint:
+    from .grassmann import GramPoint
+
     R = GramPoint(d["field"], int(d["n"]), _matrix_in(d["entries"], d["field"]))
     if R.k != int(d["k"]):
         raise ValueError("gram entries do not match the declared k")
@@ -94,6 +99,8 @@ def partition_to_dict(p: Partition) -> dict:
 
 @_decoder
 def partition_from_dict(d: dict) -> Partition:
+    from .stratification import Partition
+
     return Partition(int(d["k"]), tuple(tuple(b) for b in d["blocks"]))
 
 
@@ -110,6 +117,8 @@ def path_to_dict(p: FramePath) -> dict:
 
 @_decoder
 def path_from_dict(d: dict) -> FramePath:
+    from .planar import FramePath
+
     samples = d["samples"]
     p = FramePath(d["kind"], [s["t"] for s in samples],
                   _matrix_in([s["z"] for s in samples], "C"),
@@ -130,6 +139,8 @@ def complex_to_dict(C: Complex2) -> dict:
 
 @_decoder
 def complex_from_dict(d: dict) -> Complex2:
+    from .cellcomplex import Complex2
+
     vertices = set(d["vertices"])
     edges = {e["id"]: tuple(e["ends"]) for e in d["edges"]}
     faces = {f["id"]: tuple((s["edge"], int(s["dir"])) for s in f["walk"])

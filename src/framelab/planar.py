@@ -14,14 +14,14 @@ coordinate subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_MAX_STEP
 from .frames import DEFAULT_TOL, Frame, is_spherical, is_tight
 from .grassmann import GramPoint, check_step, gram
 
-DEFAULT_MAX_STEP = 0.05
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
 #: largest chain step connect_to_standard straightens with; lift_path refuses
@@ -45,14 +45,15 @@ def _unit_tuple(values, constraint, tol, what):
 
 @dataclass(frozen=True)
 class PlanarFrame:
-    """k unit complex numbers with sum of squares zero (both within tol)."""
+    """k unit complex numbers with sum of squares zero, both within ``tol``,
+    the tolerance the frame was checked at."""
 
     z: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         object.__setattr__(self, "z", _unit_tuple(
-            self.z, lambda v: np.sum(v ** 2), tol, "planar frame"))
+            self.z, lambda v: np.sum(v ** 2), self.tol, "planar frame"))
 
     @property
     def k(self) -> int:
@@ -61,14 +62,14 @@ class PlanarFrame:
 
 @dataclass(frozen=True)
 class Chain:
-    """k unit complex numbers summing to zero (a closed unit-link chain)."""
+    """k unit complex numbers summing to zero (a closed unit-link chain),
+    both within ``tol``, the tolerance the chain was checked at."""
 
     w: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
 
-    def __post_init__(self, tol):
-        object.__setattr__(self, "w", _unit_tuple(
-            self.w, np.sum, tol, "chain"))
+    def __post_init__(self):
+        object.__setattr__(self, "w", _unit_tuple(self.w, np.sum, self.tol, "chain"))
 
     @property
     def k(self) -> int:

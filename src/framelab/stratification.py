@@ -70,7 +70,11 @@ def commutant_partition(M, tol: float = DEFAULT_TOL) -> Partition:
     k = M.shape[0]
     thresh = tol * float(np.max(np.abs(M))) if M.size else 0.0
     support = np.abs(M) > thresh
-    return Partition(k, tuple(tuple(c + 1) for c in _components(support | support.T)))
+    # row i of the support as an int whose bit j is set iff i ~ j
+    packed = np.packbits(support | support.T, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    comps = _components(k, lambda i: int.from_bytes(buf[i * width:(i + 1) * width], "little"))
+    return Partition(k, tuple(tuple(i + 1 for i in c) for c in comps))
 
 
 def is_orthodecomposable(F: Frame, tol: float = DEFAULT_TOL):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import framelab as fl
@@ -196,3 +197,75 @@ def test_complex_validation():
         fl.Complex2({"a"}, {"E": ("a", "zz")}, {})
     with pytest.raises(ValueError):
         fl.Complex2({"a", "b"}, {"E": ("a", "b")}, {"F": (("E", 1),)})  # not closed
+
+
+def _numpy_components(adj):
+    """The numpy frontier BFS that the bitmask _components replaced, kept as
+    the reference: index arrays ordered by their smallest index."""
+    adj = np.asarray(adj, dtype=bool)
+    seen = np.zeros(len(adj), dtype=bool)
+    comps = []
+    while not seen.all():
+        member = frontier = np.arange(len(adj)) == np.argmin(seen)
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~member
+            member = member | frontier
+        seen |= member
+        comps.append(np.flatnonzero(member))
+    return comps
+
+
+def _assert_same_components(adj):
+    adj = np.asarray(adj, dtype=bool)
+    rows = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+    expected = [c.tolist() for c in _numpy_components(adj)]
+    assert cellcomplex._components(len(rows), rows.__getitem__) == expected
+    return expected
+
+
+def _skeleton(C):
+    labels = sorted(C.vertices, key=str)
+    index = {v: i for i, v in enumerate(labels)}
+    adj = np.zeros((len(labels), len(labels)), dtype=bool)
+    for a, b in C.edges.values():
+        adj[index[a], index[b]] = adj[index[b], index[a]] = True
+    return adj
+
+
+def _support(M, tol=fl.DEFAULT_TOL):
+    """The symmetric support graph commutant_partition takes components of."""
+    s = np.abs(M) > tol * np.max(np.abs(M))
+    return s | s.T
+
+
+def test_components_match_the_numpy_reference_on_random_graphs():
+    rng = np.random.default_rng(20)
+    for k in (1, 2, 3, 7, 16, 33, 64):
+        for density in (0.0, 0.02, 0.08, 0.3):
+            adj = rng.random((k, k)) < density
+            _assert_same_components(adj | adj.T)
+
+
+def test_components_match_the_numpy_reference_on_supports():
+    assert _assert_same_components(np.zeros((0, 0), dtype=bool)) == []
+    rng = np.random.default_rng(21)
+    halves = [fl.gram(fl.random_tight_frame(6, 3, "R", rng, spread=0.05)).entries
+              for _ in range(2)]
+    block = np.zeros((12, 12))
+    block[:6, :6], block[6:, 6:] = halves
+    perm = rng.permutation(12)
+    for M in (block, block[np.ix_(perm, perm)]):
+        comps = _assert_same_components(_support(M))
+        assert sorted(map(len, comps)) == [6, 6]
+        P = fl.commutant_partition(M)
+        assert [list(b) for b in P.blocks] == [[i + 1 for i in c] for c in comps]
+    big = fl.gram(fl.random_tight_frame(400, 7, "R", rng)).entries
+    assert _assert_same_components(_support(big)) == [list(range(400))]
+    assert fl.commutant_partition(big).blocks == (tuple(range(1, 401)),)
+
+
+@pytest.mark.parametrize("build,count", [
+    (fl.build_g42, 1), (fl.build_g52, 1),
+    (lambda: disjoint_union(fl.build_g42(), disjoint_union(torus(), fl.build_g42())), 3)])
+def test_components_match_the_numpy_reference_on_skeletons(build, count):
+    assert len(_assert_same_components(_skeleton(build()))) == count

@@ -4,7 +4,10 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +473,33 @@ def test_subcommand_surface(monkeypatch):
                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
            for name, p in sub.choices.items()}
     assert list(got.items()) == list(_SURFACE.items())
+
+
+def _closed_reader_run(*argv):
+    """Run ``python -m framelab.cli argv`` with stdout on a pipe whose reader
+    has already closed; returns (exit code, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "framelab.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("complex", "g52"), ("simplex", "--n", "3"),
+                                  ("dims", "--k", "5", "--n", "2", "--format", "text")])
+def test_closed_reader_is_not_an_error(argv):
+    """A large write (complex) and a small one flushed at the end (simplex)
+    both meet the closed pipe: no stderr line, exit 0."""
+    assert _closed_reader_run(*argv) == (0, "")
+
+
+def test_closed_reader_keeps_the_verdict(tmp_path):
+    F = fl.Frame("R", np.array([[1, 0, 1], [0, 1, 0]], dtype=float))
+    path = write(tmp_path, "f.json", jsonio.frame_to_dict(F))
+    assert _closed_reader_run("verify", path) == (1, "")

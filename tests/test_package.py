@@ -1,0 +1,97 @@
+"""The names the package exports, and what importing it and running the
+topology subcommands load."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import framelab as fl
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the exported names, by the module that defines them
+EXPORTS = {
+    "frames": ["DEFAULT_TOL", "EllipsoidSpec", "Frame", "FrameBounds", "act_orthogonal",
+               "act_permutation", "act_phases", "expected_tight_bound", "frame_bounds",
+               "frame_operator", "is_on_ellipsoid", "is_spherical", "is_tight",
+               "permutation_matrix", "simplex_frame"],
+    "grassmann": ["GramCheck", "GramPoint", "OneRedundantEnumeration", "OrbitWitness",
+                  "complement", "enumerate_one_redundant", "frame_from_gram", "gram",
+                  "holonomy_sign", "is_gram_point", "nearest_gram_point", "refine_loop",
+                  "same_orbit", "torus_point"],
+    "stratification": ["Partition", "TangentReport", "check_block_cardinalities",
+                       "commutant_partition", "construct_regular_point",
+                       "expected_dimensions", "harmonic_frame", "is_orthodecomposable",
+                       "random_tight_frame", "tangent_report"],
+    "planar": ["Chain", "FramePath", "PlanarFrame", "canonical_planar", "case1_explicit_path",
+               "case3_explicit_path", "chain_straighten", "connect_to_standard", "from_planar",
+               "lift_path", "random_planar_frame", "square_map", "standard_chain",
+               "to_gram_loop", "to_planar", "validate_path"],
+    "cellcomplex": ["Complex2", "SurfaceReport", "build_g42", "build_g52",
+                    "connected_components", "surface_report"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def _fresh_python(code: str) -> dict:
+    """Run code in a new interpreter that imports this checkout's framelab;
+    returns the JSON document it prints last."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_star_import_yields_the_exported_names():
+    assert len(NAMES) == len(set(NAMES)) == 61
+    namespace = {}
+    exec("from framelab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
+    assert sorted(fl.__all__) == sorted(NAMES)
+    assert set(NAMES) <= set(dir(fl))
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_exported_names_are_the_modules_objects(module):
+    mod = importlib.import_module(f"framelab.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(fl, name) is getattr(mod, name), name
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fl.no_such_name  # noqa: B018
+    assert not hasattr(fl, "_components")
+    assert fl.planar is importlib.import_module("framelab.planar")
+
+
+def test_bare_import_loads_no_submodule():
+    doc = _fresh_python(
+        "import json, sys, framelab\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith(('framelab.', 'numpy')))))")
+    assert doc == []
+
+
+def test_topology_stages_run_without_numpy():
+    """complex g52 | surface-report - through cli.main never loads numpy."""
+    doc = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from framelab import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    built = cli.main(['complex', 'g52'])\n"
+        "sys.stdin, report = io.StringIO(out.getvalue()), io.StringIO()\n"
+        "with contextlib.redirect_stdout(report):\n"
+        "    checked = cli.main(['surface-report', '-'])\n"
+        "print(json.dumps({'codes': [built, checked], 'report': json.loads(report.getvalue()),\n"
+        "                  'numpy': 'numpy' in sys.modules}))")
+    assert doc["codes"] == [0, 0]
+    assert (doc["report"]["v"], doc["report"]["e"], doc["report"]["f"]) == (96, 160, 16)
+    assert doc["numpy"] is False

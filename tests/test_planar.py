@@ -225,6 +225,17 @@ def test_planar_types_take_a_tolerance():
     fl.Chain(z ** 2, tol=1e-6)
 
 
+def test_planar_types_keep_their_tolerance():
+    """tol is the tolerance the value was checked at, not the class default."""
+    z = fl.canonical_planar(6).z * (1 + 1e-7)
+    assert fl.PlanarFrame(z, tol=1e-6).tol == 1e-6
+    assert fl.canonical_planar(6).tol == fl.DEFAULT_TOL
+    assert fl.to_planar(fl.from_planar(z), 1e-6).tol == 1e-6
+    assert fl.Chain(z ** 2, tol=1e-6).tol == 1e-6
+    assert fl.square_map(fl.PlanarFrame(z, 1e-6), 1e-6).tol == 1e-6 * (2 + 1e-6)
+    assert fl.standard_chain(6).tol == fl.DEFAULT_TOL
+
+
 def test_connect_to_standard_with_modulus_error():
     rng = np.random.default_rng(11)
     for err, tol in ((1e-11, 1e-9), (1e-7, 1e-6)):
