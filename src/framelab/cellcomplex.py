@@ -6,6 +6,11 @@ marked points are merged in pairs; ``build_g52`` glues sixteen labeled
 surface of five planar unit vectors.  ``surface_report`` answers the
 closed/orientable/connected/genus questions for any complex.
 
+Every graph question here goes through one routine, ``_components``, a
+frontier search over Python-int bitmasks: connectivity on the 1-skeleton,
+vertex links on the corner graph of the edge ends, and orientability on
+the orientation double cover of the faces.
+
 The two built-in data sets are transcriptions: each gluing direction is
 forced by the vertex classes of the identified edge pair, and an endpoint
 class mismatch aborts construction (a transcription error, not a runtime
@@ -15,7 +20,7 @@ condition).
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -55,10 +60,6 @@ class Complex2:
         if any(c > 2 for c in use.values()):
             raise ValueError("an edge appears more than twice in face boundaries")
 
-    def traversal_ends(self, e, d):
-        a, b = self.edges[e]
-        return (a, b) if d == 1 else (b, a)
-
 
 @dataclass(frozen=True)
 class SurfaceReport:
@@ -82,49 +83,14 @@ def _edge_traversals(C: Complex2):
     return tr
 
 
-def _vertex_links_are_circles(C: Complex2) -> bool:
-    # a corner of a face joins the edge-end it enters a vertex by to the
-    # edge-end it leaves by; the link at v is a circle iff those corner
-    # joints form a single cycle on the edge-ends at v
-    corners = defaultdict(list)
-    for f, walk in C.faces.items():
-        for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]):
-            v = C.traversal_ends(e1, d1)[1]
-            end1 = (e1, 1 if d1 == 1 else 0)
-            end2 = (e2, 0 if d2 == 1 else 1)
-            corners[v].append((end1, end2))
-    for v in C.vertices:
-        cs = corners.get(v, [])
-        if not cs:
-            return False
-        deg = defaultdict(int)
-        adj = defaultdict(list)
-        for idx, (a, b) in enumerate(cs):
-            deg[a] += 1
-            deg[b] += 1
-            adj[a].append((b, idx))
-            adj[b].append((a, idx))
-        if any(d != 2 for d in deg.values()):
-            return False
-        used = set()
-        stack = [cs[0][0]]
-        seen = {cs[0][0]}
-        while stack:
-            x = stack.pop()
-            for y, idx in adj[x]:
-                if idx not in used:
-                    used.add(idx)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        if len(used) != len(cs) or len(seen) != len(deg):
-            return False
-    return True
-
-
 def _bits(x: int) -> list:
-    """Indices of the set bits of x, ascending."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    """Indices of the set bits of x, ascending, in time linear in their count."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _components(k: int, neighbours) -> list:
@@ -148,68 +114,69 @@ def _components(k: int, neighbours) -> list:
     return comps
 
 
+def _linked(k: int, pairs) -> list:
+    """_components of the graph on 0..k-1 with an edge i ~ j per pair (i, j)."""
+    rows = [0] * k
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return _components(k, rows.__getitem__)
+
+
 def _vertex_components(C: Complex2):
     """Vertex sets of the connected components of C's 1-skeleton, ordered
     by their smallest label (labels compared as strings)."""
     labels = sorted(C.vertices, key=str)
     index = {v: i for i, v in enumerate(labels)}
-    rows = [0] * len(labels)
-    for a, b in C.edges.values():
-        i, j = index[a], index[b]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return [{labels[i] for i in comp} for comp in _components(len(rows), rows.__getitem__)]
+    comps = _linked(len(labels), ((index[a], index[b]) for a, b in C.edges.values()))
+    return [{labels[i] for i in comp} for comp in comps]
+
+
+def _links_are_circles(C: Complex2) -> bool:
+    """Whether every vertex link is one circle, given that every edge has two
+    traversals.  Node 2i + s is end s (0 tail, 1 head) of the i-th edge; a
+    corner of a face joins the end it enters a vertex by to the one it
+    leaves by, so every end lies on two corners and the corners at v form
+    cycles, one per component.  The link at v is a circle iff it is one."""
+    index = {eid: i for i, eid in enumerate(C.edges)}
+    at = [x for ends in C.edges.values() for x in ends]  # the vertex of each end
+    corners = ((2 * index[e1] + (d1 > 0), 2 * index[e2] + (d2 < 0))
+               for walk in C.faces.values()
+               for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]))
+    hubs = [at[comp[0]] for comp in _linked(len(at), corners)]
+    return len(hubs) == len(set(hubs)) == len(C.vertices)
+
+
+def _orientable(C: Complex2, tr) -> bool:
+    """Whether the faces can be oriented so that the two traversals of every
+    edge disagree.  Node 2i + s is the i-th face kept (s = 0) or reversed
+    (s = 1); the traversals (f1, d1), (f2, d2) join (f1, s) to (f2, s) when
+    d1 != d2 and to (f2, 1 - s) when d1 == d2.  An orientation exists iff no
+    component of this double cover holds both copies of a face."""
+    index = {f: i for i, f in enumerate(C.faces)}
+    glue = [(2 * index[f1], 2 * index[f2] + (d1 == d2)) for (f1, d1), (f2, d2) in tr.values()]
+    comps = _linked(2 * len(index), glue + [(a ^ 1, b ^ 1) for a, b in glue])
+    return all(len({i >> 1 for i in comp}) == len(comp) for comp in comps)
 
 
 def surface_report(C: Complex2) -> SurfaceReport:
     """Counts, Euler characteristic, and the surface questions.
 
     closed means every edge lies in exactly two face-boundary traversals
-    and every vertex link is a single cycle; orientability is decided by
-    propagating face orientations so that the two traversals of every
-    edge disagree; genus = (2 - euler)/2 when closed, orientable and
-    connected.
+    and every vertex link is a single cycle; orientable means the faces
+    can be oriented so that the two traversals of every edge disagree;
+    genus = (2 - euler)/2 when closed, orientable and connected.  Links and
+    orientations are both read off ``_components``: of the corner graph on
+    the edge ends, and of the orientation double cover of the faces.
     """
     v, e, f = len(C.vertices), len(C.edges), len(C.faces)
     euler = v - e + f
     tr = _edge_traversals(C)
     closed = (f > 0 and all(len(tr[eid]) == 2 for eid in C.edges)
-              and _vertex_links_are_circles(C))
+              and _links_are_circles(C))
+    orientable = closed and _orientable(C, tr)
     connected = len(_vertex_components(C)) <= 1
-    orientable = False
-    if closed:
-        orientable = True
-        orient = {}
-        for start in C.faces:
-            if start in orient:
-                continue
-            orient[start] = 1
-            dq = deque([start])
-            while dq and orientable:
-                g = dq.popleft()
-                for eid, d in C.faces[g]:
-                    (f1, d1), (f2, d2) = tr[eid]
-                    if f1 == f2:
-                        # both traversals in one face: must be opposite
-                        if d1 == d2:
-                            orientable = False
-                            break
-                        continue
-                    if f1 == g:
-                        other, mine, od = f2, d1, d2
-                    else:
-                        other, mine, od = f1, d2, d1
-                    # want orient[g]*mine == -orient[other]*od
-                    need = -orient[g] * mine * od
-                    if other not in orient:
-                        orient[other] = need
-                        dq.append(other)
-                    elif orient[other] != need:
-                        orientable = False
-                        break
-    genus = None
-    if closed and orientable and connected:
-        genus = (2 - euler) // 2
+    genus = (2 - euler) // 2 if closed and orientable and connected else None
     return SurfaceReport(v, e, f, euler, closed, orientable, connected, genus)
 
 

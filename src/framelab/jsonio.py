@@ -54,6 +54,14 @@ def _decoder(fn):
     return decode
 
 
+def _integer(d: dict, key: str) -> int:
+    """d[key] if it is a JSON integer; a bool, float or string raises ValueError."""
+    value = d[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def frame_to_dict(F: Frame) -> dict:
     return {"field": F.field, "n": F.n, "k": F.k,
             "entries": _matrix_out(F.entries, F.field)}
@@ -64,7 +72,7 @@ def frame_from_dict(d: dict) -> Frame:
     from .frames import Frame
 
     F = Frame(d["field"], _matrix_in(d["entries"], d["field"]))
-    if (F.n, F.k) != (int(d["n"]), int(d["k"])):
+    if (F.n, F.k) != (_integer(d, "n"), _integer(d, "k")):
         raise ValueError("frame entries do not match the declared n, k")
     return F
 
@@ -78,8 +86,8 @@ def gram_to_dict(R: GramPoint) -> dict:
 def gram_from_dict(d: dict) -> GramPoint:
     from .grassmann import GramPoint
 
-    R = GramPoint(d["field"], int(d["n"]), _matrix_in(d["entries"], d["field"]))
-    if R.k != int(d["k"]):
+    R = GramPoint(d["field"], _integer(d, "n"), _matrix_in(d["entries"], d["field"]))
+    if R.k != _integer(d, "k"):
         raise ValueError("gram entries do not match the declared k")
     return R
 
@@ -101,7 +109,7 @@ def partition_to_dict(p: Partition) -> dict:
 def partition_from_dict(d: dict) -> Partition:
     from .stratification import Partition
 
-    return Partition(int(d["k"]), tuple(tuple(b) for b in d["blocks"]))
+    return Partition(_integer(d, "k"), tuple(tuple(b) for b in d["blocks"]))
 
 
 def tangent_to_dict(r: TangentReport) -> dict:
@@ -123,7 +131,7 @@ def path_from_dict(d: dict) -> FramePath:
     p = FramePath(d["kind"], [s["t"] for s in samples],
                   _matrix_in([s["z"] for s in samples], "C"),
                   float(d.get("max_step", 1.0)))
-    if p.k != int(d["k"]):
+    if p.k != _integer(d, "k"):
         raise ValueError("path samples do not match the declared k")
     return p
 
@@ -143,7 +151,7 @@ def complex_from_dict(d: dict) -> Complex2:
 
     vertices = set(d["vertices"])
     edges = {e["id"]: tuple(e["ends"]) for e in d["edges"]}
-    faces = {f["id"]: tuple((s["edge"], int(s["dir"])) for s in f["walk"])
+    faces = {f["id"]: tuple((s["edge"], _integer(s, "dir")) for s in f["walk"])
              for f in d["faces"]}
     return Complex2(vertices, edges, faces)
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
@@ -84,6 +86,202 @@ def test_components_partition_the_complex():
         merged.faces.update(comp.faces)
     assert (merged.vertices, merged.edges, merged.faces) == (C.vertices, C.edges, C.faces)
     assert not fl.surface_report(C).connected
+
+
+def two_gon(d) -> fl.Complex2:
+    """One 2-gon whose two sides are the same edge a, traversed (a,+1), (a,d)."""
+    return fl.Complex2({"p", "q"} if d == -1 else {"p"},
+                       {"a": ("p", "q" if d == -1 else "p")}, {"F": (("a", 1), ("a", d))})
+
+
+def report_fields(r):
+    return (r.v, r.e, r.f, r.euler, r.closed_surface, r.orientable, r.connected, r.genus)
+
+
+def pinched_tori() -> fl.Complex2:
+    """Two tori sharing their one vertex, whose link is two circles."""
+    return fl.Complex2({"v"}, {x: ("v", "v") for x in "ABCD"},
+                       {"F": (("A", 1), ("B", 1), ("A", -1), ("B", -1)),
+                        "G": (("C", 1), ("D", 1), ("C", -1), ("D", -1))})
+
+
+def tori_and_a_vertex() -> fl.Complex2:
+    tori = disjoint_union(torus(), torus())
+    return fl.Complex2(tori.vertices | {"x"}, tori.edges, tori.faces)
+
+
+@pytest.mark.parametrize("build,fields", [
+    (lambda: two_gon(1), (1, 1, 1, 1, True, False, True, None)),  # RP^2
+    (lambda: two_gon(-1), (2, 1, 1, 2, True, True, True, 0)),  # sphere
+    (pinched_tori, (1, 4, 2, -1, False, False, True, None)),
+    (tori_and_a_vertex, (3, 4, 2, 1, False, False, False, None)),
+])
+def test_pinned_reports(build, fields):
+    assert report_fields(fl.surface_report(build())) == fields
+
+
+def _reference_links_are_circles(C):
+    """The stack search over the corners at each vertex that the corner-graph
+    components replaced, kept as the reference."""
+    corners = defaultdict(list)
+    for walk in C.faces.values():
+        for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]):
+            v = C.edges[e1][1 if d1 == 1 else 0]
+            corners[v].append(((e1, 1 if d1 == 1 else 0), (e2, 0 if d2 == 1 else 1)))
+    for v in C.vertices:
+        cs = corners.get(v, [])
+        if not cs:
+            return False
+        deg = defaultdict(int)
+        adj = defaultdict(list)
+        for idx, (a, b) in enumerate(cs):
+            deg[a] += 1
+            deg[b] += 1
+            adj[a].append((b, idx))
+            adj[b].append((a, idx))
+        if any(d != 2 for d in deg.values()):
+            return False
+        used = set()
+        stack = [cs[0][0]]
+        seen = {cs[0][0]}
+        while stack:
+            x = stack.pop()
+            for y, idx in adj[x]:
+                if idx not in used:
+                    used.add(idx)
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        if len(used) != len(cs) or len(seen) != len(deg):
+            return False
+    return True
+
+
+def _reference_orientable(C, tr):
+    """The breadth-first propagation of face orientations that the double
+    cover components replaced, kept as the reference."""
+    orient = {}
+    for start in C.faces:
+        if start in orient:
+            continue
+        orient[start] = 1
+        dq = deque([start])
+        while dq:
+            g = dq.popleft()
+            for eid, _ in C.faces[g]:
+                (f1, d1), (f2, d2) = tr[eid]
+                if f1 == f2:
+                    if d1 == d2:
+                        return False
+                    continue
+                other, mine, od = (f2, d1, d2) if f1 == g else (f1, d2, d1)
+                need = -orient[g] * mine * od
+                if other not in orient:
+                    orient[other] = need
+                    dq.append(other)
+                elif orient[other] != need:
+                    return False
+    return True
+
+
+def _reference_report(C):
+    v, e, f = len(C.vertices), len(C.edges), len(C.faces)
+    euler = v - e + f
+    tr = cellcomplex._edge_traversals(C)
+    closed = (f > 0 and all(len(tr[eid]) == 2 for eid in C.edges)
+              and _reference_links_are_circles(C))
+    orientable = closed and _reference_orientable(C, tr)
+    connected = len(cellcomplex._vertex_components(C)) <= 1
+    genus = (2 - euler) // 2 if closed and orientable and connected else None
+    return (v, e, f, euler, closed, orientable, connected, genus)
+
+
+def glued(sizes, pairs) -> fl.Complex2:
+    """Polygons with the given side counts, glued along a side-pairing.
+
+    Side (p, j) of polygon p runs from its corner j to corner j + 1.  Each
+    pair (x, y, d) glues side y to side x, running the same way if d = 1 and
+    the other way if d = -1; when every side is paired, this is a closed
+    surface, not always connected."""
+    parent = {(p, j): (p, j) for p, m in enumerate(sizes) for j in range(m)}  # corners
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def nxt(p, j):
+        return (p, (j + 1) % sizes[p])
+
+    walk = {}
+    for n, (x, y, d) in enumerate(pairs):
+        walk[x], walk[y] = (f"E{n}", 1), (f"E{n}", d)
+        ends = ((x, y), (nxt(*x), nxt(*y))) if d == 1 else ((x, nxt(*y)), (nxt(*x), y))
+        for a, b in ends:
+            parent[find(a)] = find(b)
+    vertex = {c: "v%d.%d" % find(c) for c in parent}
+    edges = {walk[x][0]: (vertex[x], vertex[nxt(*x)]) for x, _, _ in pairs}
+    faces = {f"F{p}": tuple(walk[(p, j)] for j in range(m)) for p, m in enumerate(sizes)}
+    return fl.Complex2(set(vertex.values()), edges, faces)
+
+
+def random_gluing(rng) -> fl.Complex2:
+    """A seeded side-pairing of 1-4 polygons, each pair glued in a random
+    direction."""
+    sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    if sum(sizes) % 2:
+        sizes[0] += 1
+    sides = [(p, j) for p, m in enumerate(sizes) for j in range(m)]
+    rng.shuffle(sides)
+    return glued(sizes, [(x, y, rng.choice((1, -1))) for x, y in zip(sides[::2], sides[1::2])])
+
+
+def bigon_ring(dirs) -> fl.Complex2:
+    """len(dirs) 2-gons in a ring, the second side of each glued to the first
+    side of the next in direction dirs[i]: a sphere or a projective plane."""
+    m = len(dirs)
+    return glued([2] * m, [((i, 1), ((i + 1) % m, 0), d) for i, d in enumerate(dirs)])
+
+
+def pinched(C, rng):
+    """C with two of its vertex classes merged into one."""
+    a, b = rng.sample(sorted(C.vertices), 2)
+
+    def merge(v):
+        return a if v == b else v
+
+    return fl.Complex2(C.vertices - {b},
+                       {e: (merge(t), merge(h)) for e, (t, h) in C.edges.items()}, C.faces)
+
+
+def test_surface_report_matches_the_reference_on_gluings():
+    rng = random.Random(7)
+    rings = [bigon_ring(dirs) for m in range(1, 6)
+             for dirs in itertools.product((1, -1), repeat=m)]
+    seen = set()
+    for C in itertools.chain((random_gluing(rng) for _ in range(300)), rings):
+        r = report_fields(fl.surface_report(C))
+        assert r == _reference_report(C), C
+        assert r[4], C  # every side-pairing is a closed surface
+        seen.add((r[5], r[6]))
+        if len(C.vertices) > 1:
+            P = pinched(C, rng)
+            r = report_fields(fl.surface_report(P))
+            assert r == _reference_report(P), P
+            assert not r[4], P
+            seen.add(("pinched", r[6]))
+    # orientable and not, connected and not, and pinches of both kinds
+    assert seen >= {(True, True), (False, True), (True, False), (False, False),
+                    ("pinched", True), ("pinched", False)}
+
+
+@pytest.mark.parametrize("build", [
+    torus, klein_bottle, fl.build_g42, fl.build_g52, lambda: two_gon(1),
+    lambda: two_gon(-1), pinched_tori, tori_and_a_vertex,
+    lambda: disjoint_union(torus(), klein_bottle())])
+def test_surface_report_matches_the_reference_on_fixtures(build):
+    C = build()
+    assert report_fields(fl.surface_report(C)) == _reference_report(C)
 
 
 def test_g42_counts_and_regularity():
@@ -244,6 +442,13 @@ def test_components_match_the_numpy_reference_on_random_graphs():
         for density in (0.0, 0.02, 0.08, 0.3):
             adj = rng.random((k, k)) < density
             _assert_same_components(adj | adj.T)
+    # disjoint cycles of 1-6 nodes on shuffled indices, the corner graph's shape
+    order = rng.permutation(300)
+    cuts = np.cumsum(rng.integers(1, 7, size=100))
+    adj = np.zeros((300, 300), dtype=bool)
+    for cycle in np.split(order, cuts[cuts < 300]):
+        adj[cycle, np.roll(cycle, 1)] = adj[np.roll(cycle, 1), cycle] = True
+    assert len(_assert_same_components(adj)) == np.count_nonzero(cuts < 300) + 1
 
 
 def test_components_match_the_numpy_reference_on_supports():

@@ -435,6 +435,65 @@ def test_malformed_tol_exits_2(tmp_path, capsys, cmd, tol):
     assert "--tol" in err and "Traceback" not in err
 
 
+def _replaced(doc, path, value):
+    """A copy of doc with the value at path (a sequence of keys) replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+_TORUS = {"vertices": ["v"],
+          "edges": [{"id": "A", "ends": ["v", "v"]}, {"id": "B", "ends": ["v", "v"]}],
+          "faces": [{"id": "F", "walk": [{"edge": "A", "dir": 1}, {"edge": "B", "dir": 1},
+                                         {"edge": "A", "dir": -1}, {"edge": "B", "dir": -1}]}]}
+
+#: every decoder that reads an integer field: (decoder, valid doc, path to the field)
+_INTEGER_FIELDS = [
+    (jsonio.frame_from_dict, _SEEDS["frame"], ("n",)),
+    (jsonio.frame_from_dict, _SEEDS["frame"], ("k",)),
+    (jsonio.gram_from_dict, _SEEDS["gram"], ("n",)),
+    (jsonio.gram_from_dict, _SEEDS["gram"], ("k",)),
+    (jsonio.loop_from_dict, _SEEDS["loop"], ("points", 1, "n")),
+    (jsonio.partition_from_dict, {"k": 3, "blocks": [[1, 3], [2]]}, ("k",)),
+    (jsonio.path_from_dict, _SEEDS["chainpath"], ("k",)),
+    (jsonio.complex_from_dict, _TORUS, ("faces", 0, "walk", 2, "dir")),
+]
+
+
+@pytest.mark.parametrize("decode,doc,path", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.9, -1.2, 3.0, "3", "-1", True, None])
+def test_integer_fields_take_json_integers_only(decode, doc, path, value):
+    decode(doc)
+    with pytest.raises(ValueError, match=f"{path[-1]!r} must be a JSON integer"):
+        decode(_replaced(doc, path, value))
+
+
+def _stdin(monkeypatch, doc):
+    """'-', with doc as JSON on stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    return "-"
+
+
+@pytest.mark.parametrize("cmd,doc,changes", [
+    ("verify", _SEEDS["frame"], {("n",): 2.9, ("k",): "3"}),
+    ("complement", _SEEDS["gram"], {("n",): 2.5}),
+    ("surface-report", _TORUS, {("faces", 0, "walk", 0, "dir"): 1.7,
+                                ("faces", 0, "walk", 2, "dir"): -1.2,
+                                ("faces", 0, "walk", 3, "dir"): "-1"}),
+])
+def test_non_integer_fields_exit_2(capsys, monkeypatch, cmd, doc, changes):
+    assert run(capsys, cmd, _stdin(monkeypatch, doc))[0] == 0
+    for path, value in changes.items():
+        doc = _replaced(doc, path, value)
+    code, out, err = run(capsys, cmd, _stdin(monkeypatch, doc))
+    _one_line_error(code, out, err)
+    assert "must be a JSON integer" in err and "Traceback" not in err
+
+
 _TOL = ("--tol", 1e-9, False, None)
 _FMT = ("--format", "json", False, ("json", "text"))
 _K = ("--k", None, True, None)
