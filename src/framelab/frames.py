@@ -215,24 +215,25 @@ def act_orthogonal(F: Frame, U, tol: float = DEFAULT_TOL) -> Frame:
     return Frame(F.field, U @ F.entries)
 
 
+def _permutation(perm, k: int) -> list:
+    perm = list(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError("perm is not a permutation of 0..k-1")
+    return perm
+
+
 def act_permutation(F: Frame, perm) -> Frame:
     """Reorder the frame vectors: column j of the result is f_{perm[j]}.
 
     ``perm`` is a 0-based permutation of range(k).
     """
-    perm = list(perm)
-    if sorted(perm) != list(range(F.k)):
-        raise ValueError("perm is not a permutation of 0..k-1")
-    return Frame(F.field, F.entries[:, perm])
+    return Frame(F.field, F.entries[:, _permutation(perm, F.k)])
 
 
 def permutation_matrix(perm) -> np.ndarray:
     """The matrix A with column j equal to e_{perm[j]}, so F A reorders columns."""
-    k = len(perm)
-    A = np.zeros((k, k))
-    for j, p in enumerate(perm):
-        A[p, j] = 1.0
-    return A
+    perm = list(perm)
+    return np.eye(len(perm))[:, _permutation(perm, len(perm))]
 
 
 def act_phases(F: Frame, zetas, tol: float = DEFAULT_TOL) -> Frame:

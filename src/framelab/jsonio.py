@@ -54,12 +54,17 @@ def _decoder(fn):
     return decode
 
 
-def _integer(d: dict, key: str) -> int:
-    """d[key] if it is a JSON integer; a bool, float or string raises ValueError."""
-    value = d[key]
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+def _number(value, what: str, integer: bool = False):
+    """value if it is a JSON number (a JSON integer when ``integer``); a
+    bool, a string, or a float where an integer is due raises ValueError."""
+    if type(value) is not int and (integer or type(value) is not float):
+        kind = "integer" if integer else "number"
+        raise ValueError(f"{what} must be a JSON {kind}, got {value!r}")
     return value
+
+
+def _integer(d: dict, key: str) -> int:
+    return _number(d[key], repr(key), integer=True)
 
 
 def frame_to_dict(F: Frame) -> dict:
@@ -109,7 +114,8 @@ def partition_to_dict(p: Partition) -> dict:
 def partition_from_dict(d: dict) -> Partition:
     from .stratification import Partition
 
-    return Partition(_integer(d, "k"), tuple(tuple(b) for b in d["blocks"]))
+    return Partition(_integer(d, "k"), tuple(
+        tuple(_number(i, "'blocks' entry", integer=True) for i in b) for b in d["blocks"]))
 
 
 def tangent_to_dict(r: TangentReport) -> dict:
@@ -128,9 +134,9 @@ def path_from_dict(d: dict) -> FramePath:
     from .planar import FramePath
 
     samples = d["samples"]
-    p = FramePath(d["kind"], [s["t"] for s in samples],
+    p = FramePath(d["kind"], [_number(s["t"], "'t'") for s in samples],
                   _matrix_in([s["z"] for s in samples], "C"),
-                  float(d.get("max_step", 1.0)))
+                  _number(d.get("max_step", 1.0), "'max_step'"))
     if p.k != _integer(d, "k"):
         raise ValueError("path samples do not match the declared k")
     return p

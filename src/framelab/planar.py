@@ -240,7 +240,7 @@ def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
     return FramePath(kind, np.linspace(0.0, 1.0, len(pts)), pts, max_step)
 
 
-def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float, check=True):
+def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     """Rotate coordinates ``idxs`` by a phase growing linearly to ``angle``
     (one angle for all, or one per index), in the fewest equal steps whose
     chords stay within max_step less the 1e-12 margin of _sample_leg.
@@ -249,11 +249,8 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float, check=True):
     coordinates sum to zero, which a common rotation then preserves.
     """
     state = np.asarray(state, dtype=np.complex128)
-    idxs = list(idxs)
-    if check and abs(np.sum(state[idxs] ** 2)) > 1e-9:
-        raise AssertionError(f"subset {idxs} has nonzero square sum; rotation invalid")
     theta = np.zeros(state.size)
-    theta[idxs] = angle
+    theta[list(idxs)] = angle
     moving = theta != 0
     # a coordinate of modulus r turning by phi moves by the chord 2 r sin(phi / 2)
     with np.errstate(divide="ignore"):
@@ -267,9 +264,13 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float, check=True):
 
 
 def _rotation_path(state: np.ndarray, stages, max_step: float):
-    """Rotation legs for the (subset, angle) stages, applied in turn."""
+    """Rotation legs of a planar frame for the (subset, angle) stages,
+    applied in turn; each subset must have zero square sum."""
     legs = []
     for idxs, angle in stages:
+        idxs = list(idxs)
+        if abs(np.sum(state[idxs] ** 2)) > 1e-9:
+            raise AssertionError(f"subset {idxs} has nonzero square sum; rotation invalid")
         legs.append(_rotation_leg(state, idxs, angle, max_step))
         state = legs[-1][-1]
     return legs
@@ -317,62 +318,43 @@ def lift_path(cp: FramePath, start: PlanarFrame, tol: float = DEFAULT_TOL) -> Fr
 # chain straightening
 
 
-def _pair_initial_sign(w_first: complex, rho0: complex, uhat: complex) -> float:
-    v = w_first - rho0 / 2
-    s = np.real(np.conj(1j * uhat) * v)
-    return 1.0 if s >= 0 else -1.0
+def _elbow(sigma, normal):
+    """The two unit links summing to ``sigma`` (|sigma| <= 2) whose first
+    sits on the side of sigma given by ``normal``, a unit perpendicular."""
+    h = np.sqrt(np.maximum(0.0, 1.0 - np.abs(sigma) ** 2 / 4))
+    wa = sigma / 2 + normal * h
+    return wa, sigma - wa
 
 
-def _segment_pair_tracker(w_first: complex, rho0: complex, rho1: complex):
-    """Continuous elbow solutions (w_a, w_b) with w_a + w_b = rho(t) along
-    the straight segment rho(t) = (1-t) rho0 + t rho1.
+def _pair_track(first, rho0, rho1):
+    """Continuous elbows for pairs of links whose sums move along the
+    segments rho(t) = (1 - t) rho0 + t rho1, one segment per pair.
 
-    The elbow sign flips exactly where the segment passes through zero;
-    there the perpendicular direction is taken from the segment direction,
-    which keeps the branch continuous.  Returns (pre_target, track) where
-    pre_target is a required re-orientation of an initially antipodal pair
-    (or None) and track maps a vector of t to the pair of vectors.
+    A segment through the origin keeps one normal; any other keeps its side
+    of rho(t)/|rho(t)|.  The side is the one the pair's first link ``first``
+    is on at t = 0.  Returns track, which maps a vector of t to the
+    (len(t) x pairs) arrays of first and second links.
+
+    rho0 is turned onto the square root of the links' product: exact for a
+    nearly antipodal pair, whose computed sum points off by 1e-16 / |rho0|.
     """
+    mid = np.sqrt(first * (rho0 - first))
+    rho0 = np.abs(rho0) * np.where(np.real(np.conj(mid) * rho0) >= 0, mid, -mid)
     d = rho1 - rho0
-    seg_len = abs(d)
-    cross_t = None
-    if seg_len > 1e-14:
-        t_star = -np.real(np.conj(d) * rho0) / seg_len ** 2
-        if 0.0 < t_star < 1.0 and abs(rho0 + t_star * d) < 1e-12:
-            cross_t = t_star
-        dhat = d / seg_len
-    else:
-        dhat = 1.0 + 0j
+    dhat = d / np.abs(d)
+    t_near = np.clip(-np.real(np.conj(d) * rho0) / np.abs(d) ** 2, 0.0, 1.0)
+    through = np.abs(rho0 + t_near * d) < 1e-12
 
-    pre_target = None
-    if abs(rho0) > 1e-13:
-        u0 = rho0 / abs(rho0)
-        s0 = _pair_initial_sign(w_first, rho0, u0)
-    else:
-        # antipodal start: the elbow leaves zero perpendicular to the
-        # segment, so the pair must sit at +-i*dhat before tracking begins
-        comp = np.real(np.conj(1j * dhat) * w_first)
-        if abs(abs(comp) - 1.0) > 1e-9:
-            pre_target = (1.0 if comp >= 0 else -1.0) * 1j * dhat
-            w_start = pre_target
-        else:
-            w_start = w_first
-        s0 = 1.0 if np.real(np.conj(1j * dhat) * w_start) >= 0 else -1.0
+    def along(sigma):
+        return np.where(through, dhat, sigma / np.where(through, 1.0, np.abs(sigma)))
+
+    side = np.where(np.real(np.conj(1j * along(rho0)) * (first - rho0 / 2)) >= 0, 1.0, -1.0)
 
     def track(t):
-        rho = (1 - t) * rho0 + t * rho1
-        r = np.abs(rho)
-        if cross_t is None:
-            s, away = s0, dhat
-        else:
-            past = t >= cross_t
-            s, away = np.where(past, -s0, s0), np.where(past, dhat, -dhat)
-        u = np.where(r > 1e-13, rho / np.where(r > 1e-13, r, 1.0), away)
-        h = np.sqrt(np.maximum(0.0, 1.0 - r * r / 4))
-        wa = rho / 2 + s * 1j * u * h
-        return wa, rho - wa
+        sigma = (1 - t)[:, None] * rho0 + t[:, None] * rho1
+        return _elbow(sigma, side * 1j * along(sigma))
 
-    return pre_target, track
+    return track
 
 
 def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
@@ -380,14 +362,16 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
 
     The links are first scaled onto the unit circle (a step no longer than
     c's modulus error).  Even k: opposite links are paired (1,2), (3,4),
-    ...; every pair sum is shrunk radially to zero (the total stays zero
-    because the pair sums already summed to zero), then each antipodal
-    pair is rotated to (1, -1).  Odd k: links 1-3 are reserved; the
-    remaining pairs collapse as before while the reserved triple absorbs
-    the complementary sum (its third link stays fixed and its first two
-    links track the required pair sum along a segment); the zero-sum
-    triple is then rotated to the standard orientation, with a bounded
-    elbow-flip cycle when it lands mirror-reversed.
+    ...; every pair sum runs straight to zero (the total stays zero because
+    the pair sums already summed to zero), then each antipodal pair is
+    rotated to (1, -1).  Odd k: links 1-2 are one more pair, whose sum runs
+    straight to -w3 while link 3 stays fixed and the pairs (4,5), ... run
+    to zero; the zero-sum triple is then rotated to the standard
+    orientation, with a bounded elbow-flip cycle when it lands
+    mirror-reversed.  One elbow rule places every moving pair: a pair whose
+    sum passes through zero keeps one normal to its segment (an antipodal
+    pair is first turned onto it), any other pair keeps its side of its
+    sum.
     """
     max_step = check_step(max_step)
     k = c.k
@@ -396,38 +380,28 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     state = c.w / np.abs(c.w)
     legs = [np.vstack([c.w, state])]
 
-    if k % 2 == 0:
-        pairs = np.arange(0, k, 2)
-    else:
-        pairs = np.arange(3, k, 2)
-        fixed = state[2]
-        tau0 = state[0] + state[1] + state[2]
-        pre_target, triple_track = _segment_pair_tracker(
-            state[0], tau0 - fixed, -fixed)
-        if pre_target is not None:
-            # re-orient the antipodal pair (links 1,2) before collapsing;
-            # the pair sums to zero so the common rotation keeps the chain closed
-            delta = float(np.angle(pre_target / state[0]))
-            legs.append(_rotation_leg(state, (0, 1), delta, max_step, check=False))
+    # stage 1: move every pair sum to its target, links 1-2 to -w3 at odd k
+    pairs = np.arange(0, k, 2) if k % 2 == 0 else np.arange(3, k, 2)
+    p = pairs if k % 2 == 0 else np.concatenate([[0], pairs])
+    rho1 = np.zeros(p.size, dtype=np.complex128)
+    if k % 2:
+        rho1[0] = -state[2]
+        if abs(state[0] + state[1]) < 1e-12:
+            # antipodal links 1-2: turn them onto the normal their track
+            # starts from; their zero sum keeps the chain closed
+            wa = _pair_track(state[:1], state[:1] + state[1:2], rho1[:1])(np.zeros(1))[0]
+            legs.append(_rotation_leg(state, (0, 1), float(np.angle(wa[0, 0] / state[0])),
+                                      max_step))
             state = legs[-1][-1]
-
-    # stage 1: collapse pair sums, the reserved triple absorbing the slack
-    sigma0 = state[pairs] + state[pairs + 1]
-    moving = np.abs(sigma0) >= 1e-14
-    p, sigma0 = pairs[moving], sigma0[moving]
-    u = sigma0 / np.abs(sigma0)
-    s = np.array([_pair_initial_sign(state[j], sig, uj)
-                  for j, sig, uj in zip(p, sigma0, u)])
+    rho0 = state[p] + state[p + 1]
+    moving = np.abs(rho1 - rho0) >= 1e-14
+    p = p[moving]
+    track = _pair_track(state[p], rho0[moving], rho1[moving])
     base = state
 
     def collapse(t):
         out = np.repeat(base[None, :], len(t), axis=0)
-        sig = (1 - t)[:, None] * sigma0
-        h = np.sqrt(np.maximum(0.0, 1.0 - np.abs(sig) ** 2 / 4))
-        wa = sig / 2 + s * 1j * u * h
-        out[:, p], out[:, p + 1] = wa, sig - wa
-        if k % 2:
-            out[:, 0], out[:, 1] = triple_track(t)
+        out[:, p], out[:, p + 1] = track(t)
         return out
 
     legs.append(_sample_leg(collapse, max_step))
@@ -436,13 +410,12 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     # stage 2: rotate every antipodal pair onto (1, -1)
     deltas = -np.angle(state[pairs])
     legs.append(_rotation_leg(state, np.concatenate([pairs, pairs + 1]),
-                              np.concatenate([deltas, deltas]), max_step, check=False))
+                              np.concatenate([deltas, deltas]), max_step))
     state = legs[-1][-1]
 
     if k % 2:
         # stage 3: rotate the zero-sum triple so its third link is 1
-        legs.append(_rotation_leg(state, (0, 1, 2), -float(np.angle(state[2])),
-                                  max_step, check=False))
+        legs.append(_rotation_leg(state, (0, 1, 2), -float(np.angle(state[2])), max_step))
         state = legs[-1][-1]
 
         if abs(state[0] - np.conj(_OMEGA)) < 1e-6:
@@ -464,23 +437,18 @@ def _mirror_fix_legs(state: np.ndarray, max_step: float):
     if np.max(np.abs(state[3:5] - np.array([1.0, -1.0]))) > 1e-9:
         raise ValueError("mirror fix expects links 4,5 at (1,-1)")
     # swing the absorber pair perpendicular so it can open along the real axis
-    legs = [_rotation_leg(state, (3, 4), np.pi / 2, max_step, check=False)]
+    legs = [_rotation_leg(state, (3, 4), np.pi / 2, max_step)]
     base = legs[-1][-1]
 
     def cycle(t):
         g = 1.0 - np.abs(2.0 * t - 1.0)
-        s = np.where(t < 0.5, 1.0, -1.0)
         out = np.repeat(base[None, :], len(t), axis=0)
-        sig12 = -(1.0 + g)
-        h12 = np.sqrt(np.maximum(0.0, 1.0 - sig12 * sig12 / 4))
-        out[:, 0] = sig12 / 2 - s * 1j * h12
-        out[:, 1] = sig12 - out[:, 0]
-        out[:, 3] = g / 2 + 1j * np.sqrt(np.maximum(0.0, 1.0 - g * g / 4))
-        out[:, 4] = g - out[:, 3]
+        out[:, 0], out[:, 1] = _elbow(-(1.0 + g), np.where(t < 0.5, -1j, 1j))
+        out[:, 3], out[:, 4] = _elbow(g, 1j)
         return out
 
     legs.append(_sample_leg(cycle, max_step))
-    legs.append(_rotation_leg(legs[-1][-1], (3, 4), -np.pi / 2, max_step, check=False))
+    legs.append(_rotation_leg(legs[-1][-1], (3, 4), -np.pi / 2, max_step))
     return legs
 
 

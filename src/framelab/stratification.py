@@ -198,10 +198,10 @@ def construct_regular_point(k: int, n: int) -> GramPoint:
     When gcd(k, n) = 1 every valid Gram point is regular and the harmonic
     frame's Gram matrix is returned.  Otherwise, with d = gcd(k, n) and
     k' = k/d, n' = n/d: seed R' from the harmonic frame on (k', n'), form
-    the d-fold block diagonal R, and conjugate by V = W diag(U, I) W*
-    where U is orthogonal with nowhere-zero first column and W is the
-    permutation sending basis vector j to 1 + (j-1) k' (1-based).  The
-    result keeps unit diagonal and has connected support.
+    the d-fold block diagonal R, and conjugate by V, the identity with U
+    on the rows and columns 0, k', 2k', ... (0-based), where U is the d x d
+    orthogonal matrix with nowhere-zero first column.  The result keeps
+    unit diagonal and has connected support.
     """
     if not k > n >= 1:
         raise ValueError("need k > n >= 1")
@@ -213,17 +213,9 @@ def construct_regular_point(k: int, n: int) -> GramPoint:
     R = np.zeros((k, k))
     for b in range(d):
         R[b * kp:(b + 1) * kp, b * kp:(b + 1) * kp] = Rp
-    U = _dct_orthogonal(d)
-    # permutation with W e_j = e_{j k'} for j < d (0-based), rest in order
-    targets = [j * kp for j in range(d)]
-    rest = [i for i in range(k) if i not in targets]
-    perm = targets + rest
-    W = np.zeros((k, k))
-    for src, dst in enumerate(perm):
-        W[dst, src] = 1.0
-    blk = np.eye(k)
-    blk[:d, :d] = U
-    V = W @ blk @ W.T
+    V = np.eye(k)
+    grid = np.arange(d) * kp
+    V[np.ix_(grid, grid)] = _dct_orthogonal(d)
     return GramPoint("R", n, V.T @ R @ V)
 
 

@@ -472,6 +472,41 @@ def test_integer_fields_take_json_integers_only(decode, doc, path, value):
         decode(_replaced(doc, path, value))
 
 
+#: decoder fields that must be JSON numbers or JSON integers, with no
+#: bool or string standing in: (decoder, valid doc, path to the field, kind)
+_TYPED_FIELDS = [
+    (jsonio.path_from_dict, _SEEDS["chainpath"], ("max_step",), "number"),
+    (jsonio.path_from_dict, _SEEDS["chainpath"], ("samples", 0, "t"), "number"),
+    (jsonio.partition_from_dict, {"k": 2, "blocks": [[1, 2]]}, ("blocks", 0, 0), "integer"),
+    (jsonio.partition_from_dict, {"k": 2, "blocks": [[1, 2]]}, ("blocks", 0, 1), "integer"),
+]
+
+
+@pytest.mark.parametrize("decode,doc,path,kind", _TYPED_FIELDS)
+@pytest.mark.parametrize("value", ["0", "0.5", "", True, False, None, [0.5]])
+def test_number_fields_take_json_numbers_only(decode, doc, path, kind, value):
+    decode(doc)
+    with pytest.raises(ValueError, match=f"must be a JSON {kind}"):
+        decode(_replaced(doc, path, value))
+    if kind == "integer":
+        for value in (1.9, 2.0):
+            with pytest.raises(ValueError, match="must be a JSON integer"):
+                decode(_replaced(doc, path, value))
+
+
+@pytest.mark.parametrize("path,value", [(("max_step",), "0.5"), (("max_step",), True),
+                                        (("samples", 0, "t"), "0"),
+                                        (("samples", 0, "t"), False)])
+def test_lift_refuses_non_number_fields(tmp_path, capsys, path, value):
+    z4 = fl.random_planar_frame(4, np.random.default_rng(10))
+    fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z4.z)))
+    assert run(capsys, "lift", write(tmp_path, "cp.json", _SEEDS["chainpath"]), fpath)[0] == 0
+    cpath = write(tmp_path, "bad.json", _replaced(_SEEDS["chainpath"], path, value))
+    code, out, err = run(capsys, "lift", cpath, fpath)
+    _one_line_error(code, out, err)
+    assert "must be a JSON number" in err
+
+
 def _stdin(monkeypatch, doc):
     """'-', with doc as JSON on stdin."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -119,6 +119,18 @@ def test_act_permutation():
     assert_allclose([b0.lower, b0.upper], [b1.lower, b1.upper], atol=1e-10)
 
 
+def test_permutation_matrix():
+    perm = [2, 0, 3, 1]
+    A = fl.permutation_matrix(perm)
+    assert A.dtype == np.float64
+    assert np.array_equal(A, np.eye(4)[:, perm])
+    F = fl.harmonic_frame(4, 2)
+    assert np.array_equal(F.entries @ A, fl.act_permutation(F, perm).entries)
+    for bad in ([0, 0], [1, 2], [0, 1, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            fl.permutation_matrix(bad)
+
+
 def test_act_phases():
     F = fl.simplex_frame(2)
     assert_allclose(fl.act_phases(F, [1, 1, 1]).entries, F.entries)

@@ -130,6 +130,59 @@ def test_connect_to_standard_random_k6():
         assert rep.ok
 
 
+@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("eps", [0, 1e-12, 1e-9, 1e-8, 1e-6, 4e-5, 1e-2, np.pi / 2, 2, np.pi])
+def test_connect_with_antipodal_links_1_2(k, eps):
+    """Links 1-2 of the chain start antipodal at w0 = -i e^{i eps}, eps
+    away from the normal -i of their segment to -w3 = -1; the
+    straightening turns them onto that normal first, however small the
+    turn."""
+    w0 = -1j * np.exp(1j * eps)
+    r = np.exp(1j * np.pi / 3)
+    z = fl.PlanarFrame([np.sqrt(w0), np.sqrt(-w0), 1, r, np.conj(r)]
+                       + [1, 1j] * ((k - 5) // 2))
+    path = fl.connect_to_standard(z)
+    rep = fl.validate_path(path, expect_start=z.z, expect_end=fl.canonical_planar(k).z)
+    assert rep.ok, rep
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 9])
+@pytest.mark.parametrize("eps", [1e-13, 1e-11, 1e-9, 1e-7])
+def test_connect_near_the_canonical_frame(k, eps):
+    """Frames within about eps of the canonical frame: each pair their
+    chain collapses starts nearly antipodal, where the computed pair sum
+    points off by about 1e-16 / |sum|."""
+    rng = np.random.default_rng(0)
+    b = fl.canonical_planar(k).z
+    for _ in range(5):
+        z = b * np.exp(1j * eps * rng.standard_normal(k))
+        # close the frame: the last two squares cancel the rest, near b's
+        s = np.sum(z[:-2] ** 2)
+        wa = -s / 2 + 1j * s / abs(s) * np.sqrt(1 - abs(s) ** 2 / 4) * np.array([1, -1])
+        wa = wa[np.argmin(np.abs(wa - b[-2] ** 2))]
+        roots = np.sqrt([wa, -s - wa])
+        z[-2:] = np.where(np.abs(roots - b[-2:]) < np.abs(roots + b[-2:]), roots, -roots)
+        pf = fl.PlanarFrame(z)
+        rep = fl.validate_path(fl.connect_to_standard(pf), expect_start=pf.z, expect_end=b)
+        assert rep.ok, rep
+
+
+def test_straightening_sample_counts():
+    """The shape of the seeded paths: any change to how chains straighten
+    or lift shows here first."""
+    counts = {k: len(fl.connect_to_standard(
+        fl.random_planar_frame(k, np.random.default_rng(0))).ts)
+        for k in (4, 5, 6, 7, 9, 17, 33)}
+    assert counts == {4: 163, 5: 424, 6: 162, 7: 313, 9: 331, 17: 425, 33: 353}
+    assert len(planar.case1_explicit_path().ts) == 127
+    assert len(planar.case3_explicit_path().ts) == 223
+
+
+def test_rotation_path_refuses_nonzero_square_sum():
+    with pytest.raises(AssertionError, match="nonzero square sum"):
+        planar._rotation_path(fl.canonical_planar(4).z, [((0, 2), np.pi)], 0.05)
+
+
 def test_all_sign_patterns_connect():
     # every point of the fiber over the standard chain reaches the canonical
     # frame, including odd sign patterns
