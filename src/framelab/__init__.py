@@ -39,6 +39,7 @@ _EXPORTS = {
         "gram",
         "holonomy_sign",
         "is_gram_point",
+        "lift_gram_path",
         "nearest_gram_point",
         "refine_loop",
         "same_orbit",

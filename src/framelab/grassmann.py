@@ -81,12 +81,13 @@ class GramCheck:
 
 def _spectral_split(P, n: int):
     """Eigenvalues (descending), matching eigenvectors and the gap
-    ev[n-1] - ev[n] of the self-adjoint part of P."""
-    ev, V = np.linalg.eigh((P + P.conj().T) / 2)
-    ev, V = ev[::-1], V[:, ::-1]
-    if not 0 < n < len(ev):
-        raise ValueError(f"need 0 < n < k, got n={n}, k={len(ev)}")
-    return ev, V, float(ev[n - 1] - ev[n])
+    ev[..., n-1] - ev[..., n] of the self-adjoint part of P, for one matrix
+    or a stack of them (..., k, k)."""
+    ev, V = np.linalg.eigh((P + P.swapaxes(-1, -2).conj()) / 2)
+    ev, V = ev[..., ::-1], V[..., ::-1]
+    if not 0 < n < ev.shape[-1]:
+        raise ValueError(f"need 0 < n < k, got n={n}, k={ev.shape[-1]}")
+    return ev, V, ev[..., n - 1] - ev[..., n]
 
 
 def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
@@ -149,10 +150,22 @@ def frame_from_gram(R: GramPoint) -> Frame:
     sqrt(k/n).  Requires the spectrum of P to split with a gap of at least
     RANK_GAP between the n-th and (n+1)-th eigenvalues.
     """
-    _, V, gap = _spectral_split(R.projection(), R.n)
+    F, gap = _recovered_frames(R.entries, R.n)
+    _check_gap(gap)
+    return Frame(R.field, F)
+
+
+def _recovered_frames(R, n: int):
+    """sqrt(k/n) V* for the top n eigenvectors V of P = (n/k) R, and the
+    spectral gap of P, for one Gram matrix or a stack of them."""
+    k = R.shape[-1]
+    _, V, gap = _spectral_split((n / k) * R, n)
+    return np.sqrt(k / n) * V[..., :n].swapaxes(-1, -2).conj(), gap
+
+
+def _check_gap(gap) -> None:
     if gap < RANK_GAP:
         raise ValueError(f"eigenvalues not clustered at 0 and 1 (gap {gap:.3g} < {RANK_GAP})")
-    return Frame(R.field, np.sqrt(R.k / R.n) * V[:, :R.n].conj().T)
 
 
 def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
@@ -198,46 +211,106 @@ class OneRedundantEnumeration:
     sign_orbits: int
 
 
+#: points per stacked outer product in `enumerate_one_redundant`
+_ENUM_CHUNK = 256
+
+
 def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     """All 2^n real Gram points for one redundant vector, with orbit counts.
 
     The points are R = (n+1) v v^T for v = (1, e_1, ..., e_n)/sqrt(n+1),
-    e_j = +-1 (the leading sign is fixed because v and -v give the same R).
-    Orbit counting uses canonical forms: a permutation orbit is determined
-    by the sorted sign pattern up to a global flip, a sign orbit by the
-    all-plus form.  The counts come out as 2^n points, ceil(n/2) + 1
+    e_j = +-1 (the leading sign is fixed because v and -v give the same R),
+    listed in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1 exactly when
+    bit j of b is set.  Sign rows and outer products are built in stacks of
+    _ENUM_CHUNK points, so no 2^n-long float array is held next to the
+    points.  A permutation orbit is determined by the number m of minus
+    signs up to a global flip, that is by min(m, n+1-m); a sign orbit by
+    the all-plus form.  The counts come out as 2^n points, ceil(n/2) + 1
     permutation orbits and a single sign orbit; the orbit canonicalisation
     is cross-checked against literal group enumeration in the tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    points = []
-    perm_canon = set()
-    for bits in range(2 ** n):
-        signs = [1] + [1 - 2 * ((bits >> j) & 1) for j in range(n)]
-        v = np.array(signs, dtype=np.float64) / np.sqrt(n + 1)
-        points.append(GramPoint("R", 1, (n + 1) * np.outer(v, v)))
-        flipped = tuple(-s for s in signs)
-        perm_canon.add(max(tuple(sorted(signs)), tuple(sorted(flipped))))
+    index, points, perm_classes = np.arange(2 ** n), [], set()
+    for start in range(0, 2 ** n, _ENUM_CHUNK):
+        bits = (index[start:start + _ENUM_CHUNK, None] >> np.arange(n)) & 1
+        signs = np.ones((len(bits), n + 1))
+        signs[:, 1:] -= 2 * bits
+        v = signs / np.sqrt(n + 1)
+        points.extend(GramPoint("R", 1, R) for R in (n + 1) * (v[:, :, None] * v[:, None, :]))
+        minus = bits.sum(axis=1)
+        perm_classes.update(np.minimum(minus, n + 1 - minus).tolist())
     # diag(s) R diag(s) realises any off-diagonal sign pattern: one orbit
-    return OneRedundantEnumeration(tuple(points), len(perm_canon), 1)
+    return OneRedundantEnumeration(tuple(points), len(perm_classes), 1)
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Orthogonal V minimizing ||V B - A||_F (V may have det -1)."""
-    U, _, Wt = np.linalg.svd(A @ B.conj().T)
+    """Orthogonal V minimizing ||V B - A||_F (V may have det -1), for one
+    pair of matrices or a stack of pairs."""
+    U, _, Wt = np.linalg.svd(A @ B.swapaxes(-1, -2).conj())
     return U @ Wt
+
+
+def lift_gram_path(path, tol: float = DEFAULT_TOL,
+                   max_step: float = DEFAULT_LOOP_STEP) -> np.ndarray:
+    """Frames over a path of real Gram points, each aligned to its predecessor.
+
+    Returns a read-only (m, n, k) float64 array F with F[i]^T F[i] = R_i.
+    F[0] is the frame `frame_from_gram` recovers from R_0, and F[i] is the
+    frame of R_i turned by the orthogonal Procrustes fit onto F[i-1].  All m
+    frames come from one stacked eigendecomposition, and the fits W_i
+    between consecutive raw frames from one stacked SVD; the turns are the
+    running products W_1 ... W_i.
+
+    Refuses (ValueError) in the order a point-by-point lift meets the
+    faults: the spectral gap of R_0 (below RANK_GAP); then, at the first
+    index i with a fault, the Gram step |R_i - R_{i-1}| (max norm above
+    ``max_step``), the spectral gap of R_i and the alignment residual
+    |F[i] - F[i-1]| (max norm above 2.5 max_step + 1e-6).  Last, it
+    refuses a path with a frame that misses its R_i by more than ``tol``
+    in max norm: that R_i is not a Gram point.
+    """
+    max_step = check_step(max_step)
+    pts = list(path)
+    if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
+        raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
+    n = pts[0].n
+    R = np.stack([p.entries for p in pts])
+    raw, gaps = _recovered_frames(R, n)
+    turns = np.concatenate((np.eye(n)[None], _procrustes(raw[:-1], raw[1:])))
+    span = 1
+    while span < len(turns):  # inclusive scan: turns[i] = W_1 ... W_i
+        turns[span:] = turns[:-span] @ turns[span:]
+        span *= 2
+    frames = turns @ raw
+    steps, resids = (np.max(np.abs(np.diff(a, axis=0, prepend=a[:1])), axis=(1, 2))
+                     for a in (R, frames))
+    bad = (steps > max_step) | (gaps < RANK_GAP) | (resids > 2.5 * max_step + 1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if steps[i] > max_step:
+            raise ValueError(f"gram step {steps[i]:.3g} at index {i} exceeds {max_step}")
+        _check_gap(gaps[i])
+        raise ValueError(f"alignment residual {resids[i]:.3g} at index {i}: step too large")
+    misses = np.max(np.abs(raw.swapaxes(-1, -2) @ raw - R), axis=(1, 2))
+    if misses.max() > tol:
+        i = int(np.argmax(misses > tol))
+        raise ValueError(f"frame at index {i} misses its Gram point by {misses[i]:.3g}"
+                         f" > tol {tol:g}: not a Gram point")
+    frames.flags.writeable = False
+    return frames
 
 
 def holonomy_sign(loop, tol: float = DEFAULT_TOL,
                   max_step: float = DEFAULT_LOOP_STEP) -> int:
     """Sign of the orthogonal transformation picked up around a Gram loop.
 
-    The loop (first point == last point, consecutive points within
-    ``max_step`` in max norm) is lifted to frames by continuation: each
-    recovered frame is aligned to its predecessor with an orthogonal
-    Procrustes fit.  Returns sign(det U) for the final U with F_N = U F_0.
-    Refuses (ValueError) when a step is too large to track reliably.
+    The loop (first point == last point within ``tol``, consecutive points
+    within ``max_step`` in max norm) is lifted to aligned frames by
+    `lift_gram_path`.  Returns sign(det U) for the U with F_N = U F_0.
+    Refuses (ValueError) an open loop, every fault `lift_gram_path` refuses
+    (a step too large to track reliably), and a U that is not orthogonal
+    or whose determinant is not +-1 within 1e-6.
     """
     max_step = check_step(max_step)
     pts = list(loop)
@@ -250,21 +323,8 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
         raise ValueError("loop points have mismatched (k, n)")
     if np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
         raise ValueError("loop is not closed (first != last)")
-    F0 = frame_from_gram(pts[0])
-    F_prev = F0.entries
-    for i, R in enumerate(pts[1:], start=1):
-        gap = float(np.max(np.abs(R.entries - pts[i - 1].entries)))
-        if gap > max_step:
-            raise ValueError(f"gram step {gap:.3g} at index {i} exceeds {max_step}")
-        G = frame_from_gram(R).entries
-        V = _procrustes(F_prev, G)
-        F_next = V @ G
-        resid = float(np.max(np.abs(F_next - F_prev)))
-        if resid > 2.5 * max_step + 1e-6:
-            raise ValueError(
-                f"alignment residual {resid:.3g} at index {i}: step too large")
-        F_prev = F_next
-    U = (n / k) * (F_prev @ F0.entries.T)
+    F = lift_gram_path(pts, tol, max_step)
+    U = (n / k) * (F[-1] @ F[0].T)
     if np.max(np.abs(U @ U.T - np.eye(n))) > 1e-6:
         raise ValueError("final alignment is not orthogonal; refine the loop")
     det = float(np.linalg.det(U))

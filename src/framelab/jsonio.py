@@ -14,6 +14,7 @@ evaluated.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 
@@ -28,10 +29,36 @@ def _matrix_out(M, field):
     return np.real(M).astype(np.float64).tolist()
 
 
+def _grid(rows, depth: int):
+    """(leaves, shape) of ``depth`` levels of nested lists, each level of one
+    length, or None when rows is not such a grid or is empty."""
+    flat, shape = [rows], ()
+    for _ in range(depth):
+        widths = set(map(len, flat)) if set(map(type, flat)) == {list} else ()
+        if len(widths) != 1:
+            return None
+        shape += (widths.pop(),)
+        flat = list(itertools.chain.from_iterable(flat))
+    return flat, shape
+
+
 def _matrix_in(rows, field):
+    """The matrix in row lists of JSON numbers ([re, im] pairs of them for
+    field "C").  A leaf that is not a JSON number raises ValueError; input
+    that is not a grid of lists goes to numpy and the callers' shape checks
+    as it is."""
     import numpy as np
 
-    a = np.array(rows, dtype=np.float64)
+    grid = _grid(rows, 3 if field == "C" else 2)
+    kinds = set(map(type, grid[0])) if grid else {list}
+    if list in kinds:  # not a grid, or one level too deep
+        a = np.array(rows, dtype=np.float64)
+    else:
+        leaves, shape = grid
+        if not kinds <= {int, float}:
+            for x in leaves:  # raises at the first leaf that is no JSON number
+                _number(x, "matrix entry")
+        a = np.array(leaves, dtype=np.float64).reshape(shape)
     if field == "C":
         if a.ndim != 3 or a.shape[2] != 2:
             raise ValueError("complex entries must be [re, im] pairs")

@@ -507,6 +507,25 @@ def test_lift_refuses_non_number_fields(tmp_path, capsys, path, value):
     assert "must be a JSON number" in err
 
 
+@pytest.mark.parametrize("cmd,kinds,path,flags", [
+    ("verify", ("frame",), ("entries", 0, 1), ()),
+    ("complement", ("gram",), ("entries", 0, 1), ()),
+    ("holonomy", ("loop",), ("points", 1, "entries", 0, 1), ("--max-step", "1")),
+    ("lift", ("chainpath", "planar"), ("samples", 1, "z", 0, 0), ()),
+])
+@pytest.mark.parametrize("value", ["1", True, None])
+def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, cmd, kinds, path, flags,
+                                               value):
+    """A string, bool or null matrix entry is refused, not read as a number."""
+    docs = [_SEEDS[kind] for kind in kinds]
+    paths = [write(tmp_path, f"{kind}.json", doc) for kind, doc in zip(kinds, docs)]
+    assert run(capsys, cmd, *paths, *flags)[0] == 0
+    paths[0] = write(tmp_path, "bad.json", _replaced(docs[0], path, value))
+    code, out, err = run(capsys, cmd, *paths, *flags)
+    _one_line_error(code, out, err)
+    assert f"matrix entry must be a JSON number, got {value!r}" in err
+
+
 def _stdin(monkeypatch, doc):
     """'-', with doc as JSON on stdin."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import grassmann
 
 BLOCK4 = fl.Frame("R", np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float))
 
@@ -179,6 +182,27 @@ def test_points_distinct():
     assert len(keys) == 8
 
 
+def _per_point_enumeration(n):
+    """The per-point loop `enumerate_one_redundant` used before it stacked
+    the outer products: (the entries of the points, permutation orbits)."""
+    points, perm_canon = [], set()
+    for bits in range(2 ** n):
+        signs = [1] + [1 - 2 * ((bits >> j) & 1) for j in range(n)]
+        v = np.array(signs, dtype=np.float64) / np.sqrt(n + 1)
+        points.append((n + 1) * np.outer(v, v))
+        flipped = tuple(-s for s in signs)
+        perm_canon.add(max(tuple(sorted(signs)), tuple(sorted(flipped))))
+    return points, len(perm_canon)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_matches_the_per_point_loop(n):
+    points, perm = _per_point_enumeration(n)
+    res = fl.enumerate_one_redundant(n)
+    assert [R.entries.tobytes() for R in res.points] == [R.tobytes() for R in points]
+    assert (res.permutation_orbits, res.sign_orbits) == (perm, 1)
+
+
 def case1_gram_loop(max_step=0.05):
     return fl.to_gram_loop(fl.case1_explicit_path(max_step))
 
@@ -259,3 +283,164 @@ def test_gram_constant_on_orbits():
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     G = fl.act_orthogonal(F, Q)
     assert np.max(np.abs(fl.gram(F).entries - fl.gram(G).entries)) < 1e-10
+
+
+def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, max_step=grassmann.DEFAULT_LOOP_STEP):
+    """The step-by-step lift `holonomy_sign` used before it stacked the
+    eigendecompositions and the Procrustes fits."""
+    pts = list(loop)
+    if len(pts) < 2:
+        raise ValueError("loop needs at least two points")
+    if any(p.field != "R" for p in pts):
+        raise ValueError("holonomy sign is defined for real Gram points")
+    k, n = pts[0].k, pts[0].n
+    if any((p.k, p.n) != (k, n) for p in pts):
+        raise ValueError("loop points have mismatched (k, n)")
+    if np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
+        raise ValueError("loop is not closed (first != last)")
+    F0 = fl.frame_from_gram(pts[0])
+    F_prev = F0.entries
+    for i, R in enumerate(pts[1:], start=1):
+        gap = float(np.max(np.abs(R.entries - pts[i - 1].entries)))
+        if gap > max_step:
+            raise ValueError(f"gram step {gap:.3g} at index {i} exceeds {max_step}")
+        G = fl.frame_from_gram(R).entries
+        U, _, Wt = np.linalg.svd(F_prev @ G.T)
+        F_next = U @ Wt @ G
+        resid = float(np.max(np.abs(F_next - F_prev)))
+        if resid > 2.5 * max_step + 1e-6:
+            raise ValueError(
+                f"alignment residual {resid:.3g} at index {i}: step too large")
+        F_prev = F_next
+    U = (n / k) * (F_prev @ F0.entries.T)
+    if np.max(np.abs(U @ U.T - np.eye(n))) > 1e-6:
+        raise ValueError("final alignment is not orthogonal; refine the loop")
+    det = float(np.linalg.det(U))
+    if abs(abs(det) - 1.0) > 1e-6:
+        raise ValueError("unreliable holonomy determinant; refine the loop")
+    return 1 if det > 0 else -1
+
+
+@functools.cache
+def _conjugation_loop(k, seed):
+    """Gram loop from z to the canonical frame and back to conj(z): the
+    lift ends at the reflection of its start, holonomy -1."""
+    z = fl.random_planar_frame(k, np.random.default_rng(seed))
+    there = fl.to_gram_loop(fl.connect_to_standard(z))
+    back = fl.to_gram_loop(fl.connect_to_standard(fl.PlanarFrame(np.conj(z.z))))
+    return there + back[::-1][1:]
+
+
+_LOOPS = {
+    "case-1": (lambda: case1_gram_loop(), -1),
+    "case-3": (lambda: fl.to_gram_loop(fl.case3_explicit_path()), -1),
+    "doubled case-1": (lambda: case1_gram_loop() + case1_gram_loop()[1:], 1),
+    "refined case-1": (lambda: fl.refine_loop(case1_gram_loop()), -1),
+    **{f"conjugation k={k} seed={seed}": (functools.partial(_conjugation_loop, k, seed), -1)
+       for k in range(5, 10) for seed in range(2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOPS))
+def test_holonomy_matches_the_per_step_loop(name):
+    make, sign = _LOOPS[name]
+    loop = make()
+    assert fl.holonomy_sign(loop) == _per_step_holonomy_sign(loop) == sign
+
+
+def _spread_points(k=16, n=9, turn=0.02):
+    """Two matrices (k/n) P whose top-n spectrum sits just 0.51 above the
+    rest; turning one top eigenvector a little moves the frame by about
+    three times the Gram step, so the alignment residual check fires."""
+    H = np.array([[1.0]])
+    while len(H) < k:
+        H = np.block([[H, H], [H, -H]])
+    H = H / np.sqrt(k)
+    P = H @ np.diag(np.r_[0.51, np.linspace(0.8, 1.0, n - 1), np.zeros(k - n)]) @ H.T
+    turned = P + turn * (np.outer(H[:, 0], H[:, n]) + np.outer(H[:, n], H[:, 0]))
+    return [fl.GramPoint("R", n, (k / n) * M) for M in (P, turned)]
+
+
+def _faulty_loops():
+    """name -> (loop, keyword arguments) for loops the lift refuses."""
+    c1, c3 = case1_gram_loop(), fl.to_gram_loop(fl.case3_explicit_path())
+    eye = fl.GramPoint("R", 2, np.eye(5))
+    a, b = _spread_points()
+    step = float(np.max(np.abs(b.entries - a.entries)))
+    return {
+        "open": (c1[:-5], {}),
+        "coarse": ([c1[0], c1[len(c1) // 2], c1[0]], {}),
+        "identity inserted": (c3[:40] + [eye] + c3[40:], {}),
+        "identity inserted, wide step": (c3[:40] + [eye] + c3[40:], {"max_step": 10.0}),
+        "identity first": ([eye, eye], {}),
+        "identity, then a cut": (c3[:40] + [eye] + c3[40:100] + c3[140:], {}),
+        "a cut, then identity": (c3[:60] + c3[100:150] + [eye] + c3[150:], {}),
+        "identity wide, then a cut": (c3[:40] + [eye] + c3[40:100] + c3[200:],
+                                      {"max_step": 1.5}),
+        "alignment residual": ([a, b, a], {"max_step": step * 1.0001}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_faulty_loops()))
+def test_holonomy_refusals_match_the_per_step_loop(name):
+    loop, kwargs = _faulty_loops()[name]
+    messages = []
+    for sign in (fl.holonomy_sign, _per_step_holonomy_sign):
+        with pytest.raises(ValueError) as err:
+            sign(loop, **kwargs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name", ["case-1", "case-3", "doubled case-1",
+                                  "conjugation k=5 seed=0", "conjugation k=9 seed=1"])
+@pytest.mark.parametrize("max_step", [0.2, 0.1])
+def test_lift_gram_path_invariants(name, max_step):
+    make, _ = _LOOPS[name]
+    loop = make()
+    k, n = loop[0].k, loop[0].n
+    F = fl.lift_gram_path(loop, max_step=max_step)
+    assert F.shape == (len(loop), n, k) and F.dtype == np.float64
+    assert not F.flags.writeable
+    assert max(np.max(np.abs(f.T @ f - R.entries)) for f, R in zip(F, loop)) <= fl.DEFAULT_TOL
+    assert np.max(np.abs(np.diff(F, axis=0))) <= 2.5 * max_step + 1e-6
+    assert np.array_equal(F[0], fl.frame_from_gram(loop[0]).entries)
+    det = np.linalg.det((n / k) * F[-1] @ F[0].T)
+    assert np.sign(det) == fl.holonomy_sign(loop, max_step=max_step)
+    # an open piece of the path lifts to the same frames
+    assert np.max(np.abs(fl.lift_gram_path(loop[:50], max_step=max_step) - F[:50])) < 1e-12
+
+
+def test_lift_gram_path_refuses_what_is_no_gram_path():
+    R = fl.gram(fl.simplex_frame(2))
+    off = fl.GramPoint("R", R.n, R.entries * (1 + 1e-6))
+    with pytest.raises(ValueError, match="index 1 misses its Gram point by 1e-06 > tol 1e-09"):
+        fl.holonomy_sign([R, off, R])
+    assert fl.lift_gram_path([R, off, R], tol=1e-5).shape == (3, 2, 3)
+    assert fl.holonomy_sign([R, off, R], tol=1e-5) == 1
+    for path in ([], [fl.torus_point([1j])], [R, fl.gram(fl.simplex_frame(3))]):
+        with pytest.raises(ValueError, match="nonempty path of real Gram points"):
+            fl.lift_gram_path(path)
+    with pytest.raises(ValueError, match="max_step"):
+        fl.lift_gram_path([R, R], max_step=0)
+
+
+def test_holonomy_lift_is_stacked(monkeypatch):
+    """The lift makes the same few eigen and Procrustes calls however long
+    the loop: a return to one call per point fails here."""
+    calls = collections.Counter()
+    for name in ("_spectral_split", "_procrustes"):
+        def counted(*args, _name=name, _real=getattr(grassmann, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+    loop = case1_gram_loop()
+    seen = []
+    for pts in (loop, loop + loop[1:]):
+        calls.clear()
+        assert fl.holonomy_sign(pts) in (-1, 1)
+        seen.append(dict(calls))
+    assert (len(loop), len(loop + loop[1:])) == (127, 253)
+    assert seen[0] == seen[1]
+    assert set(seen[0]) == {"_spectral_split", "_procrustes"}
+    assert max(seen[0].values()) <= 2

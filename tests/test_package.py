@@ -22,8 +22,8 @@ EXPORTS = {
                "permutation_matrix", "simplex_frame"],
     "grassmann": ["GramCheck", "GramPoint", "OneRedundantEnumeration", "OrbitWitness",
                   "complement", "enumerate_one_redundant", "frame_from_gram", "gram",
-                  "holonomy_sign", "is_gram_point", "nearest_gram_point", "refine_loop",
-                  "same_orbit", "torus_point"],
+                  "holonomy_sign", "is_gram_point", "lift_gram_path", "nearest_gram_point",
+                  "refine_loop", "same_orbit", "torus_point"],
     "stratification": ["Partition", "TangentReport", "check_block_cardinalities",
                        "commutant_partition", "construct_regular_point",
                        "expected_dimensions", "harmonic_frame", "is_orthodecomposable",
@@ -49,7 +49,7 @@ def _fresh_python(code: str) -> dict:
 
 
 def test_star_import_yields_the_exported_names():
-    assert len(NAMES) == len(set(NAMES)) == 61
+    assert len(NAMES) == len(set(NAMES)) == 62
     namespace = {}
     exec("from framelab import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(NAMES)
