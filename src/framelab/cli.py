@@ -22,17 +22,7 @@ import sys
 import framelab as fl
 
 from . import jsonio
-from .defaults import DEFAULT_LOOP_STEP, DEFAULT_MAX_STEP, DEFAULT_TOL
-
-
-def _tolerance(raw, source: str) -> float:
-    """``raw`` as a float; ValueError naming ``source`` unless finite and > 0."""
-    try:
-        if 0 < float(raw) < float("inf"):  # NaN fails both comparisons
-            return float(raw)
-    except ValueError:
-        pass
-    raise ValueError(f"{source} must be a finite number > 0, got {raw!r}")
+from .defaults import DEFAULT_LOOP_STEP, DEFAULT_MAX_STEP, DEFAULT_TOL, check_positive
 
 
 def _frame_in(path: str) -> fl.Frame:
@@ -149,7 +139,7 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    tol = _tolerance(os.environ.get("FRAMELAB_TOL", DEFAULT_TOL), "FRAMELAB_TOL")
+    tol = check_positive(os.environ.get("FRAMELAB_TOL", DEFAULT_TOL), "FRAMELAB_TOL")
     ap = argparse.ArgumentParser(prog="framelab")
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name, (handler, *specs) in COMMANDS.items():
@@ -165,7 +155,7 @@ def main(argv=None) -> int:
     code = 0
     try:
         args = _build_parser().parse_args(argv)
-        args.tol = _tolerance(args.tol, "--tol")
+        args.tol = check_positive(args.tol, "--tol")
         doc = args.handler(args)
         doc, code = doc if isinstance(doc, tuple) else (doc, 0)
         if vars(args).get("format") == "text":

@@ -6,6 +6,10 @@ synthesis operator).  The optimal frame bounds are the extreme eigenvalues
 of F F*; a frame is *tight* when they coincide, *spherical* when every
 vector lies on the unit sphere, and *ellipsoidal* when every vector lies
 on a fixed axis-aligned ellipsoid.
+
+Every array the library takes from a caller goes through `_as_array`,
+the one place that checks it holds finite numbers of the expected shape
+and field; the stored types keep a read-only copy of their own.
 """
 
 from __future__ import annotations
@@ -14,29 +18,40 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .defaults import DEFAULT_TOL
+from .defaults import DEFAULT_TOL, check_positive
 
-_FIELDS = ("R", "C")
+#: the array dtype of each field
+_DTYPES = {"R": np.float64, "C": np.complex128}
 
 
-def _as_matrix(entries, field: str) -> np.ndarray:
-    """A finite, read-only float64 (field "R") or complex128 ("C") copy of a
-    2-d matrix; a real matrix may not carry nonzero imaginary parts."""
-    if field not in _FIELDS:
+def _check_field(field) -> None:
+    if field not in _DTYPES:
         raise ValueError(f"field must be 'R' or 'C', got {field!r}")
-    a = np.asarray(entries)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if field == "R":
-        if np.iscomplexobj(a):
-            if a.size and np.max(np.abs(a.imag)) > 0:
-                raise ValueError("real matrix with nonzero imaginary entries")
-            a = a.real
-        a = np.array(a, dtype=np.float64)
-    else:
-        a = np.array(a, dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+
+
+def _as_array(values, field=None, ndim: int = 2, square: bool = False,
+              copy: bool = False) -> np.ndarray:
+    """``values`` as a read-only float64 (field "R") or complex128 ("C")
+    array of ``ndim`` axes (square when ``square``); field None takes "C"
+    for complex input and "R" otherwise.  ValueError unless every entry is
+    a finite number (a bool, string or object is none) and a real array
+    has no nonzero imaginary part.  Input of the field's dtype is viewed,
+    not copied, unless ``copy``: a stored type asks for a copy it owns."""
+    a = np.asarray(values)  # ragged rows raise ValueError here
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"entries must be numbers, got dtype {a.dtype}")
+    if a.ndim != ndim or square and a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a {'square ' * square}{ndim}-d array, got shape {a.shape}")
+    if field is None:
+        field = "C" if a.dtype.kind == "c" else "R"
+    _check_field(field)
+    if field == "R" and a.dtype.kind == "c":
+        if a.imag.any():
+            raise ValueError("real array with nonzero imaginary entries")
+        a = a.real
+    a = np.array(a, _DTYPES[field]) if copy else np.asarray(a, _DTYPES[field]).view()
+    if not np.isfinite(a).all():
+        raise ValueError("array has non-finite entries")
     a.flags.writeable = False
     return a
 
@@ -57,7 +72,8 @@ class Frame:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries, self.field))
+        _check_field(self.field)
+        object.__setattr__(self, "entries", _as_array(self.entries, self.field, copy=True))
 
     @property
     def n(self) -> int:
@@ -84,11 +100,9 @@ class EllipsoidSpec:
     axes: tuple = dc_field(default=())
 
     def __post_init__(self):
-        axes = tuple(float(a) for a in self.axes)
+        axes = tuple(_as_array(self.axes, "R", ndim=1).tolist())
         if len(axes) == 0:
             raise ValueError("axes must be nonempty")
-        if not all(np.isfinite(axes)):
-            raise ValueError("axes must be finite")
         if any(a <= 0 for a in axes):
             raise ValueError("axes must be strictly positive")
         if any(axes[i] < axes[i + 1] for i in range(len(axes) - 1)):
@@ -140,8 +154,7 @@ def is_tight(F: Frame, tol: float = DEFAULT_TOL):
     when the frame is tight.  Tight means the optimal bounds agree to a
     relative tolerance: lambda_max - lambda_min <= tol * lambda_max.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = check_positive(tol, "tol")
     b = frame_bounds(F)
     bound = float(np.trace(frame_operator(F)).real) / F.n
     return (b.upper - b.lower) <= tol * b.upper, bound
@@ -193,13 +206,8 @@ def simplex_frame(n: int) -> Frame:
 
 
 def _check_structure_matrix(U: np.ndarray, field: str, tol: float) -> np.ndarray:
-    U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError("expected a square matrix")
-    if field == "R" and np.iscomplexobj(U) and np.max(np.abs(U.imag)) > 0:
-        raise ValueError("complex transformation applied to a real frame")
-    G = U.conj().T @ U
-    if np.max(np.abs(G - np.eye(U.shape[0]))) > tol:
+    U = _as_array(U, field, square=True)
+    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > tol:
         raise ValueError("matrix is not orthogonal/unitary within tolerance")
     return U
 
@@ -241,13 +249,13 @@ def act_phases(F: Frame, zetas, tol: float = DEFAULT_TOL) -> Frame:
 
     Real frames only admit signs +-1; spherical tightness is preserved.
     """
-    z = np.asarray(zetas)
+    z = _as_array(zetas, ndim=1)
     if z.shape != (F.k,):
         raise ValueError(f"need {F.k} phases, got shape {z.shape}")
     if np.max(np.abs(np.abs(z) - 1.0)) > tol:
         raise ValueError("phases must be unimodular")
     if F.field == "R":
-        if np.iscomplexobj(z) and np.max(np.abs(z.imag)) > tol:
+        if np.max(np.abs(z.imag)) > tol:
             raise ValueError("real frames admit only +-1 phases")
         z = np.round(z.real)
     return Frame(F.field, F.entries * z[None, :])

@@ -16,19 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_LOOP_STEP
-from .frames import DEFAULT_TOL, Frame, _as_matrix, is_spherical, is_tight
+from .defaults import DEFAULT_LOOP_STEP, check_integer, check_positive
+from .frames import DEFAULT_TOL, Frame, _as_array, _check_field, is_spherical, is_tight
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5
-
-
-def check_step(max_step) -> float:
-    """``max_step`` as a float; ValueError unless it is finite and positive."""
-    step = float(max_step)
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"max_step must be finite and > 0, got {max_step!r}")
-    return step
 
 
 @dataclass(frozen=True)
@@ -41,11 +33,12 @@ class GramPoint:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_matrix(self.entries, self.field)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("Gram point entries must be square")
-        if not (0 < self.n < a.shape[0]):
-            raise ValueError(f"need 0 < n < k, got n={self.n}, k={a.shape[0]}")
+        _check_field(self.field)
+        a = _as_array(self.entries, self.field, square=True, copy=True)
+        n = check_integer(self.n, "n")
+        if not (0 < n < a.shape[0]):
+            raise ValueError(f"need 0 < n < k, got n={n}, k={a.shape[0]}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", a)
 
     @property
@@ -96,6 +89,7 @@ def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
     Raises ValueError naming the violated precondition when F is not
     unit-norm or not tight within tol.
     """
+    tol = check_positive(tol, "tol")
     problems = []
     if F.k <= F.n:
         problems.append(f"k={F.k} <= n={F.n} (no redundancy)")
@@ -116,9 +110,7 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     the spectrum of P splits into n eigenvalues near 1 and k-n near 0 with
     a gap of at least RANK_GAP.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
+    M = _as_array(M, square=True)
     k = M.shape[0]
     scale = max(1.0, float(np.max(np.abs(M))))
     sa = bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
@@ -192,7 +184,7 @@ def torus_point(zetas) -> GramPoint:
     (n+1)-by-(n+1) matrix: k = n+1 times the projection onto the span of
     (1, zeta_1, ..., zeta_n)/sqrt(n+1).
     """
-    z = np.asarray(zetas, dtype=np.complex128).ravel()
+    z = _as_array(zetas, "C", ndim=1)
     if z.size == 0:
         raise ValueError("need at least one phase")
     if np.max(np.abs(np.abs(z) - 1.0)) > 1e-12:
@@ -270,7 +262,7 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     refuses a path with a frame that misses its R_i by more than ``tol``
     in max norm: that R_i is not a Gram point.
     """
-    max_step = check_step(max_step)
+    max_step = check_positive(max_step, "max_step")
     pts = list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
@@ -312,7 +304,6 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     (a step too large to track reliably), and a U that is not orthogonal
     or whose determinant is not +-1 within 1e-6.
     """
-    max_step = check_step(max_step)
     pts = list(loop)
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
@@ -340,8 +331,8 @@ def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> Gr
     unit-diagonal correction; converges quickly for inputs close to a
     valid Gram point (used to refine interpolated loop points).
     """
-    M = np.asarray(M)
-    field = "C" if np.iscomplexobj(M) else "R"
+    M = _as_array(M, square=True)
+    field = "C" if M.dtype.kind == "c" else "R"
     k = M.shape[0]
     R = (M + M.conj().T) / 2
     for _ in range(max_iter):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_MAX_STEP
-from .frames import DEFAULT_TOL, Frame, is_spherical, is_tight
-from .grassmann import GramPoint, check_step, gram
+from .defaults import DEFAULT_MAX_STEP, check_positive
+from .frames import DEFAULT_TOL, Frame, _as_array, is_spherical, is_tight
+from .grassmann import GramPoint, gram
 
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
@@ -32,14 +32,13 @@ _OMEGA = np.exp(2j * np.pi / 3)
 
 
 def _unit_tuple(values, constraint, tol, what):
-    z = np.asarray(values, dtype=np.complex128).ravel()
+    z = _as_array(values, "C", ndim=1, copy=True)
     if z.size < 1:
         raise ValueError(f"{what} must be nonempty")
     if not np.max(np.abs(np.abs(z) - 1.0)) <= tol:
         raise ValueError(f"{what} entries must be unimodular")
     if abs(constraint(z)) > tol:
         raise ValueError(f"{what} constraint violated by {abs(constraint(z)):.3g}")
-    z.flags.writeable = False
     return z
 
 
@@ -94,26 +93,19 @@ class FramePath:
     def __post_init__(self):
         if self.kind not in ("planar", "chain"):
             raise ValueError(f"kind must be 'planar' or 'chain', got {self.kind!r}")
-        try:
-            ts = np.array(self.ts, dtype=np.float64)
-            pts = np.array(self.points, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise ValueError("path samples must be numbers, in rows of equal length") from None
-        if ts.ndim != 1 or pts.ndim != 2 or len(ts) != len(pts) or len(ts) < 2:
+        ts = _as_array(self.ts, "R", ndim=1, copy=True)
+        pts = _as_array(self.points, "C", copy=True)
+        if len(ts) != len(pts) or len(ts) < 2:
             raise ValueError("path needs matching ts/points with at least two samples")
         if pts.shape[1] < 1:
             raise ValueError("path samples must be nonempty")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(pts))):
-            raise ValueError("path samples must be finite")
         if abs(ts[0]) > 1e-15 or abs(ts[-1] - 1.0) > 1e-15:
             raise ValueError("path parameter must run from 0 to 1")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("path parameter must be strictly increasing")
-        ts.flags.writeable = False
-        pts.flags.writeable = False
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "max_step", check_step(self.max_step))
+        object.__setattr__(self, "max_step", check_positive(self.max_step, "max_step"))
 
     @property
     def k(self) -> int:
@@ -158,7 +150,7 @@ def to_planar(F: Frame, tol: float = DEFAULT_TOL) -> PlanarFrame:
 
 def from_planar(z) -> Frame:
     """Decode unit complex numbers into a 2-row real synthesis matrix."""
-    z = np.asarray(z, dtype=np.complex128).ravel()
+    z = _as_array(z, "C", ndim=1)
     return Frame("R", np.vstack([z.real, z.imag]))
 
 
@@ -373,7 +365,7 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     pair is first turned onto it), any other pair keeps its side of its
     sum.
     """
-    max_step = check_step(max_step)
+    max_step = check_positive(max_step, "max_step")
     k = c.k
     if k < 4:
         raise ValueError("chain straightening needs k >= 4")
@@ -529,7 +521,7 @@ def case1_explicit_path(max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     First coordinates 1-2 rotate together by pi, then coordinates 1 and 4;
     each stage rotates a pair with cancelling squares.
     """
-    max_step = check_step(max_step)
+    max_step = check_positive(max_step, "max_step")
     legs = _rotation_path(canonical_planar(4).z, [((0, 1), np.pi), ((0, 3), np.pi)],
                           max_step)
     return _concat_legs(legs, "planar", max_step)
@@ -546,7 +538,7 @@ CASE1_WAYPOINTS = (
 def case3_explicit_path(max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     """The five-stage homotopy from (e^{i pi/3}, e^{-i pi/3}, 1, 1, i) to
     its coordinatewise conjugate, rotating one cancelling pair per stage."""
-    max_step = check_step(max_step)
+    max_step = check_positive(max_step, "max_step")
     p3 = np.pi / 3
     stages = [((2, 4), p3), ((0, 4), 4 * p3), ((1, 4), np.pi / 6),
               ((1, 2), np.pi / 2), ((2, 4), 7 * np.pi / 6)]
@@ -584,7 +576,7 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
     LIFT_SAFE_STEP apart, so any finite max_step > 0 lifts.  ``tol`` is the
     tolerance z was accepted at.
     """
-    max_step = check_step(max_step)
+    max_step = check_positive(max_step, "max_step")
     k = z.k
     if k < 4:
         raise ValueError("need k >= 4")

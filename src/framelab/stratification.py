@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellcomplex import _components
-from .frames import DEFAULT_TOL, Frame, act_orthogonal, act_permutation, act_phases
+from .defaults import check_integer
+from .frames import (DEFAULT_TOL, Frame, _as_array, _check_field, act_orthogonal,
+                     act_permutation, act_phases)
 from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
                         gram, torus_point)
 from .planar import from_planar, random_planar_frame
@@ -33,11 +35,12 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        k = check_integer(self.k, "k")
+        blocks = (tuple(sorted(check_integer(i, "block entry") for i in b)) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        seen = [i for b in blocks for i in b]
-        if sorted(seen) != list(range(1, self.k + 1)):
+        if sorted(i for b in blocks for i in b) != list(range(1, k + 1)):
             raise ValueError("blocks must partition 1..k")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "blocks", blocks)
 
     def __len__(self) -> int:
@@ -64,12 +67,10 @@ def commutant_partition(M, tol: float = DEFAULT_TOL) -> Partition:
     Computed as the connected components of the support graph on 1..k with
     an edge (i, j) iff |M_ij| > tol * max|M|.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
+    M = _as_array(M, square=True)
     k = M.shape[0]
-    thresh = tol * float(np.max(np.abs(M))) if M.size else 0.0
-    support = np.abs(M) > thresh
+    mag = np.abs(M)
+    support = mag > tol * mag.max(initial=0.0)
     # row i of the support as an int whose bit j is set iff i ~ j
     packed = np.packbits(support | support.T, axis=1, bitorder="little")
     buf, width = packed.tobytes(), packed.shape[1]
@@ -143,14 +144,13 @@ def expected_dimensions(k: int, n: int, field: str) -> dict:
     """
     if not (k > n >= 1):
         raise ValueError("need k > n >= 1")
+    _check_field(field)
     if field == "R":
         dim_g = (k - n - 1) * (n - 1)
         dim_f = (2 * k - n - 2) * (n - 1) // 2
-    elif field == "C":
+    else:
         dim_g = 2 * n * (k - n) - k + 1
         dim_f = 2 * n * (k - n) + n * n - k + 1
-    else:
-        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
     return {"dimG": dim_g, "dimF": dim_f, "dimN": dim_g, "dimM": dim_f}
 
 
@@ -165,13 +165,12 @@ def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:
     """
     if not (k > n >= 1):
         raise ValueError("need k > n >= 1")
+    _check_field(field)
     t = np.arange(k)
     if field == "C":
         rows = [np.exp(-2j * np.pi * j * t / k) / np.sqrt(k) for j in range(n)]
         M = np.vstack(rows)
         return Frame("C", np.sqrt(k / n) * M)
-    if field != "R":
-        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
     rows = []
     if n % 2 == 1:
         rows.append(np.ones(k) / np.sqrt(k))

@@ -188,3 +188,127 @@ def test_frame_validation():
         fl.Frame("R", np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         fl.Frame("Q", np.eye(2))
+
+
+_PATH_TS = np.array([0.0, 1.0])
+_PATH_POINTS = np.array([[1, 1j, 1, 1j], [1j, 1, 1j, 1]])
+
+#: every entry point that takes an array from its caller:
+#: name -> (call taking the array, a valid array, whether it must be square)
+_ENTRY_POINTS = {
+    "Frame": (lambda a: fl.Frame("R", a), fl.simplex_frame(2).entries, False),
+    "GramPoint": (lambda a: fl.GramPoint("R", 1, a), np.ones((3, 3)), True),
+    "EllipsoidSpec": (fl.EllipsoidSpec, np.array([2.0, 1.0]), False),
+    "act_orthogonal": (lambda a: fl.act_orthogonal(fl.simplex_frame(2), a), np.eye(2), True),
+    "act_phases": (lambda a: fl.act_phases(fl.simplex_frame(2), a),
+                   np.array([1.0, -1.0, 1.0]), False),
+    "is_gram_point": (lambda a: fl.is_gram_point(a, 1), np.ones((3, 3)), True),
+    "nearest_gram_point": (lambda a: fl.nearest_gram_point(a, 1), np.ones((3, 3)), True),
+    "commutant_partition": (fl.commutant_partition, np.eye(3), True),
+    "torus_point": (fl.torus_point, np.array([1j, -1.0]), False),
+    "PlanarFrame": (fl.PlanarFrame, np.array([1, 1j, 1, 1j]), False),
+    "Chain": (fl.Chain, np.array([1.0, -1.0, 1.0, -1.0]), False),
+    "from_planar": (fl.from_planar, np.array([1, 1j, 1, 1j]), False),
+    "FramePath points": (lambda a: fl.FramePath("chain", _PATH_TS, a, 1.0),
+                         _PATH_POINTS, False),
+    "FramePath ts": (lambda a: fl.FramePath("chain", a, _PATH_POINTS, 1.0), _PATH_TS, False),
+}
+
+
+def _with_last(a, value):
+    bad = a.astype(np.result_type(a, float))
+    bad.flat[-1] = value
+    return bad
+
+
+#: bad input -> (the valid array broken that way, the refusal it must get)
+_BREAKS = {
+    "nan": (lambda a: _with_last(a, np.nan), "non-finite"),
+    "inf": (lambda a: _with_last(a, -np.inf), "non-finite"),
+    "bool": (lambda a: a != 0, "must be numbers"),
+    "string": (lambda a: a.astype(str), "must be numbers"),
+    "extra axis": (lambda a: np.stack([a, a]), "expected a"),
+    "one axis less": (lambda a: a[0], "expected a"),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry, (_, _, square) in sorted(_ENTRY_POINTS.items())
+    for bad in sorted(_BREAKS) + ["non-square"] * square])
+def test_every_entry_point_refuses_bad_arrays(entry, bad):
+    call, good, _ = _ENTRY_POINTS[entry]
+    call(good)
+    if bad == "non-square":
+        broken, message = good[:, :-1], "expected a square"
+    else:
+        breaker, message = _BREAKS[bad]
+        broken = breaker(good)
+    with pytest.raises(ValueError, match=message):
+        call(broken)
+
+
+def test_stored_types_own_their_arrays():
+    """Writing to the caller's array after construction changes no stored
+    value, and the caller's array stays writable."""
+    z = fl.canonical_planar(4).z
+    made = [
+        (lambda a: fl.Frame("R", a).entries, fl.simplex_frame(2).entries),
+        (lambda a: fl.GramPoint("C", 1, a).entries, fl.torus_point([1j, -1.0]).entries),
+        (lambda a: fl.PlanarFrame(a).z, z),
+        (lambda a: fl.Chain(a).w, z ** 2),
+        (lambda a: fl.FramePath("planar", _PATH_TS, a, 1.0).points, _PATH_POINTS),
+        (lambda a: fl.FramePath("planar", a, _PATH_POINTS, 1.0).ts, _PATH_TS),
+    ]
+    for read, values in made:
+        caller = np.array(values)
+        stored = read(caller)
+        assert caller.flags.writeable and not stored.flags.writeable
+        caller.flat[0] = 7
+        assert np.array_equal(stored, values)
+
+
+def test_as_array_copies_only_when_asked():
+    from framelab.frames import _as_array
+
+    a = np.eye(3)
+    view = _as_array(a, square=True)
+    assert np.shares_memory(view, a) and not view.flags.writeable and a.flags.writeable
+    own = _as_array(a, "R", copy=True)
+    assert not np.shares_memory(own, a) and not own.flags.writeable
+    assert _as_array(a.astype(int)).dtype == np.float64
+    assert _as_array(a + 0j).dtype == np.complex128
+    assert _as_array(a + 0j, "R").dtype == np.float64
+    with pytest.raises(ValueError, match="imaginary"):
+        _as_array(a + 1e-300j, "R")
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, "1", np.float64(1.0), np.True_, None], ids=repr)
+def test_gram_point_takes_an_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        fl.GramPoint("R", n, np.ones((3, 3)))
+
+
+def test_integer_rule_accepts_numpy_integers():
+    R = fl.GramPoint("R", np.int64(1), np.ones((3, 3)))
+    assert R.n == 1 and type(R.n) is int
+    p = fl.Partition(np.int32(2), ((np.int64(2), 1),))
+    assert p.blocks == ((1, 2),) and type(p.k) is int and type(p.blocks[0][0]) is int
+    for bad in (((1.9, "2"),), ((1, 2.0),), ((True, 2),)):
+        with pytest.raises(ValueError, match="block entry must be an integer"):
+            fl.Partition(2, bad)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        fl.Partition(2.0, ((1, 2),))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1e-9, "abc", None])
+def test_one_positive_number_rule(value):
+    F = fl.simplex_frame(2)
+    for call in (lambda: fl.is_tight(F, value), lambda: fl.gram(F, value)):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            call()
+    R = fl.gram(F)
+    for call in (lambda: fl.lift_gram_path([R, R], max_step=value),
+                 lambda: fl.FramePath("chain", _PATH_TS, _PATH_POINTS, value),
+                 lambda: fl.case1_explicit_path(value)):
+        with pytest.raises(ValueError, match="max_step must be a finite number > 0"):
+            call()
