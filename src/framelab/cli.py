@@ -66,7 +66,7 @@ def _enumerate_one_redundant(args):
     doc = {"count": len(res.points), "permutation_orbits": res.permutation_orbits,
            "sign_orbits": res.sign_orbits}
     if args.points:
-        doc["points"] = [jsonio.gram_to_dict(p) for p in res.points]
+        doc["points"] = jsonio.gram_stack_to_dicts("R", 1, res.points)
     return doc
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .defaults import DEFAULT_TOL, check_positive
+from .defaults import DEFAULT_TOL, check_integer, check_positive
 
 #: the array dtype of each field
 _DTYPES = {"R": np.float64, "C": np.complex128}
@@ -163,7 +163,7 @@ def is_tight(F: Frame, tol: float = DEFAULT_TOL):
 def is_spherical(F: Frame, tol: float = DEFAULT_TOL) -> bool:
     """True iff every column has unit Euclidean norm within tol."""
     norms = np.linalg.norm(F.entries, axis=0)
-    return bool(np.max(np.abs(norms - 1.0)) <= tol)
+    return bool(np.max(np.abs(norms - 1.0)) <= check_positive(tol, "tol"))
 
 
 def is_on_ellipsoid(F: Frame, a: EllipsoidSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -175,7 +175,7 @@ def is_on_ellipsoid(F: Frame, a: EllipsoidSpec, tol: float = DEFAULT_TOL) -> boo
         raise ValueError(f"axis count {a.n} != ambient dimension {F.n}")
     w = np.asarray(a.axes)[:, None]
     vals = np.sum(w * np.abs(F.entries) ** 2, axis=0)
-    return bool(np.max(np.abs(vals - 1.0)) <= tol)
+    return bool(np.max(np.abs(vals - 1.0)) <= check_positive(tol, "tol"))
 
 
 def expected_tight_bound(a: EllipsoidSpec, k: int) -> float:
@@ -193,21 +193,18 @@ def simplex_frame(n: int) -> Frame:
     1/sqrt(n(n+1))), with the last column (0, ..., 0, -1).  All pairwise
     inner products equal -1/n.
     """
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("simplex_frame requires n >= 1")
-    scale = np.sqrt((n + 1) / n)
-    M = np.zeros((n, n + 1))
-    for p in range(1, n + 2):
-        for j in range(p, n + 1):  # rows p..n carry 1/sqrt(j(j+1))
-            M[j - 1, p - 1] = 1.0 / np.sqrt(j * (j + 1))
-        if p >= 2:
-            M[p - 2, p - 1] = -(p - 1) / np.sqrt((p - 1) * p)
-    return Frame("R", scale * M)
+    j, p = np.arange(1, n + 1)[:, None], np.arange(1, n + 2)
+    # row j (1-based) carries 1 in columns 1..j and -j in column j+1, over sqrt(j(j+1))
+    M = np.where(p <= j, 1.0, np.where(p == j + 1, -j, 0)) / np.sqrt(j * (j + 1))
+    return Frame("R", np.sqrt((n + 1) / n) * M)
 
 
 def _check_structure_matrix(U: np.ndarray, field: str, tol: float) -> np.ndarray:
     U = _as_array(U, field, square=True)
-    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > tol:
+    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > check_positive(tol, "tol"):
         raise ValueError("matrix is not orthogonal/unitary within tolerance")
     return U
 
@@ -252,7 +249,7 @@ def act_phases(F: Frame, zetas, tol: float = DEFAULT_TOL) -> Frame:
     z = _as_array(zetas, ndim=1)
     if z.shape != (F.k,):
         raise ValueError(f"need {F.k} phases, got shape {z.shape}")
-    if np.max(np.abs(np.abs(z) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(z) - 1.0)) > check_positive(tol, "tol"):
         raise ValueError("phases must be unimodular")
     if F.field == "R":
         if np.max(np.abs(z.imag)) > tol:

@@ -89,14 +89,12 @@ def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
     Raises ValueError naming the violated precondition when F is not
     unit-norm or not tight within tol.
     """
-    tol = check_positive(tol, "tol")
     problems = []
     if F.k <= F.n:
         problems.append(f"k={F.k} <= n={F.n} (no redundancy)")
     if not is_spherical(F, tol):
         problems.append("columns are not unit vectors")
-    tight, _ = is_tight(F, tol)
-    if not tight:
+    if not is_tight(F, tol)[0]:
         problems.append("frame is not tight")
     if problems:
         raise ValueError("not a spherical tight frame: " + "; ".join(problems))
@@ -110,7 +108,7 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     the spectrum of P splits into n eigenvalues near 1 and k-n near 0 with
     a gap of at least RANK_GAP.
     """
-    M = _as_array(M, square=True)
+    M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     k = M.shape[0]
     scale = max(1.0, float(np.max(np.abs(M))))
     sa = bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
@@ -170,7 +168,7 @@ def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
         raise ValueError("frames have mismatched shape or field")
     RF = F.conj_transpose() @ F.entries
     RG = G.conj_transpose() @ G.entries
-    if np.max(np.abs(RF - RG)) > tol:
+    if np.max(np.abs(RF - RG)) > check_positive(tol, "tol"):
         return None
     U = (F.n / F.k) * (G.entries @ F.conj_transpose())
     residual = float(np.max(np.abs(U @ F.entries - G.entries)))
@@ -195,16 +193,13 @@ def torus_point(zetas) -> GramPoint:
 
 @dataclass(frozen=True)
 class OneRedundantEnumeration:
-    """The finite set of rank-1 real Gram points on n+1 coordinates,
-    together with orbit counts under vector permutation and sign flips."""
+    """The finite set of rank-1 real Gram points on n+1 coordinates, as one
+    read-only (2^n, n+1, n+1) float64 stack of their entries, with orbit
+    counts under vector permutation and sign flips."""
 
-    points: tuple
+    points: np.ndarray
     permutation_orbits: int
     sign_orbits: int
-
-
-#: points per stacked outer product in `enumerate_one_redundant`
-_ENUM_CHUNK = 256
 
 
 def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
@@ -212,28 +207,25 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
 
     The points are R = (n+1) v v^T for v = (1, e_1, ..., e_n)/sqrt(n+1),
     e_j = +-1 (the leading sign is fixed because v and -v give the same R),
-    listed in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1 exactly when
-    bit j of b is set.  Sign rows and outer products are built in stacks of
-    _ENUM_CHUNK points, so no 2^n-long float array is held next to the
-    points.  A permutation orbit is determined by the number m of minus
-    signs up to a global flip, that is by min(m, n+1-m); a sign orbit by
-    the all-plus form.  The counts come out as 2^n points, ceil(n/2) + 1
-    permutation orbits and a single sign orbit; the orbit canonicalisation
-    is cross-checked against literal group enumeration in the tests.
+    stacked in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1 exactly when
+    bit j of b is set: points[b] holds the entries of the Gram point (field
+    "R", n = 1) for sign pattern b, all from one read-only outer product.  A
+    permutation orbit is determined by the number m of minus signs up to a
+    global flip, that is by min(m, n+1-m), which takes floor((n+1)/2) + 1 =
+    ceil(n/2) + 1 values as m runs over 0 ... n; a sign orbit by the
+    all-plus form, so there is one.  The tests cross-check both counts
+    against literal group enumeration.
     """
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
-    index, points, perm_classes = np.arange(2 ** n), [], set()
-    for start in range(0, 2 ** n, _ENUM_CHUNK):
-        bits = (index[start:start + _ENUM_CHUNK, None] >> np.arange(n)) & 1
-        signs = np.ones((len(bits), n + 1))
-        signs[:, 1:] -= 2 * bits
-        v = signs / np.sqrt(n + 1)
-        points.extend(GramPoint("R", 1, R) for R in (n + 1) * (v[:, :, None] * v[:, None, :]))
-        minus = bits.sum(axis=1)
-        perm_classes.update(np.minimum(minus, n + 1 - minus).tolist())
-    # diag(s) R diag(s) realises any off-diagonal sign pattern: one orbit
-    return OneRedundantEnumeration(tuple(points), len(perm_classes), 1)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    v = np.hstack([np.ones((2 ** n, 1)), 1 - 2 * bits]) / np.sqrt(n + 1)
+    points = v[:, :, None] * v[:, None, :]
+    points *= n + 1
+    points.flags.writeable = False
+    # diag(s) R diag(s) realises any off-diagonal sign pattern: one sign orbit
+    return OneRedundantEnumeration(points, (n + 1) // 2 + 1, 1)
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -262,7 +254,7 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     refuses a path with a frame that misses its R_i by more than ``tol``
     in max norm: that R_i is not a Gram point.
     """
-    max_step = check_positive(max_step, "max_step")
+    tol, max_step = check_positive(tol, "tol"), check_positive(max_step, "max_step")
     pts = list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
@@ -304,7 +296,7 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     (a step too large to track reliably), and a U that is not orthogonal
     or whose determinant is not +-1 within 1e-6.
     """
-    pts = list(loop)
+    pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
     if any(p.field != "R" for p in pts):
@@ -331,7 +323,7 @@ def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> Gr
     unit-diagonal correction; converges quickly for inputs close to a
     valid Gram point (used to refine interpolated loop points).
     """
-    M = _as_array(M, square=True)
+    M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     field = "C" if M.dtype.kind == "c" else "R"
     k = M.shape[0]
     R = (M + M.conj().T) / 2

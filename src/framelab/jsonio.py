@@ -110,8 +110,13 @@ def frame_from_dict(d: dict) -> Frame:
 
 
 def gram_to_dict(R: GramPoint) -> dict:
-    return {"field": R.field, "k": R.k, "n": R.n,
-            "entries": _matrix_out(R.entries, R.field)}
+    return gram_stack_to_dicts(R.field, R.n, R.entries[None])[0]
+
+
+def gram_stack_to_dicts(field: str, n: int, stack) -> list:
+    """The Gram documents of a stack (m, k, k) of one field's rank-n Gram matrices."""
+    return [{"field": field, "k": stack.shape[-1], "n": n, "entries": rows}
+            for rows in _matrix_out(stack, field)]
 
 
 @_decoder
@@ -198,10 +203,10 @@ def read_json(path: str) -> dict:
 
 
 def write_json(doc, path: str = "-") -> None:
+    """One line of compact JSON to stdout ('-') or a file, by json.dumps's C encoder."""
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
     if path == "-":
-        json.dump(doc, sys.stdout, indent=None, separators=(",", ":"))
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(text)

@@ -284,7 +284,7 @@ def lift_path(cp: FramePath, start: PlanarFrame, tol: float = DEFAULT_TOL) -> Fr
     """
     if cp.kind != "chain":
         raise ValueError("lift_path needs a chain path")
-    w = cp.points
+    w, tol = cp.points, check_positive(tol, "tol")
     if np.max(np.abs(start.z ** 2 - w[0])) > max(tol, 1e-9):
         raise ValueError("start does not lie over the chain path's first point")
     roots = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w), axis=0))
@@ -630,7 +630,14 @@ def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
     each sample's modulus error (worst_index: its coordinate) before its
     constraint error (worst_index: -1).
     """
-    pts = p.points
+    pts, tol, errs = p.points, check_positive(tol, "tol"), []
+    for name, end, want in (("expect_start", p.start, expect_start),
+                            ("expect_end", p.end, expect_end)):
+        want = end if want is None else _as_array(want, "C", ndim=1)
+        if want.shape != end.shape:
+            raise ValueError(f"{name} needs k = {p.k} entries, got {want.size}")
+        errs.append(float(np.max(np.abs(end - want))))
+    start_err, end_err = errs
     mod_err = np.abs(np.abs(pts) - 1.0)
     coord = np.argmax(mod_err, axis=1)
     mod = mod_err[np.arange(len(pts)), coord]
@@ -641,8 +648,6 @@ def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
     worst_idx = int(coord[i]) if at % 2 == 0 else -1
     max_mod, max_con = float(np.max(mod)), float(np.max(con))
     max_step_seen = float(np.max(np.abs(np.diff(pts, axis=0))))
-    start_err = float(np.max(np.abs(p.start - expect_start))) if expect_start is not None else 0.0
-    end_err = float(np.max(np.abs(p.end - expect_end))) if expect_end is not None else 0.0
     ok = (max_mod <= tol and max_con <= tol
           and max_step_seen <= p.max_step + 1e-12
           and start_err <= tol and end_err <= tol)

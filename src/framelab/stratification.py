@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellcomplex import _components
-from .defaults import check_integer
+from .defaults import check_integer, check_positive
 from .frames import (DEFAULT_TOL, Frame, _as_array, _check_field, act_orthogonal,
                      act_permutation, act_phases)
 from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
@@ -67,7 +67,7 @@ def commutant_partition(M, tol: float = DEFAULT_TOL) -> Partition:
     Computed as the connected components of the support graph on 1..k with
     an edge (i, j) iff |M_ij| > tol * max|M|.
     """
-    M = _as_array(M, square=True)
+    M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     k = M.shape[0]
     mag = np.abs(M)
     support = mag > tol * mag.max(initial=0.0)
@@ -95,6 +95,14 @@ def check_block_cardinalities(p: Partition, k: int, n: int) -> bool:
         raise ValueError(f"partition is over {p.k} indices, expected {k}")
     kp = k // math.gcd(k, n)
     return all(len(b) % kp == 0 for b in p.blocks)
+
+
+def _check_shape(k, n):
+    """(k, n) as ints; ValueError unless both are integers with k > n >= 1."""
+    k, n = check_integer(k, "k"), check_integer(n, "n")
+    if not k > n >= 1:
+        raise ValueError("need k > n >= 1")
+    return k, n
 
 
 def _stratum_block_dim(k_blk: int, n_blk: int, field: str) -> int:
@@ -142,15 +150,11 @@ def expected_dimensions(k: int, n: int, field: str) -> dict:
     Real: dimG = dimN = (k-n-1)(n-1) and dimF = dimM = (k-n/2-1)(n-1).
     Complex: dimG = dimN = 2n(k-n)-k+1 and dimF = dimM = 2n(k-n)+n^2-k+1.
     """
-    if not (k > n >= 1):
-        raise ValueError("need k > n >= 1")
+    k, n = _check_shape(k, n)
     _check_field(field)
-    if field == "R":
-        dim_g = (k - n - 1) * (n - 1)
-        dim_f = (2 * k - n - 2) * (n - 1) // 2
-    else:
-        dim_g = 2 * n * (k - n) - k + 1
-        dim_f = 2 * n * (k - n) + n * n - k + 1
+    dim_g = _stratum_block_dim(k, n, field)
+    # a Gram point's fiber of frames is an orbit of O(n) (U(n)), acting freely
+    dim_f = dim_g + (n * (n - 1) // 2 if field == "R" else n * n)
     return {"dimG": dim_g, "dimF": dim_f, "dimN": dim_g, "dimM": dim_f}
 
 
@@ -163,14 +167,12 @@ def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:
     the constant row when n is odd - scaled by sqrt(k/n).  Columns have
     equal (unit) norm automatically.
     """
-    if not (k > n >= 1):
-        raise ValueError("need k > n >= 1")
+    k, n = _check_shape(k, n)
     _check_field(field)
     t = np.arange(k)
     if field == "C":
         rows = [np.exp(-2j * np.pi * j * t / k) / np.sqrt(k) for j in range(n)]
-        M = np.vstack(rows)
-        return Frame("C", np.sqrt(k / n) * M)
+        return Frame("C", np.sqrt(k / n) * np.vstack(rows))
     rows = []
     if n % 2 == 1:
         rows.append(np.ones(k) / np.sqrt(k))
@@ -178,8 +180,7 @@ def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:
         ang = 2 * np.pi * j * t / k
         rows.append(np.cos(ang) * np.sqrt(2 / k))
         rows.append(np.sin(ang) * np.sqrt(2 / k))
-    M = np.vstack(rows)
-    return Frame("R", np.sqrt(k / n) * M)
+    return Frame("R", np.sqrt(k / n) * np.vstack(rows))
 
 
 def _dct_orthogonal(d: int) -> np.ndarray:
@@ -202,8 +203,7 @@ def construct_regular_point(k: int, n: int) -> GramPoint:
     orthogonal matrix with nowhere-zero first column.  The result keeps
     unit diagonal and has connected support.
     """
-    if not k > n >= 1:
-        raise ValueError("need k > n >= 1")
+    k, n = _check_shape(k, n)
     d = math.gcd(k, n)
     if d == 1:
         return gram(harmonic_frame(k, n, "R"))

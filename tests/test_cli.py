@@ -83,6 +83,25 @@ def test_dims_and_enumerate(capsys):
     assert doc == {"count": 8, "permutation_orbits": 3, "sign_orbits": 1}
 
 
+def test_enumerated_points_encode_point_by_point(capsys):
+    """The stacked points print as the Gram documents of the per-point
+    GramPoints, sign pattern b = 0 ... 7 in order."""
+    code, out, _ = run(capsys, "enumerate-1red", "--n", "3", "--points")
+    points = []
+    for b in range(8):
+        v = np.array([1.0] + [1.0 - 2 * ((b >> j) & 1) for j in range(3)]) / np.sqrt(4)
+        points.append(jsonio.gram_to_dict(fl.GramPoint("R", 1, 4 * np.outer(v, v))))
+    doc = {"count": 8, "permutation_orbits": 3, "sign_orbits": 1, "points": points}
+    assert code == 0 and out == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def test_export_writes_what_stdout_prints(tmp_path, capsys):
+    code, out, _ = run(capsys, "complex", "g52")
+    path = tmp_path / "g52.json"
+    assert run(capsys, "complex", "g52", "--export", str(path)) == (0, "", "")
+    assert code == 0 and path.read_text(encoding="utf-8") == out
+
+
 def test_partition_and_tangent(tmp_path, capsys):
     F = fl.Frame("R", np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float))
     gpath = write(tmp_path, "g.json", jsonio.gram_to_dict(fl.gram(F)))

@@ -212,6 +212,12 @@ _ENTRY_POINTS = {
     "FramePath points": (lambda a: fl.FramePath("chain", _PATH_TS, a, 1.0),
                          _PATH_POINTS, False),
     "FramePath ts": (lambda a: fl.FramePath("chain", a, _PATH_POINTS, 1.0), _PATH_TS, False),
+    "validate_path expect_start": (
+        lambda a: fl.validate_path(fl.FramePath("chain", _PATH_TS, _PATH_POINTS, 1.0),
+                                   expect_start=a), _PATH_POINTS[0], False),
+    "validate_path expect_end": (
+        lambda a: fl.validate_path(fl.FramePath("chain", _PATH_TS, _PATH_POINTS, 1.0),
+                                   expect_end=a), _PATH_POINTS[-1], False),
 }
 
 
@@ -298,6 +304,22 @@ def test_integer_rule_accepts_numpy_integers():
             fl.Partition(2, bad)
     with pytest.raises(ValueError, match="k must be an integer"):
         fl.Partition(2.0, ((1, 2),))
+    assert fl.harmonic_frame(np.int64(5), np.int32(2)).entries.shape == (2, 5)
+    assert fl.simplex_frame(np.int64(2)).k == 3
+    assert len(fl.enumerate_one_redundant(np.int8(3)).points) == 8
+    assert fl.construct_regular_point(np.int64(6), np.int64(3)).k == 6
+    dims = fl.expected_dimensions(np.int64(5), np.int64(2), "R")
+    assert dims == {"dimG": 2, "dimF": 3, "dimN": 2, "dimM": 3}
+    assert all(type(d) is int for d in dims.values())
+    for name, call in [("k", lambda: fl.harmonic_frame(5.0, 2)),
+                       ("n", lambda: fl.harmonic_frame(5, True)),
+                       ("n", lambda: fl.simplex_frame(2.5)),
+                       ("n", lambda: fl.enumerate_one_redundant(3.0)),
+                       ("k", lambda: fl.construct_regular_point(6.0, 3)),
+                       ("k", lambda: fl.expected_dimensions(5.0, 2, "R")),
+                       ("n", lambda: fl.expected_dimensions(5, "2", "R"))]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1e-9, "abc", None])
@@ -307,6 +329,22 @@ def test_one_positive_number_rule(value):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             call()
     R = fl.gram(F)
+    loop = fl.to_gram_loop(fl.case1_explicit_path())
+    cp = fl.chain_straighten(fl.square_map(fl.canonical_planar(4)))
+    for call in (lambda: fl.is_spherical(F, value),
+                 lambda: fl.is_on_ellipsoid(F, fl.EllipsoidSpec((1.0, 1.0)), value),
+                 lambda: fl.is_gram_point(R.entries, 2, value),
+                 lambda: fl.commutant_partition(np.eye(3), value),
+                 lambda: fl.validate_path(cp, value),
+                 lambda: fl.lift_gram_path([R, R], value),
+                 lambda: fl.holonomy_sign(loop, value),
+                 lambda: fl.lift_path(cp, fl.canonical_planar(4), value),
+                 lambda: fl.nearest_gram_point(R.entries, 2, tol=value),
+                 lambda: fl.same_orbit(F, F, value),
+                 lambda: fl.act_orthogonal(F, np.eye(2), value),
+                 lambda: fl.act_phases(F, np.ones(3), value)):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            call()
     for call in (lambda: fl.lift_gram_path([R, R], max_step=value),
                  lambda: fl.FramePath("chain", _PATH_TS, _PATH_POINTS, value),
                  lambda: fl.case1_explicit_path(value)):

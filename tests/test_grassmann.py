@@ -164,7 +164,7 @@ def test_enumerate_one_redundant_matches_brute_force(n):
     assert res.permutation_orbits == perm
     assert res.sign_orbits == sign
     for R in res.points[:4]:
-        assert fl.is_gram_point(R.entries, 1).ok
+        assert fl.is_gram_point(R, 1).ok
 
 
 def test_enumerate_one_redundant_counts():
@@ -178,7 +178,7 @@ def test_enumerate_one_redundant_counts():
 
 def test_points_distinct():
     res = fl.enumerate_one_redundant(3)
-    keys = {tuple(np.round(p.entries, 6).ravel()) for p in res.points}
+    keys = {tuple(np.round(p, 6).ravel()) for p in res.points}
     assert len(keys) == 8
 
 
@@ -199,8 +199,24 @@ def _per_point_enumeration(n):
 def test_enumeration_matches_the_per_point_loop(n):
     points, perm = _per_point_enumeration(n)
     res = fl.enumerate_one_redundant(n)
-    assert [R.entries.tobytes() for R in res.points] == [R.tobytes() for R in points]
+    assert res.points.dtype == np.float64 and res.points.shape == (2 ** n, n + 1, n + 1)
+    assert res.points.tobytes() == np.stack(points).tobytes()
+    assert not res.points.flags.writeable
     assert (res.permutation_orbits, res.sign_orbits) == (perm, 1)
+
+
+def test_enumeration_builds_no_gram_point(monkeypatch):
+    """The points are one stack of entries: no GramPoint is constructed
+    (nor validated) per point."""
+    built, real = [], grassmann.GramPoint
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grassmann, "GramPoint", counting)
+    res = grassmann.enumerate_one_redundant(8)
+    assert len(res.points) == 256 and built == []
 
 
 def case1_gram_loop(max_step=0.05):

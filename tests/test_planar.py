@@ -232,6 +232,13 @@ def test_validate_path_catches_endpoint():
     assert not rep.ok and rep.end_error > 1.0
 
 
+def test_validate_path_refuses_an_endpoint_of_the_wrong_length():
+    path = fl.case1_explicit_path()
+    for name in ("expect_start", "expect_end"):
+        with pytest.raises(ValueError, match=f"{name} needs k = 4 entries, got 3"):
+            fl.validate_path(path, **{name: path.start[:3]})
+
+
 def test_global_rotation_stays_valid():
     z = fl.random_planar_frame(5, np.random.default_rng(9))
     for theta in np.linspace(0, 2 * np.pi, 17):
@@ -401,7 +408,7 @@ def test_validate_path_matches_loop():
     nan_end = np.array(b)
     nan_end[2] = np.nan
     cases = [(path, z.z, b), (corrupted, z.z, b), (path, z.z, b + 1e-3),
-             (path, z.z + 1e-3, None), (path, None, nan_end), (chain, None, None)]
+             (path, z.z + 1e-3, None), (chain, None, None)]
     for p, start, end in cases:
         rep = fl.validate_path(p, 1e-9, expect_start=start, expect_end=end)
         ok, idx, t, residuals = _validate_path_loop(p, 1e-9, start, end)
@@ -410,3 +417,6 @@ def test_validate_path_matches_loop():
                rep.start_error, rep.end_error, rep.worst_violation)
         for a, r in zip(got, residuals):
             assert (np.isnan(a) and np.isnan(r)) or abs(a - r) <= np.spacing(max(a, r))
+    # a NaN endpoint is refused like every non-finite array (the loop reported NaN)
+    with pytest.raises(ValueError, match="non-finite"):
+        fl.validate_path(path, 1e-9, expect_end=nan_end)
