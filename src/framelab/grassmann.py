@@ -109,6 +109,7 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     a gap of at least RANK_GAP.
     """
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
+    n = check_integer(n, "n")
     k = M.shape[0]
     scale = max(1.0, float(np.max(np.abs(M))))
     sa = bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
@@ -292,21 +293,18 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     The loop (first point == last point within ``tol``, consecutive points
     within ``max_step`` in max norm) is lifted to aligned frames by
     `lift_gram_path`.  Returns sign(det U) for the U with F_N = U F_0.
-    Refuses (ValueError) an open loop, every fault `lift_gram_path` refuses
-    (a step too large to track reliably), and a U that is not orthogonal
-    or whose determinant is not +-1 within 1e-6.
+    Refuses (ValueError) an open loop, then every fault `lift_gram_path`
+    refuses (a complex point, mixed (k, n), a step too large to track
+    reliably), and a U that is not orthogonal or whose determinant is not
+    +-1 within 1e-6.
     """
     pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
-    if any(p.field != "R" for p in pts):
-        raise ValueError("holonomy sign is defined for real Gram points")
-    k, n = pts[0].k, pts[0].n
-    if any((p.k, p.n) != (k, n) for p in pts):
-        raise ValueError("loop points have mismatched (k, n)")
-    if np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
+    if pts[0].k != pts[-1].k or np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
         raise ValueError("loop is not closed (first != last)")
     F = lift_gram_path(pts, tol, max_step)
+    n, k = F.shape[1:]
     U = (n / k) * (F[-1] @ F[0].T)
     if np.max(np.abs(U @ U.T - np.eye(n))) > 1e-6:
         raise ValueError("final alignment is not orthogonal; refine the loop")
@@ -324,6 +322,7 @@ def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> Gr
     valid Gram point (used to refine interpolated loop points).
     """
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
+    n, max_iter = check_integer(n, "n"), check_integer(max_iter, "max_iter")
     field = "C" if M.dtype.kind == "c" else "R"
     k = M.shape[0]
     R = (M + M.conj().T) / 2
@@ -346,7 +345,7 @@ def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> Gr
 def refine_loop(loop, rounds: int = 1):
     """Insert reprojected midpoints between consecutive loop points."""
     pts = list(loop)
-    for _ in range(rounds):
+    for _ in range(check_integer(rounds, "rounds")):
         out = [pts[0]]
         for a, b in zip(pts, pts[1:]):
             mid = nearest_gram_point((a.entries + b.entries) / 2, a.n)

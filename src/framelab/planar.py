@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_MAX_STEP, check_positive
-from .frames import DEFAULT_TOL, Frame, _as_array, is_spherical, is_tight
-from .grassmann import GramPoint, gram
+from .defaults import DEFAULT_MAX_STEP, check_integer, check_positive
+from .frames import DEFAULT_TOL, Frame, _as_array
+from .grassmann import GramPoint
 
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
@@ -31,28 +31,36 @@ LIFT_SAFE_STEP = 0.5
 _OMEGA = np.exp(2j * np.pi / 3)
 
 
-def _unit_tuple(values, constraint, tol, what):
-    z = _as_array(values, "C", ndim=1, copy=True)
-    if z.size < 1:
+def _closure(v, p: int):
+    """|s| and lambda_max = (sum |v|^p + |s|) / 2 per row of v, s = sum v^p: for a planar
+    frame (p = 2; p = 1 for its chain) is_tight's rule is |s| <= tol * lambda_max."""
+    s = np.abs(np.sum(v ** p, axis=-1))
+    return s, (np.sum(np.abs(v) ** p, axis=-1) + s) / 2
+
+
+def _unit_tuple(values, p: int, tol: float, what: str, ndim: int = 1):
+    z = _as_array(values, "C", ndim=ndim, copy=True)
+    if z.shape[-1] < 1:
         raise ValueError(f"{what} must be nonempty")
     if not np.max(np.abs(np.abs(z) - 1.0)) <= tol:
         raise ValueError(f"{what} entries must be unimodular")
-    if abs(constraint(z)) > tol:
-        raise ValueError(f"{what} constraint violated by {abs(constraint(z)):.3g}")
+    s, lam = _closure(z, p)
+    if np.any(s > tol * lam):
+        raise ValueError(f"{what} constraint violated by {np.max(s):.3g}")
     return z
 
 
 @dataclass(frozen=True)
 class PlanarFrame:
-    """k unit complex numbers with sum of squares zero, both within ``tol``,
-    the tolerance the frame was checked at."""
+    """k unit complex numbers with sum of squares zero, both within ``tol``
+    (the tolerance checked at) by the rules of is_spherical and is_tight."""
 
     z: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _unit_tuple(
-            self.z, lambda v: np.sum(v ** 2), self.tol, "planar frame"))
+        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
+        object.__setattr__(self, "z", _unit_tuple(self.z, 2, self.tol, "planar frame"))
 
     @property
     def k(self) -> int:
@@ -68,7 +76,8 @@ class Chain:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _unit_tuple(self.w, np.sum, self.tol, "chain"))
+        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
+        object.__setattr__(self, "w", _unit_tuple(self.w, 1, self.tol, "chain"))
 
     @property
     def k(self) -> int:
@@ -137,14 +146,9 @@ class PathReport:
 
 
 def to_planar(F: Frame, tol: float = DEFAULT_TOL) -> PlanarFrame:
-    """Encode a spherical tight frame in R^2 as z_j = x_j + i y_j."""
+    """Encode a spherical tight frame in R^2 as z_j = x_j + i y_j (PlanarFrame checks)."""
     if F.field != "R" or F.n != 2:
         raise ValueError("to_planar needs a real frame in dimension 2")
-    if not is_spherical(F, tol):
-        raise ValueError("columns are not unit vectors")
-    tight, _ = is_tight(F, tol)
-    if not tight:
-        raise ValueError("frame is not tight")
     return PlanarFrame(F.entries[0] + 1j * F.entries[1], tol)
 
 
@@ -160,6 +164,7 @@ def square_map(pf: PlanarFrame, tol: float = DEFAULT_TOL) -> Chain:
     ``tol`` is the tolerance ``pf`` was accepted at.  Squaring turns a
     modulus error e into 2e + e^2, so the chain is checked at tol(2 + tol).
     """
+    tol = check_positive(tol, "tol")
     return Chain(pf.z ** 2, tol * (2 + tol))
 
 
@@ -167,13 +172,16 @@ def to_gram_loop(path: FramePath, tol: float = DEFAULT_TOL):
     """Project a planar path to Gram points (loop when endpoints share a Gram)."""
     if path.kind != "planar":
         raise ValueError("need a planar path")
-    return [gram(from_planar(p), tol) for p in path.points]
+    z = _unit_tuple(path.points, 2, check_positive(tol, "tol"), "planar path", ndim=2)
+    F = np.stack([z.real, z.imag], axis=1)
+    return [GramPoint("R", 2, R) for R in F.swapaxes(1, 2) @ F]
 
 
 def standard_chain(k: int) -> Chain:
     """The straightening target: (1,-1,1,-1,...) for even k; for odd k the
     zero-sum triple (w, conj(w), 1) with w = exp(2*pi*i/3), followed by
     (1,-1) pairs."""
+    k = check_integer(k, "k")
     if k < 4:
         raise ValueError("need k >= 4")
     if k % 2 == 0:
@@ -186,6 +194,7 @@ def standard_chain(k: int) -> Chain:
 def canonical_planar(k: int) -> PlanarFrame:
     """The canonical frame b over the standard chain: (1, i, 1, i, ...) for
     even k; (e^{i pi/3}, e^{-i pi/3}, 1, 1, i, 1, i, ...) for odd k."""
+    k = check_integer(k, "k")
     if k < 4:
         raise ValueError("need k >= 4")
     if k % 2 == 0:
@@ -578,8 +587,6 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
     """
     max_step = check_positive(max_step, "max_step")
     k = z.k
-    if k < 4:
-        raise ValueError("need k >= 4")
     zp = lift_path(chain_straighten(square_map(z, tol), min(max_step, LIFT_SAFE_STEP)), z, tol)
     b = canonical_planar(k).z
     ratio = zp.end / b
@@ -600,6 +607,7 @@ def random_planar_frame(k: int, rng) -> PlanarFrame:
     """Sample a planar frame by drawing k-2 phases and solving the last two
     squares to cancel the partial sum (resampling while its modulus
     exceeds 2)."""
+    k = check_integer(k, "k")
     if k < 3:
         raise ValueError("need k >= 3")
     for _ in range(1000):
@@ -623,12 +631,11 @@ def random_planar_frame(k: int, rng) -> PlanarFrame:
 
 def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
                   expect_start=None, expect_end=None) -> PathReport:
-    """Check unit modulus, the defining constraint, the step bound, and
-    (optionally) the declared endpoints; reports the worst violation.
-
-    The worst violation is the first largest value in the sample order,
-    each sample's modulus error (worst_index: its coordinate) before its
-    constraint error (worst_index: -1).
+    """Check unit modulus, the defining constraint (by PlanarFrame's rule),
+    the step bound, and (optionally) the declared endpoints; reports the
+    worst violation: the first largest value in the sample order, each
+    sample's modulus error (worst_index: its coordinate) before its
+    constraint error |s| (worst_index: -1).
     """
     pts, tol, errs = p.points, check_positive(tol, "tol"), []
     for name, end, want in (("expect_start", p.start, expect_start),
@@ -641,14 +648,14 @@ def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
     mod_err = np.abs(np.abs(pts) - 1.0)
     coord = np.argmax(mod_err, axis=1)
     mod = mod_err[np.arange(len(pts)), coord]
-    con = np.abs(np.sum(pts ** 2 if p.kind == "planar" else pts, axis=1))
+    con, lam = _closure(pts, 2 if p.kind == "planar" else 1)
     at = int(np.argmax(np.column_stack([mod, con])))
     i = at // 2
     worst = float(mod[i] if at % 2 == 0 else con[i])
     worst_idx = int(coord[i]) if at % 2 == 0 else -1
     max_mod, max_con = float(np.max(mod)), float(np.max(con))
     max_step_seen = float(np.max(np.abs(np.diff(pts, axis=0))))
-    ok = (max_mod <= tol and max_con <= tol
+    ok = (max_mod <= tol and bool(np.all(con <= tol * lam))
           and max_step_seen <= p.max_step + 1e-12
           and start_err <= tol and end_err <= tol)
     return PathReport(ok, max_mod, max_con, max_step_seen, p.max_step,

@@ -173,11 +173,18 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+_ONES2 = '{"field":"R","n":1,"k":2,"entries":[[1,1],[1,1]]}'
+_ONES3 = '{"field":"R","n":1,"k":3,"entries":[[1,1,1],[1,1,1],[1,1,1]]}'
+_ONES2_C = '{"field":"C","n":1,"k":2,"entries":[[[1,0],[1,0]],[[1,0],[1,0]]]}'
+
+
 @pytest.mark.parametrize("cmd", ["gram", "complement", "tangent", "holonomy",
                                  "surface-report"])
 @pytest.mark.parametrize("doc", ['[1,2]', 'null',
                                  '{"field":"C","n":1,"k":2,"entries":[[1,2]]}',
-                                 '{"field":"R","n":null,"k":2,"entries":[[1,2]]}'])
+                                 '{"field":"R","n":null,"k":2,"entries":[[1,2]]}',
+                                 f'{{"points":[{_ONES2_C},{_ONES2_C}]}}',
+                                 f'{{"points":[{_ONES2},{_ONES3},{_ONES2}]}}'])
 def test_malformed_document_exits_2(capsys, monkeypatch, cmd, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = run(capsys, cmd, "-")
@@ -271,18 +278,27 @@ def test_lift_rejects_nan_sample(tmp_path, capsys):
     _one_line_error(*run(capsys, "lift", cpath, fpath))
 
 
-@pytest.mark.parametrize("err,tol", [(1e-11, None), (1e-7, "1e-6")])
+#: relative errors of the coordinates: a modulus error in all of them, or
+#: z_1 turned by 1e-9, which leaves |sum z^2| = 2e-9 > tol but within
+#: tol * lambda_max, where verify's is_tight passes it too
+@pytest.mark.parametrize("err,tol", [(1e-11, None), (1e-7, "1e-6"),
+                                     pytest.param(np.r_[1e-9j, np.zeros(5)], None, id="turned")])
 def test_planar_connect_takes_what_verify_passes(tmp_path, capsys, err, tol):
     z = fl.random_planar_frame(6, np.random.default_rng(8)).z * (1 + err)
     fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z)))
     flags = ["--tol", tol] if tol else []
+    tol = float(tol or fl.DEFAULT_TOL)
     code, out, _ = run(capsys, "verify", fpath, *flags)
     assert code == 0 and json.loads(out)["pass"]
     code, out, err_text = run(capsys, "planar-connect", fpath, *flags)
     assert code == 0 and err_text == ""
     path = jsonio.path_from_dict(json.loads(out))
-    assert fl.validate_path(path, float(tol or fl.DEFAULT_TOL), expect_start=z,
-                            expect_end=fl.canonical_planar(6).z).ok
+    assert fl.validate_path(path, tol, expect_start=z, expect_end=fl.canonical_planar(6).z).ok
+    cp = fl.chain_straighten(fl.square_map(fl.PlanarFrame(z, tol), tol))
+    code, out, err_text = run(capsys, "lift", write(tmp_path, "cp.json", jsonio.path_to_dict(cp)),
+                              fpath, *flags)
+    assert code == 0 and err_text == ""
+    assert np.array_equal(jsonio.path_from_dict(json.loads(out)).start, z)
 
 
 @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "inf"])

@@ -311,13 +311,27 @@ def test_integer_rule_accepts_numpy_integers():
     dims = fl.expected_dimensions(np.int64(5), np.int64(2), "R")
     assert dims == {"dimG": 2, "dimF": 3, "dimN": 2, "dimM": 3}
     assert all(type(d) is int for d in dims.values())
+    R = fl.gram(fl.simplex_frame(2))
+    assert fl.is_gram_point(R.entries, np.int64(2)).ok
+    assert fl.nearest_gram_point(R.entries, np.int64(2), np.int32(50)).n == 2
+    assert len(fl.refine_loop([R, R], np.int64(2))) == 5
+    assert fl.random_planar_frame(np.int64(5), np.random.default_rng(0)).k == 5
+    assert fl.canonical_planar(np.int64(5)).k == fl.standard_chain(np.int64(5)).k == 5
     for name, call in [("k", lambda: fl.harmonic_frame(5.0, 2)),
                        ("n", lambda: fl.harmonic_frame(5, True)),
                        ("n", lambda: fl.simplex_frame(2.5)),
                        ("n", lambda: fl.enumerate_one_redundant(3.0)),
                        ("k", lambda: fl.construct_regular_point(6.0, 3)),
                        ("k", lambda: fl.expected_dimensions(5.0, 2, "R")),
-                       ("n", lambda: fl.expected_dimensions(5, "2", "R"))]:
+                       ("n", lambda: fl.expected_dimensions(5, "2", "R")),
+                       ("n", lambda: fl.is_gram_point(R.entries, 2.0)),
+                       ("n", lambda: fl.is_gram_point(R.entries, True)),
+                       ("n", lambda: fl.nearest_gram_point(R.entries, 2.0)),
+                       ("max_iter", lambda: fl.nearest_gram_point(R.entries, 2, 50.0)),
+                       ("rounds", lambda: fl.refine_loop([R, R], 1.5)),
+                       ("k", lambda: fl.random_planar_frame(5.0, np.random.default_rng(0))),
+                       ("k", lambda: fl.canonical_planar(5.0)),
+                       ("k", lambda: fl.standard_chain(5.0))]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call()
 
@@ -329,9 +343,16 @@ def test_one_positive_number_rule(value):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             call()
     R = fl.gram(F)
-    loop = fl.to_gram_loop(fl.case1_explicit_path())
-    cp = fl.chain_straighten(fl.square_map(fl.canonical_planar(4)))
-    for call in (lambda: fl.is_spherical(F, value),
+    path = fl.case1_explicit_path()
+    loop = fl.to_gram_loop(path)
+    b = fl.canonical_planar(4)
+    cp = fl.chain_straighten(fl.square_map(b))
+    for call in (lambda: fl.PlanarFrame(b.z, value),
+                 lambda: fl.Chain(b.z ** 2, value),
+                 lambda: fl.square_map(b, value),
+                 lambda: fl.to_planar(fl.from_planar(b.z), value),
+                 lambda: fl.to_gram_loop(path, value),
+                 lambda: fl.is_spherical(F, value),
                  lambda: fl.is_on_ellipsoid(F, fl.EllipsoidSpec((1.0, 1.0)), value),
                  lambda: fl.is_gram_point(R.entries, 2, value),
                  lambda: fl.commutant_partition(np.eye(3), value),

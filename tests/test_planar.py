@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import framelab as fl
@@ -29,6 +31,28 @@ def test_planar_round_trip():
 def test_to_planar_requires_dimension_two():
     with pytest.raises(ValueError):
         fl.to_planar(fl.simplex_frame(3))
+
+
+def _accepts(call):
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 5, 6, 7, 8, 9, 17]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 16), st.floats(-11, -7), st.floats(-3e-9, 3e-9),
+       st.sampled_from([1e-9, 1e-8]))
+def test_to_planar_accepts_what_gram_accepts(k, seed, j, log_eps, delta, tol):
+    """One coordinate turned by eps = 10^log_eps, so |sum z^2| = 2 eps, and
+    every modulus scaled by 1 + delta: PlanarFrame's closed form decides
+    tightness and sphericity as gram's eigenvalues and norms do."""
+    z = fl.random_planar_frame(k, np.random.default_rng(seed)).z * (1 + delta)
+    z[j % k] *= np.exp(1j * 10.0 ** log_eps)
+    F = fl.from_planar(z)
+    assert _accepts(lambda: fl.to_planar(F, tol)) == _accepts(lambda: fl.gram(F, tol))
 
 
 def test_square_map_values():
@@ -294,6 +318,8 @@ def test_planar_types_keep_their_tolerance():
     assert fl.Chain(z ** 2, tol=1e-6).tol == 1e-6
     assert fl.square_map(fl.PlanarFrame(z, 1e-6), 1e-6).tol == 1e-6 * (2 + 1e-6)
     assert fl.standard_chain(6).tol == fl.DEFAULT_TOL
+    # the stored tol is the float the positive-number rule checked
+    assert type(fl.PlanarFrame(z, np.float64(1e-6)).tol) is type(fl.Chain(z ** 2, 1).tol) is float
 
 
 def test_connect_to_standard_with_modulus_error():
@@ -305,6 +331,19 @@ def test_connect_to_standard_with_modulus_error():
                                expect_end=fl.canonical_planar(6).z)
         assert rep.ok, rep
         assert np.array_equal(path.start, z.z)
+
+
+def test_gram_loop_is_one_product(monkeypatch):
+    """to_gram_loop checks the samples by the closed form and calls no
+    eigensolver; each entry is the Gram matrix gram() takes of the sample."""
+    path = fl.case3_explicit_path()
+    reference = [fl.gram(fl.from_planar(z)).entries for z in path.points]
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, None)
+    loop = fl.to_gram_loop(path)
+    assert len(loop) == len(reference) == 223
+    assert all(R.field == "R" and R.n == 2 for R in loop)
+    assert max(np.max(np.abs(R.entries - G)) for R, G in zip(loop, reference)) <= 1e-15
 
 
 @pytest.mark.parametrize("step", [0.0, -0.05, np.nan, np.inf])
@@ -372,13 +411,18 @@ def test_flip_moves_reach_every_pattern(k):
 
 
 def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
-    """The per-sample validate_path loop that the array reductions replaced."""
+    """The per-sample validate_path loop that the array reductions replaced,
+    with each sample's constraint judged by is_tight on the frame in R^2 it
+    encodes (for a chain, the frame of the square roots of its links)."""
     constraint = (lambda v: np.sum(v ** 2)) if p.kind == "planar" else np.sum
     worst = -1.0
     worst_t, worst_idx = 0.0, 0
     max_mod = 0.0
     max_con = 0.0
+    tight = True
     for t, pt in zip(p.ts, p.points):
+        z = pt if p.kind == "planar" else np.sqrt(pt)
+        tight = tight and fl.is_tight(fl.from_planar(z), tol)[0]
         mod_err = np.abs(np.abs(pt) - 1.0)
         j = int(np.argmax(mod_err))
         if mod_err[j] > worst:
@@ -391,7 +435,7 @@ def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
     steps = [float(np.max(np.abs(b - a))) for a, b in zip(p.points, p.points[1:])]
     start_err = float(np.max(np.abs(p.start - expect_start))) if expect_start is not None else 0.0
     end_err = float(np.max(np.abs(p.end - expect_end))) if expect_end is not None else 0.0
-    ok = (max_mod <= tol and max_con <= tol and max(steps) <= p.max_step + 1e-12
+    ok = (max_mod <= tol and tight and max(steps) <= p.max_step + 1e-12
           and start_err <= tol and end_err <= tol)
     return ok, worst_idx, worst_t, (max_mod, max_con, max(steps), start_err, end_err, worst)
 
@@ -405,10 +449,18 @@ def test_validate_path_matches_loop():
     pts[17] *= 1.001
     corrupted = FramePath("planar", path.ts, pts, path.max_step)
     chain = fl.chain_straighten(fl.square_map(z))
+    # sample 17 with z_1 turned by 1e-9 and 1e-8: |sum z^2| = 2e-9 lies
+    # between tol and tol * lambda_max = 3.5e-9, and 2e-8 above both
+    turned = []
+    for eps in (1e-9, 1e-8):
+        pts = np.array(path.points)
+        pts[17, 0] *= np.exp(1j * eps)
+        turned.append(FramePath("planar", path.ts, pts, path.max_step))
     nan_end = np.array(b)
     nan_end[2] = np.nan
     cases = [(path, z.z, b), (corrupted, z.z, b), (path, z.z, b + 1e-3),
-             (path, z.z + 1e-3, None), (chain, None, None)]
+             (path, z.z + 1e-3, None), (chain, None, None),
+             (turned[0], z.z, b), (turned[1], z.z, b)]
     for p, start, end in cases:
         rep = fl.validate_path(p, 1e-9, expect_start=start, expect_end=end)
         ok, idx, t, residuals = _validate_path_loop(p, 1e-9, start, end)
@@ -417,6 +469,7 @@ def test_validate_path_matches_loop():
                rep.start_error, rep.end_error, rep.worst_violation)
         for a, r in zip(got, residuals):
             assert (np.isnan(a) and np.isnan(r)) or abs(a - r) <= np.spacing(max(a, r))
+    assert fl.validate_path(turned[0], 1e-9).ok and not fl.validate_path(turned[1], 1e-9).ok
     # a NaN endpoint is refused like every non-finite array (the loop reported NaN)
     with pytest.raises(ValueError, match="non-finite"):
         fl.validate_path(path, 1e-9, expect_end=nan_end)
