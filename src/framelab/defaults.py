@@ -16,9 +16,10 @@ DEFAULT_LOOP_STEP = 0.2
 
 
 def check_positive(value, source: str) -> float:
-    """float(value); ValueError naming ``source`` unless it is finite and > 0."""
+    """float(value); ValueError naming ``source`` unless it is a finite number > 0
+    (a bool is not a number here, as in check_integer)."""
     try:
-        if 0 < float(value) < float("inf"):  # NaN fails both comparisons
+        if type(value) is not bool and 0 < float(value) < float("inf"):  # NaN fails both
             return float(value)
     except (TypeError, ValueError):
         pass

@@ -635,7 +635,8 @@ def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
     the step bound, and (optionally) the declared endpoints; reports the
     worst violation: the first largest value in the sample order, each
     sample's modulus error (worst_index: its coordinate) before its
-    constraint error |s| (worst_index: -1).
+    relative constraint error |s|/lambda_max (worst_index: -1), two
+    errors on one scale: each passes up to tol.
     """
     pts, tol, errs = p.points, check_positive(tol, "tol"), []
     for name, end, want in (("expect_start", p.start, expect_start),
@@ -649,9 +650,10 @@ def validate_path(p: FramePath, tol: float = DEFAULT_TOL,
     coord = np.argmax(mod_err, axis=1)
     mod = mod_err[np.arange(len(pts)), coord]
     con, lam = _closure(pts, 2 if p.kind == "planar" else 1)
-    at = int(np.argmax(np.column_stack([mod, con])))
+    rel = con / np.where(lam > 0, lam, 1.0)  # lam = 0 only on a zero sample, where con = 0
+    at = int(np.argmax(np.column_stack([mod, rel])))
     i = at // 2
-    worst = float(mod[i] if at % 2 == 0 else con[i])
+    worst = float(mod[i] if at % 2 == 0 else rel[i])
     worst_idx = int(coord[i]) if at % 2 == 0 else -1
     max_mod, max_con = float(np.max(mod)), float(np.max(con))
     max_step_seen = float(np.max(np.abs(np.diff(pts, axis=0))))

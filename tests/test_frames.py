@@ -336,7 +336,7 @@ def test_integer_rule_accepts_numpy_integers():
             call()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1e-9, "abc", None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1e-9, "abc", None, True])
 def test_one_positive_number_rule(value):
     F = fl.simplex_frame(2)
     for call in (lambda: fl.is_tight(F, value), lambda: fl.gram(F, value)):
@@ -371,3 +371,7 @@ def test_one_positive_number_rule(value):
                  lambda: fl.case1_explicit_path(value)):
         with pytest.raises(ValueError, match="max_step must be a finite number > 0"):
             call()
+    # spread = 0 asks for the harmonic orbit; every other spread follows the rule
+    if value != 0:
+        with pytest.raises(ValueError, match="spread must be a finite number > 0"):
+            fl.random_tight_frame(12, 5, "R", np.random.default_rng(0), spread=value)

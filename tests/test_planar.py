@@ -413,8 +413,9 @@ def test_flip_moves_reach_every_pattern(k):
 def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
     """The per-sample validate_path loop that the array reductions replaced,
     with each sample's constraint judged by is_tight on the frame in R^2 it
-    encodes (for a chain, the frame of the square roots of its links)."""
-    constraint = (lambda v: np.sum(v ** 2)) if p.kind == "planar" else np.sum
+    encodes (for a chain, the frame of the square roots of its links) and
+    ranked as |s| / lambda_max, lambda_max = (sum |v|^p + |s|) / 2."""
+    power = 2 if p.kind == "planar" else 1
     worst = -1.0
     worst_t, worst_idx = 0.0, 0
     max_mod = 0.0
@@ -428,9 +429,10 @@ def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
         if mod_err[j] > worst:
             worst, worst_t, worst_idx = float(mod_err[j]), t, j
         max_mod = max(max_mod, float(mod_err[j]))
-        con = abs(constraint(pt))
-        if con > worst:
-            worst, worst_t, worst_idx = float(con), t, -1
+        con = np.abs(np.sum(pt ** power))
+        rel = con / ((np.sum(np.abs(pt) ** power) + con) / 2)
+        if rel > worst:
+            worst, worst_t, worst_idx = float(rel), t, -1
         max_con = max(max_con, float(con))
     steps = [float(np.max(np.abs(b - a))) for a, b in zip(p.points, p.points[1:])]
     start_err = float(np.max(np.abs(p.start - expect_start))) if expect_start is not None else 0.0
@@ -456,11 +458,17 @@ def test_validate_path_matches_loop():
         pts = np.array(path.points)
         pts[17, 0] *= np.exp(1j * eps)
         turned.append(FramePath("planar", path.ts, pts, path.max_step))
+    # sample 17 turned by 1.5e-9 (|s| = 3e-9 passes) and sample 40 scaled by
+    # 1 + 1.5e-9 (fails): the worst violation is sample 40's, not the larger |s|
+    pts = np.array(path.points)
+    pts[17, 0] *= np.exp(1.5j * 1e-9)
+    pts[40] *= 1 + 1.5e-9
+    mixed = FramePath("planar", path.ts, pts, path.max_step)
     nan_end = np.array(b)
     nan_end[2] = np.nan
     cases = [(path, z.z, b), (corrupted, z.z, b), (path, z.z, b + 1e-3),
              (path, z.z + 1e-3, None), (chain, None, None),
-             (turned[0], z.z, b), (turned[1], z.z, b)]
+             (turned[0], z.z, b), (turned[1], z.z, b), (mixed, z.z, b)]
     for p, start, end in cases:
         rep = fl.validate_path(p, 1e-9, expect_start=start, expect_end=end)
         ok, idx, t, residuals = _validate_path_loop(p, 1e-9, start, end)
@@ -470,6 +478,9 @@ def test_validate_path_matches_loop():
         for a, r in zip(got, residuals):
             assert (np.isnan(a) and np.isnan(r)) or abs(a - r) <= np.spacing(max(a, r))
     assert fl.validate_path(turned[0], 1e-9).ok and not fl.validate_path(turned[1], 1e-9).ok
+    rep = fl.validate_path(mixed, 1e-9)
+    assert not rep.ok and rep.worst_t == path.ts[40] and rep.worst_index >= 0
+    assert rep.max_constraint_error > rep.max_modulus_error > 1e-9
     # a NaN endpoint is refused like every non-finite array (the loop reported NaN)
     with pytest.raises(ValueError, match="non-finite"):
         fl.validate_path(path, 1e-9, expect_end=nan_end)

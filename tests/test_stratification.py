@@ -243,3 +243,27 @@ def test_partition_validation():
         fl.Partition(4, ((1, 2),))
     p = fl.Partition(4, ((4, 2), (3, 1)))
     assert p.blocks == ((1, 3), (2, 4))
+
+
+GRID_SHAPES = [("R", 6, 3), ("R", 12, 5), ("R", 24, 12), ("R", 48, 24), ("R", 64, 24),
+               ("C", 9, 4), ("C", 16, 7), ("C", 30, 7), ("C", 40, 13)]
+
+
+def test_retraction_factors_only_far_from_tight(monkeypatch):
+    # near tightness the step is a second-order expansion, not an eigh; the
+    # all-eigh retraction of R(48,24) at spread 0.05 made about 190 calls
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    fl.random_tight_frame(48, 24, "R", np.random.default_rng(3), spread=0.05)
+    assert 0 < len(calls) <= 12
+
+
+@pytest.mark.parametrize("field,k,n,spread", [(f, k, n, 0.05) for f, k, n in GRID_SHAPES]
+                         + [("C", 9, 4, 0.3), ("R", 12, 5, 0.5)])
+def test_retraction_lands_on_the_manifold(field, k, n, spread):
+    F, G = (fl.random_tight_frame(k, n, field, np.random.default_rng(11), spread)
+            for _ in range(2))
+    M = F.entries
+    assert np.max(np.abs(M @ M.conj().T - (k / n) * np.eye(n))) < 1e-13
+    assert np.max(np.abs(np.linalg.norm(M, axis=0) - 1)) < 1e-15
+    assert M.tobytes() == G.entries.tobytes()
