@@ -14,18 +14,31 @@ the orientation double cover of the faces.
 The two built-in data sets are transcriptions: each gluing direction is
 forced by the vertex classes of the identified edge pair, and an endpoint
 class mismatch aborts construction (a transcription error, not a runtime
-condition).
+condition).  ``build_g52`` encodes each sign vector in {+-1}^4 as a 4-bit
+mask, so a sign twist (an entrywise product) is an XOR of masks and the
+``|+-+-`` suffix of a label is one entry of a 16-string table; each face's
+twenty vertex labels are formed once and shared by its edges' ends.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 
-@dataclass
-class Complex2:
+class _Record:
+    """Equality and repr by the fields, in the order __init__ sets them
+    (defining __eq__ leaves the type unhashable unless it sets __hash__)."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Complex2(_Record):
     """A labeled 2-complex.
 
     vertices: set of labels.
@@ -34,45 +47,46 @@ class Complex2:
     traverses the edge tail -> head.
     """
 
-    vertices: set
-    edges: dict
-    faces: dict
-
-    def __post_init__(self):
-        for e, (a, b) in self.edges.items():
-            if a not in self.vertices or b not in self.vertices:
+    def __init__(self, vertices: set, edges: dict, faces: dict):
+        self.vertices, self.edges, self.faces = vertices, edges, faces
+        for e, (a, b) in edges.items():
+            if a not in vertices or b not in vertices:
                 raise ValueError(f"edge {e!r} has undeclared endpoint")
-        use = defaultdict(int)
-        for f, walk in self.faces.items():
-            if not walk:
-                raise ValueError(f"face {f!r} has an empty boundary")
-            for (e, d) in walk:
-                if e not in self.edges:
+        use = {}  # edge -> its number of traversals
+        for f, walk in faces.items():
+            steps = []  # the (tail, head) of each step, as walked
+            for e, d in walk:
+                if e not in edges:
                     raise ValueError(f"face {f!r} uses undeclared edge {e!r}")
                 if d not in (1, -1):
                     raise ValueError(f"face {f!r} has direction {d!r}")
-                use[e] += 1
-            for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]):
-                head1 = self.edges[e1][1 if d1 == 1 else 0]
-                tail2 = self.edges[e2][0 if d2 == 1 else 1]
-                if head1 != tail2:
-                    raise ValueError(f"face {f!r} boundary is not a closed walk")
+                steps.append(edges[e] if d == 1 else edges[e][::-1])
+                use[e] = use.get(e, 0) + 1
+            if not steps:
+                raise ValueError(f"face {f!r} has an empty boundary")
+            tails, heads = zip(*steps)
+            if heads != tails[1:] + tails[:1]:
+                raise ValueError(f"face {f!r} boundary is not a closed walk")
         if any(c > 2 for c in use.values()):
             raise ValueError("an edge appears more than twice in face boundaries")
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    """Cell counts and the surface classification answers."""
+class SurfaceReport(_Record):
+    """Cell counts and the surface classification answers (read-only)."""
 
-    v: int
-    e: int
-    f: int
-    euler: int
-    closed_surface: bool
-    orientable: bool
-    connected: bool
-    genus: object  # int when closed, orientable and connected, else None
+    def __init__(self, v: int, e: int, f: int, euler: int, closed_surface: bool,
+                 orientable: bool, connected: bool, genus):
+        # genus: int when closed, orientable and connected, else None
+        self.__dict__.update(v=v, e=e, f=f, euler=euler, closed_surface=closed_surface,
+                             orientable=orientable, connected=connected, genus=genus)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"SurfaceReport is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def _edge_traversals(C: Complex2):
@@ -105,8 +119,10 @@ def _components(k: int, neighbours) -> list:
         # once member holds every unplaced index there is nothing left to reach
         while frontier and member != unseen:
             reach = 0
-            for i in _bits(frontier):
-                reach |= neighbours(i)
+            while frontier:  # the neighbours of each frontier index, lowest first
+                low = frontier & -frontier
+                reach |= neighbours(low.bit_length() - 1)
+                frontier ^= low
             frontier = reach & ~member
             member |= frontier
         unseen &= ~member
@@ -138,9 +154,9 @@ def _links_are_circles(C: Complex2) -> bool:
     corner of a face joins the end it enters a vertex by to the one it
     leaves by, so every end lies on two corners and the corners at v form
     cycles, one per component.  The link at v is a circle iff it is one."""
-    index = {eid: i for i, eid in enumerate(C.edges)}
-    at = [x for ends in C.edges.values() for x in ends]  # the vertex of each end
-    corners = ((2 * index[e1] + (d1 > 0), 2 * index[e2] + (d2 < 0))
+    index = {eid: 2 * i for i, eid in enumerate(C.edges)}
+    at = list(itertools.chain.from_iterable(C.edges.values()))  # the vertex of each end
+    corners = ((index[e1] + (d1 > 0), index[e2] + (d2 < 0))
                for walk in C.faces.values()
                for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]))
     hubs = [at[comp[0]] for comp in _linked(len(at), corners)]
@@ -289,38 +305,22 @@ def build_g52() -> Complex2:
     The gluing direction of every identified edge pair is derived from the
     vertex classes of its endpoints; a mismatch raises ValueError.
     """
-    all_eps = list(itertools.product((1, -1), repeat=4))
-
-    def vlabel(letter, eps):
-        name, tw = _VERTEX_CLASS[letter]
-        return f"{name}|{_sgn(_twist(tw, eps))}"
-
-    def elabel(letter, eps):
-        name, tw = _EDGE_CLASS[letter]
-        return f"{name}|{_sgn(_twist(tw, eps))}"
-
-    vertices = set()
-    edges = {}
-    faces = {}
-    for eps in all_eps:
+    signs = ["".join(s) for s in itertools.product("+-", repeat=4)]
+    mask = {s: m for m, s in enumerate(signs)}  # sign string -> 4-bit mask
+    vclass = [(name, mask[_sgn(tw)]) for name, tw in map(_VERTEX_CLASS.__getitem__, _VSEQ)]
+    eclass = [(name, mask[_sgn(tw)]) for name, tw in map(_EDGE_CLASS.__getitem__, _ESEQ)]
+    vertices, edges, faces = set(), {}, {}
+    for m, sign in enumerate(signs):
+        ring = [f"{name}|{signs[m ^ tw]}" for name, tw in vclass]  # raw vertices a..t
+        vertices.update(ring)
         walk = []
-        for i, L in enumerate(_ESEQ):
-            tail = vlabel(_VSEQ[i], eps)
-            head = vlabel(_VSEQ[(i + 1) % 20], eps)
-            vertices.update((tail, head))
-            ec = elabel(L, eps)
-            if ec not in edges:
-                edges[ec] = (tail, head)
-                d = 1
-            elif (tail, head) == edges[ec]:
-                d = 1
-            elif (head, tail) == edges[ec]:
-                d = -1
-            else:
+        for L, (name, tw), tail, head in zip(_ESEQ, eclass, ring, ring[1:] + ring[:1]):
+            ec, step = f"{name}|{signs[m ^ tw]}", (tail, head)
+            ends = edges.setdefault(ec, step)
+            if ends not in (step, step[::-1]):
                 raise ValueError(
-                    f"transcription check failed: edge {L}|{_sgn(eps)} has endpoint "
-                    f"classes ({tail}, {head}) but its partner was recorded with "
-                    f"{edges[ec]}")
-            walk.append((ec, d))
-        faces[f"B|{_sgn(eps)}"] = tuple(walk)
+                    f"transcription check failed: edge {L}|{sign} has endpoint "
+                    f"classes {step} but its partner was recorded with {ends}")
+            walk.append((ec, 1 if ends == step else -1))
+        faces[f"B|{sign}"] = tuple(walk)
     return Complex2(vertices, edges, faces)

@@ -206,11 +206,12 @@ class OneRedundantEnumeration:
 def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     """All 2^n real Gram points for one redundant vector, with orbit counts.
 
-    The points are R = (n+1) v v^T for v = (1, e_1, ..., e_n)/sqrt(n+1),
-    e_j = +-1 (the leading sign is fixed because v and -v give the same R),
-    stacked in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1 exactly when
-    bit j of b is set: points[b] holds the entries of the Gram point (field
-    "R", n = 1) for sign pattern b, all from one read-only outer product.  A
+    The points are R = (n+1) v v^T = s s^T for v = s/sqrt(n+1), s = (1, e_1,
+    ..., e_n), e_j = +-1 (the leading sign is fixed because v and -v give the
+    same R), stacked in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1
+    exactly when bit j of b is set: points[b] holds the entries of the Gram
+    point (field "R", n = 1) for sign pattern b, all exactly +-1 from one
+    read-only outer product of the sign rows.  A
     permutation orbit is determined by the number m of minus signs up to a
     global flip, that is by min(m, n+1-m), which takes floor((n+1)/2) + 1 =
     ceil(n/2) + 1 values as m runs over 0 ... n; a sign orbit by the
@@ -221,9 +222,8 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     if n < 1:
         raise ValueError("need n >= 1")
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    v = np.hstack([np.ones((2 ** n, 1)), 1 - 2 * bits]) / np.sqrt(n + 1)
-    points = v[:, :, None] * v[:, None, :]
-    points *= n + 1
+    s = np.hstack([np.ones((2 ** n, 1)), 1 - 2 * bits])
+    points = s[:, :, None] * s[:, None, :]
     points.flags.writeable = False
     # diag(s) R diag(s) realises any off-diagonal sign pattern: one sign orbit
     return OneRedundantEnumeration(points, (n + 1) // 2 + 1, 1)

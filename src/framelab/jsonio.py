@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import sys
+from collections import Counter
 
 
 def _matrix_out(M, field):
@@ -183,14 +184,33 @@ def complex_to_dict(C: Complex2) -> dict:
     }
 
 
+def _distinct(kept, listed: list, what: str):
+    """kept, the set or dict of the keys listed; a key listed twice raises ValueError."""
+    if len(kept) != len(listed):
+        raise ValueError(f"{what} {Counter(listed).most_common(1)[0][0]!r} is listed twice")
+    return kept
+
+
 @_decoder
 def complex_from_dict(d: dict) -> Complex2:
+    """The complex of a document.  Vertices that are not a list, a vertex
+    label, edge id or face id listed twice, or edge ends that are not a list
+    of two labels raise ValueError."""
     from .cellcomplex import Complex2
 
-    vertices = set(d["vertices"])
-    edges = {e["id"]: tuple(e["ends"]) for e in d["edges"]}
+    if type(d["vertices"]) is not list:
+        raise ValueError(f"vertices must be a list of labels, got {d['vertices']!r}")
+    vertices = _distinct(set(d["vertices"]), d["vertices"], "vertex label")
+    edges = {}
+    for e in d["edges"]:
+        ends = e["ends"]
+        if type(ends) is not list or len(ends) != 2:
+            raise ValueError(f"edge {e['id']!r} needs a list of two ends, got {ends!r}")
+        edges[e["id"]] = tuple(ends)
     faces = {f["id"]: tuple((s["edge"], _integer(s, "dir")) for s in f["walk"])
              for f in d["faces"]}
+    _distinct(edges, [e["id"] for e in d["edges"]], "edge id")
+    _distinct(faces, [f["id"] for f in d["faces"]], "face id")
     return Complex2(vertices, edges, faces)
 
 

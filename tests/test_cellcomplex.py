@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import defaultdict, deque
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
-from framelab import cellcomplex
+from framelab import cellcomplex, cli
 
 
 def torus() -> fl.Complex2:
@@ -379,6 +380,67 @@ def test_g52_is_not_orientable_with_certificate():
     adjacency = {frozenset((f1, f2)) for (f1, _), (f2, _) in tr.values() if f1 != f2}
     for i in range(3):
         assert frozenset((labels[i], labels[(i + 1) % 3])) in adjacency
+
+
+def _letter_by_letter_g52():
+    """(vertices, edges, faces) of G^R_{5,2} built as the tables read: each
+    raw letter's class label from _sgn(_twist(...)), at both ends of every
+    edge, with the gluing direction read off the first traversal."""
+    sgn, twist = cellcomplex._sgn, cellcomplex._twist
+    vertices, edges, faces = set(), {}, {}
+    for eps in itertools.product((1, -1), repeat=4):
+        walk = []
+        for i, letter in enumerate(cellcomplex._ESEQ):
+            ends = []
+            for raw in (cellcomplex._VSEQ[i], cellcomplex._VSEQ[(i + 1) % 20]):
+                name, tw = cellcomplex._VERTEX_CLASS[raw]
+                ends.append(f"{name}|{sgn(twist(tw, eps))}")
+            vertices.update(ends)
+            name, tw = cellcomplex._EDGE_CLASS[letter]
+            label = f"{name}|{sgn(twist(tw, eps))}"
+            first = edges.setdefault(label, tuple(ends))
+            assert first in (tuple(ends), tuple(ends[::-1]))
+            walk.append((label, 1 if first == tuple(ends) else -1))
+        faces[f"B|{sgn(eps)}"] = tuple(walk)
+    return vertices, edges, faces
+
+
+def test_g52_matches_the_letter_by_letter_build():
+    vertices, edges, faces = _letter_by_letter_g52()
+    C = fl.build_g52()
+    assert C.vertices == vertices
+    assert list(C.edges.items()) == list(edges.items())  # insertion order too
+    assert list(C.faces.items()) == list(faces.items())
+
+
+@pytest.mark.parametrize("which,digest", [
+    ("g42", "b8a141e0f811bc0a4ae9e731523da6a70a772cc187118a68817507b98a686651"),
+    ("g52", "1656bce76388709663e7c43e49af78af407dc33dd84344dffc391db7dd91c410")])
+def test_complex_stdout_is_pinned(capsys, which, digest):
+    """`framelab complex` prints the same bytes as the original string build."""
+    assert cli.main(["complex", which]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_record_types_keep_fields_equality_and_repr():
+    C = torus()
+    assert list(vars(C)) == ["vertices", "edges", "faces"]
+    assert C == torus() and C != klein_bottle() and C != (C.vertices, C.edges, C.faces)
+    assert repr(C) == f"Complex2(vertices={C.vertices!r}, edges={C.edges!r}, faces={C.faces!r})"
+    with pytest.raises(TypeError):
+        hash(C)
+    r = fl.surface_report(C)
+    assert list(vars(r)) == ["v", "e", "f", "euler", "closed_surface", "orientable",
+                             "connected", "genus"]
+    assert repr(r) == ("SurfaceReport(v=1, e=2, f=1, euler=0, closed_surface=True, "
+                       "orientable=True, connected=True, genus=1)")
+    assert r == fl.surface_report(torus()) and r != fl.surface_report(klein_bottle())
+    assert hash(r) == hash(fl.surface_report(torus()))
+    with pytest.raises(AttributeError):
+        r.genus = 2
+    with pytest.raises(AttributeError):
+        del r.v
+    assert r.genus == 1
 
 
 def test_g52_transcription_check_fires(monkeypatch):

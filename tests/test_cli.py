@@ -176,6 +176,23 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 _ONES2 = '{"field":"R","n":1,"k":2,"entries":[[1,1],[1,1]]}'
 _ONES3 = '{"field":"R","n":1,"k":3,"entries":[[1,1,1],[1,1,1],[1,1,1]]}'
 _ONES2_C = '{"field":"C","n":1,"k":2,"entries":[[[1,0],[1,0]],[[1,0],[1,0]]]}'
+_BIGON = '{"id":"F","walk":[{"edge":"x","dir":1},{"edge":"x","dir":-1}]}'
+
+
+def _complex_doc(vertices='["a","b","c"]', edges='[{"id":"x","ends":["a","b"]}]', faces="[]"):
+    return f'{{"vertices":{vertices},"edges":{edges},"faces":{faces}}}'
+
+
+#: complex documents with a repeated label or id, or vertices or edge ends not in a list
+_BAD_COMPLEXES = {
+    "edge id 'x' is listed twice":
+        _complex_doc(edges='[{"id":"x","ends":["a","b"]},{"id":"x","ends":["b","c"]}]'),
+    "vertex label 'a' is listed twice": _complex_doc(vertices='["a","b","a"]'),
+    "face id 'F' is listed twice": _complex_doc(faces=f"[{_BIGON},{_BIGON}]"),
+    "edge 'x' needs a list of two ends": _complex_doc(edges='[{"id":"x","ends":["a","b","c"]}]'),
+    "edge 'y' needs a list of two ends": _complex_doc(edges='[{"id":"y","ends":"ab"}]'),
+    "vertices must be a list of labels": _complex_doc(vertices='"abc"'),
+}
 
 
 @pytest.mark.parametrize("cmd", ["gram", "complement", "tangent", "holonomy",
@@ -184,13 +201,27 @@ _ONES2_C = '{"field":"C","n":1,"k":2,"entries":[[[1,0],[1,0]],[[1,0],[1,0]]]}'
                                  '{"field":"C","n":1,"k":2,"entries":[[1,2]]}',
                                  '{"field":"R","n":null,"k":2,"entries":[[1,2]]}',
                                  f'{{"points":[{_ONES2_C},{_ONES2_C}]}}',
-                                 f'{{"points":[{_ONES2},{_ONES3},{_ONES2}]}}'])
+                                 f'{{"points":[{_ONES2},{_ONES3},{_ONES2}]}}',
+                                 *_BAD_COMPLEXES.values()])
 def test_malformed_document_exits_2(capsys, monkeypatch, cmd, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = run(capsys, cmd, "-")
     assert code == 2 and out == ""
     assert err.startswith("framelab: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("message,doc", _BAD_COMPLEXES.items())
+def test_complex_document_refusal_names_the_fault(capsys, monkeypatch, message, doc):
+    """A repeat is refused, not silently merged, and ends or vertices that
+    are not lists are not read as characters; the one stderr line names the
+    fault.  The base document the cases vary decodes."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "surface-report", "-")
+    assert (code, out) == (2, "") and err.startswith(f"framelab: {message}")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_complex_doc(faces=f"[{_BIGON}]")))
+    code, out, _ = run(capsys, "surface-report", "-")
+    assert code == 0 and json.loads(out)["closed_surface"] is False
 
 
 @pytest.mark.parametrize("entries", [[[1, 2]], [[[1, 2, 3, 4]]], [[[1, 2], [3]]]])

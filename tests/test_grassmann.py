@@ -200,7 +200,12 @@ def test_enumeration_matches_the_per_point_loop(n):
     points, perm = _per_point_enumeration(n)
     res = fl.enumerate_one_redundant(n)
     assert res.points.dtype == np.float64 and res.points.shape == (2 ** n, n + 1, n + 1)
-    assert res.points.tobytes() == np.stack(points).tobytes()
+    # R = s s^T for the sign row s of pattern b: every entry exactly +-1
+    for b, R in enumerate(res.points):
+        s = np.array([1] + [1 - 2 * ((b >> j) & 1) for j in range(n)])
+        assert np.array_equal(R, np.outer(s, s))
+    # the loop's (n+1) v v^T rounds through 1/sqrt(n+1): the same within a few ulp
+    np.testing.assert_array_max_ulp(res.points, np.stack(points), maxulp=2)
     assert not res.points.flags.writeable
     assert (res.permutation_orbits, res.sign_orbits) == (perm, 1)
 

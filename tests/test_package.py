@@ -80,7 +80,8 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_topology_stages_run_without_numpy():
-    """complex g52 | surface-report - through cli.main never loads numpy."""
+    """complex g52 | surface-report - through cli.main never loads numpy,
+    nor dataclasses and the inspect module it pulls in."""
     doc = _fresh_python(
         "import contextlib, io, json, sys\n"
         "from framelab import cli\n"
@@ -91,7 +92,8 @@ def test_topology_stages_run_without_numpy():
         "with contextlib.redirect_stdout(report):\n"
         "    checked = cli.main(['surface-report', '-'])\n"
         "print(json.dumps({'codes': [built, checked], 'report': json.loads(report.getvalue()),\n"
-        "                  'numpy': 'numpy' in sys.modules}))")
+        "                  'loaded': [m for m in ('numpy', 'dataclasses', 'inspect')\n"
+        "                             if m in sys.modules]}))")
     assert doc["codes"] == [0, 0]
     assert (doc["report"]["v"], doc["report"]["e"], doc["report"]["f"]) == (96, 160, 16)
-    assert doc["numpy"] is False
+    assert doc["loaded"] == []
