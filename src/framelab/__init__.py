@@ -3,14 +3,16 @@ stratification, planar connectivity paths, and the two built-in surface
 complexes.
 
 ``import framelab`` loads no submodule: each exported name, and each of
-the five modules that define them, is imported on first use (PEP 562), so
-a caller that needs only the surface complexes never loads numpy.
+the six modules that define them, is imported on first use (PEP 562), so
+a caller that needs only the surface complexes or the closed forms
+(`closedform`) never loads numpy.
 """
 
 import importlib
 
 #: submodule -> the names framelab exports from it
 _EXPORTS = {
+    "closedform": ("expected_dimensions",),
     "frames": (
         "DEFAULT_TOL",
         "EllipsoidSpec",
@@ -51,7 +53,6 @@ _EXPORTS = {
         "check_block_cardinalities",
         "commutant_partition",
         "construct_regular_point",
-        "expected_dimensions",
         "harmonic_frame",
         "is_orthodecomposable",
         "random_tight_frame",

@@ -10,7 +10,9 @@ command's own.
 
 A handler reaches the library through the lazy ``framelab`` package, so a
 subcommand loads only the modules it calls: ``complex`` and
-``surface-report`` run without numpy.
+``surface-report`` run without numpy, and so do ``simplex``, ``dims`` and
+``enumerate-1red`` without ``--points``, which print closed forms from
+`closedform`.  A run builds the arguments of the subcommand it names only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 
 import framelab as fl
 
-from . import jsonio
+from . import closedform, jsonio
 from .defaults import DEFAULT_LOOP_STEP, DEFAULT_MAX_STEP, DEFAULT_TOL, check_positive
 
 
@@ -61,12 +63,17 @@ def _partition(args):
     return jsonio.partition_to_dict(fl.commutant_partition(R.entries, args.tol))
 
 
+def _simplex(args):
+    rows = closedform.simplex_rows(args.n)
+    return jsonio.frame_rows_to_dict("R", args.n, args.n + 1, rows)
+
+
 def _enumerate_one_redundant(args):
-    res = fl.enumerate_one_redundant(args.n)
-    doc = {"count": len(res.points), "permutation_orbits": res.permutation_orbits,
-           "sign_orbits": res.sign_orbits}
+    count, permutation_orbits, sign_orbits = closedform.one_redundant_counts(args.n)
+    doc = {"count": count, "permutation_orbits": permutation_orbits, "sign_orbits": sign_orbits}
     if args.points:
-        doc["points"] = jsonio.gram_stack_to_dicts("R", 1, res.points)
+        points = fl.enumerate_one_redundant(args.n).points
+        doc["points"] = jsonio.gram_stack_to_dicts("R", 1, points)
     return doc
 
 
@@ -113,10 +120,10 @@ COMMANDS = {
     "tangent": (
         lambda a: jsonio.tangent_to_dict(fl.tangent_report(_gram_in(a), a.tol)),
         _INPUT, _TOL, _FORMAT),
-    "simplex": (lambda a: jsonio.frame_to_dict(fl.simplex_frame(a.n)), _N, _FORMAT),
+    "simplex": (_simplex, _N, _FORMAT),
     "harmonic": (lambda a: jsonio.frame_to_dict(fl.harmonic_frame(a.k, a.n, a.field)),
                  _K, _N, _FIELD, _FORMAT),
-    "dims": (lambda a: fl.expected_dimensions(a.k, a.n, a.field),
+    "dims": (lambda a: closedform.expected_dimensions(a.k, a.n, a.field),
              _K, _N, _FIELD, _FORMAT),
     "regular-point": (
         lambda a: jsonio.gram_to_dict(fl.construct_regular_point(a.k, a.n)),
@@ -138,11 +145,18 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``cmd`` alone when it names one;
+    the usage line lists every subcommand either way."""
     tol = check_positive(os.environ.get("FRAMELAB_TOL", DEFAULT_TOL), "FRAMELAB_TOL")
     ap = argparse.ArgumentParser(prog="framelab")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    for name, (handler, *specs) in COMMANDS.items():
+    if cmd in COMMANDS:  # the metavar argparse forms from the full parser's choices
+        names, listing = [cmd], {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    else:
+        names, listing = list(COMMANDS), {}
+    sub = ap.add_subparsers(dest="cmd", required=True, **listing)
+    for name in names:
+        handler, *specs = COMMANDS[name]
         # passing help at all, even None, lists the subcommand in -h
         p = sub.add_parser(name, **({"help": handler.__doc__} if handler.__doc__ else {}))
         for flag, kwargs in specs:
@@ -153,8 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     code = 0
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         args.tol = check_positive(args.tol, "--tol")
         doc = args.handler(args)
         doc, code = doc if isinstance(doc, tuple) else (doc, 0)

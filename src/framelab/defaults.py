@@ -1,4 +1,5 @@
-"""Default tolerance and step sizes, and the checks of scalar arguments.
+"""Default tolerance and step sizes, and the checks of scalar arguments
+and of the field.
 
 They live in a module that loads no numpy, so the command line can build
 its parser and read --tol without it; `frames`, `planar` and `grassmann`
@@ -24,6 +25,12 @@ def check_positive(value, source: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{source} must be a finite number > 0, got {value!r}")
+
+
+def check_field(field) -> None:
+    """ValueError unless field is "R" (real) or "C" (complex)."""
+    if field not in ("R", "C"):
+        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
 
 
 def check_integer(value, source: str) -> int:

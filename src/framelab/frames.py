@@ -18,15 +18,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .defaults import DEFAULT_TOL, check_integer, check_positive
+from .closedform import simplex_rows
+from .defaults import DEFAULT_TOL, check_field, check_positive
 
 #: the array dtype of each field
 _DTYPES = {"R": np.float64, "C": np.complex128}
-
-
-def _check_field(field) -> None:
-    if field not in _DTYPES:
-        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
 
 
 def _as_array(values, field=None, ndim: int = 2, square: bool = False,
@@ -44,7 +40,7 @@ def _as_array(values, field=None, ndim: int = 2, square: bool = False,
         raise ValueError(f"expected a {'square ' * square}{ndim}-d array, got shape {a.shape}")
     if field is None:
         field = "C" if a.dtype.kind == "c" else "R"
-    _check_field(field)
+    check_field(field)
     if field == "R" and a.dtype.kind == "c":
         if a.imag.any():
             raise ValueError("real array with nonzero imaginary entries")
@@ -72,7 +68,7 @@ class Frame:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_field(self.field)
+        check_field(self.field)
         object.__setattr__(self, "entries", _as_array(self.entries, self.field, copy=True))
 
     @property
@@ -193,13 +189,7 @@ def simplex_frame(n: int) -> Frame:
     1/sqrt(n(n+1))), with the last column (0, ..., 0, -1).  All pairwise
     inner products equal -1/n.
     """
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("simplex_frame requires n >= 1")
-    j, p = np.arange(1, n + 1)[:, None], np.arange(1, n + 2)
-    # row j (1-based) carries 1 in columns 1..j and -j in column j+1, over sqrt(j(j+1))
-    M = np.where(p <= j, 1.0, np.where(p == j + 1, -j, 0)) / np.sqrt(j * (j + 1))
-    return Frame("R", np.sqrt((n + 1) / n) * M)
+    return Frame("R", np.array(simplex_rows(n)))
 
 
 def _check_structure_matrix(U: np.ndarray, field: str, tol: float) -> np.ndarray:

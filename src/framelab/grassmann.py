@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_LOOP_STEP, check_integer, check_positive
-from .frames import DEFAULT_TOL, Frame, _as_array, _check_field, is_spherical, is_tight
+from .closedform import one_redundant_counts
+from .defaults import DEFAULT_LOOP_STEP, check_field, check_integer, check_positive
+from .frames import DEFAULT_TOL, Frame, _as_array, is_spherical, is_tight
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5
@@ -33,7 +34,7 @@ class GramPoint:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_field(self.field)
+        check_field(self.field)
         a = _as_array(self.entries, self.field, square=True, copy=True)
         n = check_integer(self.n, "n")
         if not (0 < n < a.shape[0]):
@@ -218,15 +219,12 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     all-plus form, so there is one.  The tests cross-check both counts
     against literal group enumeration.
     """
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    s = np.hstack([np.ones((2 ** n, 1)), 1 - 2 * bits])
+    count, permutation_orbits, sign_orbits = one_redundant_counts(n)
+    bits = (np.arange(count)[:, None] >> np.arange(n)) & 1
+    s = np.hstack([np.ones((count, 1)), 1 - 2 * bits])
     points = s[:, :, None] * s[:, None, :]
     points.flags.writeable = False
-    # diag(s) R diag(s) realises any off-diagonal sign pattern: one sign orbit
-    return OneRedundantEnumeration(points, (n + 1) // 2 + 1, 1)
+    return OneRedundantEnumeration(points, permutation_orbits, sign_orbits)
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:

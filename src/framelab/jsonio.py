@@ -6,9 +6,9 @@ shortest round-trip decimals, so exact-representable data round-trips
 bit-identically.
 
 numpy and the frame, Gram, partition and path types load inside the codecs
-that use them, so the complex codec, `read_json` and `write_json` run
-without numpy.  The annotations name those types but, postponed, are never
-evaluated.
+that use them, so the complex codec, `frame_rows_to_dict`, `read_json` and
+`write_json` run without numpy.  The annotations name those types but,
+postponed, are never evaluated.
 """
 
 from __future__ import annotations
@@ -96,8 +96,13 @@ def _integer(d: dict, key: str) -> int:
 
 
 def frame_to_dict(F: Frame) -> dict:
-    return {"field": F.field, "n": F.n, "k": F.k,
-            "entries": _matrix_out(F.entries, F.field)}
+    return frame_rows_to_dict(F.field, F.n, F.k, _matrix_out(F.entries, F.field))
+
+
+def frame_rows_to_dict(field: str, n: int, k: int, rows: list) -> dict:
+    """The frame document of an n-by-k synthesis matrix given as row lists
+    of JSON numbers ([re, im] pairs of them for field "C")."""
+    return {"field": field, "n": n, "k": k, "entries": rows}
 
 
 @_decoder
@@ -207,7 +212,9 @@ def complex_from_dict(d: dict) -> Complex2:
         if type(ends) is not list or len(ends) != 2:
             raise ValueError(f"edge {e['id']!r} needs a list of two ends, got {ends!r}")
         edges[e["id"]] = tuple(ends)
-    faces = {f["id"]: tuple((s["edge"], _integer(s, "dir")) for s in f["walk"])
+    # a dir that is an int passes without a call; any other is refused by _integer
+    faces = {f["id"]: tuple((s["edge"], s["dir"] if type(s["dir"]) is int else _integer(s, "dir"))
+                            for s in f["walk"])
              for f in d["faces"]}
     _distinct(edges, [e["id"] for e in d["edges"]], "edge id")
     _distinct(faces, [f["id"] for f in d["faces"]], "face id")

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellcomplex import _components
-from .defaults import check_integer, check_positive
-from .frames import (DEFAULT_TOL, Frame, _as_array, _check_field, act_orthogonal,
-                     act_permutation, act_phases)
+from .closedform import _check_shape, _stratum_block_dim
+from .defaults import check_field, check_integer, check_positive
+from .frames import DEFAULT_TOL, Frame, _as_array, act_orthogonal, act_permutation, act_phases
 from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
                         gram, torus_point)
-from .planar import from_planar, random_planar_frame
 
 #: relative eigenvalue cutoff for numerical rank decisions
 RANK_RTOL = 1e-8
@@ -97,20 +96,6 @@ def check_block_cardinalities(p: Partition, k: int, n: int) -> bool:
     return all(len(b) % kp == 0 for b in p.blocks)
 
 
-def _check_shape(k, n):
-    """(k, n) as ints; ValueError unless both are integers with k > n >= 1."""
-    k, n = check_integer(k, "k"), check_integer(n, "n")
-    if not k > n >= 1:
-        raise ValueError("need k > n >= 1")
-    return k, n
-
-
-def _stratum_block_dim(k_blk: int, n_blk: int, field: str) -> int:
-    if field == "R":
-        return (k_blk - n_blk - 1) * (n_blk - 1)
-    return 2 * n_blk * (k_blk - n_blk) - k_blk + 1
-
-
 def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
     """Numerical rank of the diagonal-extraction differential at R.
 
@@ -143,21 +128,6 @@ def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
     return TangentReport(rank, rank == k - 1, dim, ambient)
 
 
-def expected_dimensions(k: int, n: int, field: str) -> dict:
-    """Closed-form dimensions of the Gram space, the frame space, and their
-    non-orthodecomposable strata.
-
-    Real: dimG = dimN = (k-n-1)(n-1) and dimF = dimM = (k-n/2-1)(n-1).
-    Complex: dimG = dimN = 2n(k-n)-k+1 and dimF = dimM = 2n(k-n)+n^2-k+1.
-    """
-    k, n = _check_shape(k, n)
-    _check_field(field)
-    dim_g = _stratum_block_dim(k, n, field)
-    # a Gram point's fiber of frames is an orbit of O(n) (U(n)), acting freely
-    dim_f = dim_g + (n * (n - 1) // 2 if field == "R" else n * n)
-    return {"dimG": dim_g, "dimF": dim_f, "dimN": dim_g, "dimM": dim_f}
-
-
 def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:
     """An equal-norm tight frame from Fourier rows.
 
@@ -168,7 +138,7 @@ def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:
     equal (unit) norm automatically.
     """
     k, n = _check_shape(k, n)
-    _check_field(field)
+    check_field(field)
     t = np.arange(k)
     if field == "C":
         rows = [np.exp(-2j * np.pi * j * t / k) / np.sqrt(k) for j in range(n)]
@@ -257,11 +227,10 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
         return dress(harmonic_frame(k, n, field))
     spread = check_positive(spread, "spread")
 
-    if field == "R" and n == 2:
-        return dress(from_planar(random_planar_frame(k, rng).z))
-    if field == "R" and n == k - 2 and k >= 5:
-        R = gram(from_planar(random_planar_frame(k, rng).z))
-        return dress(frame_from_gram(complement(R)))
+    if field == "R" and (n == 2 or n == k - 2 and k >= 5):
+        from .planar import from_planar, random_planar_frame
+        F = from_planar(random_planar_frame(k, rng).z)
+        return dress(F if n == 2 else frame_from_gram(complement(gram(F))))
     if n == k - 1:
         if field == "C":
             R1 = torus_point(np.exp(2j * np.pi * rng.random(k - 1)))

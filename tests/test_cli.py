@@ -83,6 +83,32 @@ def test_dims_and_enumerate(capsys):
     assert doc == {"count": 8, "permutation_orbits": 3, "sign_orbits": 1}
 
 
+def test_simplex_prints_the_simplex_frame_document(capsys):
+    """simplex, which prints from closed-form floats without numpy, writes
+    the bytes of simplex_frame's document."""
+    for n in range(1, 41):
+        code, out, _ = run(capsys, "simplex", "--n", str(n))
+        with contextlib.redirect_stdout(io.StringIO()) as want:
+            jsonio.write_json(jsonio.frame_to_dict(fl.simplex_frame(n)))
+        assert code == 0 and out == want.getvalue(), n
+
+
+def test_dims_prints_the_closed_forms(capsys):
+    for field in ("R", "C"):
+        for k in range(2, 13):
+            for n in range(1, k):
+                code, out, _ = run(capsys, "dims", "--k", str(k), "--n", str(n),
+                                   "--field", field)
+                if field == "R":
+                    dim_g, dim_f = (k - n - 1) * (n - 1), (k - n / 2 - 1) * (n - 1)
+                else:
+                    dim_g = dim_f = 2 * n * (k - n) - k + 1
+                    dim_f += n * n
+                assert code == 0
+                assert json.loads(out) == {"dimG": dim_g, "dimF": dim_f, "dimN": dim_g,
+                                           "dimM": dim_f}, (k, n, field)
+
+
 def test_enumerated_points_encode_point_by_point(capsys):
     """The stacked points print as the Gram documents of the per-point
     GramPoints, sign pattern b = 0 ... 7 in order."""
@@ -222,6 +248,19 @@ def test_complex_document_refusal_names_the_fault(capsys, monkeypatch, message, 
     monkeypatch.setattr("sys.stdin", io.StringIO(_complex_doc(faces=f"[{_BIGON}]")))
     code, out, _ = run(capsys, "surface-report", "-")
     assert code == 0 and json.loads(out)["closed_surface"] is False
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_walk_dir_refusal_is_pinned(value):
+    """A walk step's dir that is no JSON integer is refused by name, and it
+    is the first fault in walk order that is named."""
+    doc = _replaced(_TORUS, ("faces", 0, "walk", 1, "dir"), value)
+    with pytest.raises(ValueError) as exc:
+        jsonio.complex_from_dict(doc)
+    assert str(exc.value) == f"'dir' must be a JSON integer, got {value!r}"
+    del doc["faces"][0]["walk"][3]["dir"]
+    with pytest.raises(ValueError, match="^'dir' must be a JSON integer"):
+        jsonio.complex_from_dict(doc)
 
 
 @pytest.mark.parametrize("entries", [[[1, 2]], [[[1, 2, 3, 4]]], [[[1, 2], [3]]]])
@@ -652,6 +691,20 @@ def test_subcommand_surface(monkeypatch):
                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
            for name, p in sub.choices.items()}
     assert list(got.items()) == list(_SURFACE.items())
+
+
+def test_one_subcommand_parser_prints_as_the_full_one(monkeypatch):
+    """A run builds only the subcommand it names; its help, and the usage
+    line of the top parser, read as with every subcommand built."""
+    monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    full = cli._build_parser()
+    subs = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    for name in cli.COMMANDS:
+        one = cli._build_parser(name)
+        sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [name]
+        assert one.format_usage() == full.format_usage()
+        assert sub.choices[name].format_help() == subs.choices[name].format_help()
 
 
 def _closed_reader_run(*argv):

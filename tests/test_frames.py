@@ -10,6 +10,17 @@ def test_simplex_bounds_equal():
     assert_allclose([b.lower, b.upper], [4 / 3, 4 / 3], atol=1e-12)
 
 
+def test_simplex_frame_matches_the_array_formula():
+    """simplex_frame wraps closedform.simplex_rows, which takes the same IEEE
+    operations in the same order as the numpy formula it replaced, so the
+    entries agree bit for bit."""
+    for n in range(1, 41):
+        j, p = np.arange(1, n + 1)[:, None], np.arange(1, n + 2)
+        M = np.where(p <= j, 1.0, np.where(p == j + 1, -j, 0)) / np.sqrt(j * (j + 1))
+        want = np.sqrt((n + 1) / n) * M
+        assert fl.simplex_frame(n).entries.tobytes() == want.tobytes(), n
+
+
 def test_identity_basis_bounds():
     b = fl.frame_bounds(fl.Frame("R", np.eye(4)))
     assert_allclose([b.lower, b.upper], [1, 1], atol=1e-14)
@@ -188,6 +199,12 @@ def test_frame_validation():
         fl.Frame("R", np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         fl.Frame("Q", np.eye(2))
+    for field in ("Q", ["R"], None):  # one field rule, an unhashable field included
+        for call in (lambda: fl.Frame(field, np.eye(2)),
+                     lambda: fl.expected_dimensions(5, 2, field),
+                     lambda: fl.harmonic_frame(5, 2, field)):
+            with pytest.raises(ValueError, match="field must be 'R' or 'C'"):
+                call()
 
 
 _PATH_TS = np.array([0.0, 1.0])

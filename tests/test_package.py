@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the exported names, by the module that defines them
 EXPORTS = {
+    "closedform": ["expected_dimensions"],
     "frames": ["DEFAULT_TOL", "EllipsoidSpec", "Frame", "FrameBounds", "act_orthogonal",
                "act_permutation", "act_phases", "expected_tight_bound", "frame_bounds",
                "frame_operator", "is_on_ellipsoid", "is_spherical", "is_tight",
@@ -25,9 +26,8 @@ EXPORTS = {
                   "holonomy_sign", "is_gram_point", "lift_gram_path", "nearest_gram_point",
                   "refine_loop", "same_orbit", "torus_point"],
     "stratification": ["Partition", "TangentReport", "check_block_cardinalities",
-                       "commutant_partition", "construct_regular_point",
-                       "expected_dimensions", "harmonic_frame", "is_orthodecomposable",
-                       "random_tight_frame", "tangent_report"],
+                       "commutant_partition", "construct_regular_point", "harmonic_frame",
+                       "is_orthodecomposable", "random_tight_frame", "tangent_report"],
     "planar": ["Chain", "FramePath", "PlanarFrame", "canonical_planar", "case1_explicit_path",
                "case3_explicit_path", "chain_straighten", "connect_to_standard", "from_planar",
                "lift_path", "random_planar_frame", "square_map", "standard_chain",
@@ -97,3 +97,39 @@ def test_topology_stages_run_without_numpy():
     assert doc["codes"] == [0, 0]
     assert (doc["report"]["v"], doc["report"]["e"], doc["report"]["f"]) == (96, 160, 16)
     assert doc["loaded"] == []
+
+
+def test_closed_form_stages_run_without_numpy():
+    """dims, simplex and enumerate-1red without --points print closed forms
+    through cli.main and load none of numpy, dataclasses or inspect;
+    --points still loads numpy and prints the Gram stack."""
+    doc = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from framelab import cli\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(list(argv))\n"
+        "    return [code, json.loads(out.getvalue())]\n"
+        "runs = [run('dims', '--k', '6', '--n', '3', '--field', 'C'),\n"
+        "        run('simplex', '--n', '3'), run('enumerate-1red', '--n', '5')]\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "runs.append(run('enumerate-1red', '--n', '3', '--points'))\n"
+        "print(json.dumps({'runs': runs, 'loaded': loaded}))")
+    dims, simplex, counts, points = doc["runs"]
+    assert dims == [0, {"dimG": 13, "dimF": 22, "dimN": 13, "dimM": 22}]
+    assert simplex[0] == 0 and (simplex[1]["n"], simplex[1]["k"]) == (3, 4)
+    assert counts == [0, {"count": 32, "permutation_orbits": 4, "sign_orbits": 1}]
+    assert doc["loaded"] == []
+    assert points[0] == 0 and len(points[1]["points"]) == 8
+    assert points[1]["points"][7]["entries"][0] == [1.0, -1.0, -1.0, -1.0]
+
+
+def test_stratification_loads_planar_on_demand():
+    """Only random_tight_frame's planar shapes need planar, so regular-point
+    and tangent stages do not load it."""
+    doc = _fresh_python(
+        "import json, sys\n"
+        "import framelab.stratification\n"
+        "print(json.dumps('framelab.planar' in sys.modules))")
+    assert doc is False
