@@ -25,7 +25,9 @@ from .grassmann import GramPoint
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
 #: largest chain step connect_to_standard straightens with; lift_path refuses
-#: chain steps of 1 or more, and a step of half that keeps the roots apart
+#: chain steps of 1 or more, and a step of half that keeps the roots apart.
+#: For max_step m it straightens at min(m sqrt(4 - m^2), LIFT_SAFE_STEP):
+#: a chain step of m sqrt(4 - m^2) lifts to a planar step of m
 LIFT_SAFE_STEP = 0.5
 
 _OMEGA = np.exp(2j * np.pi / 3)
@@ -581,13 +583,17 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
     Composes (1) chain straightening of the squared chain, (2) the lift of
     that straightening starting at z, and (3) finitely many subset
     rotations connecting the lift endpoint to the canonical frame inside
-    the fiber over the standard chain.  The straightening samples at most
-    LIFT_SAFE_STEP apart, so any finite max_step > 0 lifts.  ``tol`` is the
-    tolerance z was accepted at.
+    the fiber over the standard chain.  A planar step a lifts a chain step
+    of a sqrt(4 - a^2), which grows with a up to sqrt(2), so the
+    straightening samples min(m sqrt(4 - m^2), LIFT_SAFE_STEP) apart for
+    m = max_step: its lift keeps within m, and any finite max_step > 0
+    lifts.  ``tol`` is the tolerance z was accepted at.
     """
     max_step = check_positive(max_step, "max_step")
     k = z.k
-    zp = lift_path(chain_straighten(square_map(z, tol), min(max_step, LIFT_SAFE_STEP)), z, tol)
+    chain_step = LIFT_SAFE_STEP if max_step >= 1 else min(
+        max_step * np.sqrt(4 - max_step ** 2), LIFT_SAFE_STEP)
+    zp = lift_path(chain_straighten(square_map(z, tol), chain_step), z, tol)
     b = canonical_planar(k).z
     ratio = zp.end / b
     signs = np.round(ratio.real)

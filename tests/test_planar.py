@@ -197,9 +197,36 @@ def test_straightening_sample_counts():
     counts = {k: len(fl.connect_to_standard(
         fl.random_planar_frame(k, np.random.default_rng(0))).ts)
         for k in (4, 5, 6, 7, 9, 17, 33)}
-    assert counts == {4: 163, 5: 424, 6: 162, 7: 313, 9: 331, 17: 425, 33: 353}
+    assert counts == {4: 132, 5: 374, 6: 114, 7: 287, 9: 296, 17: 374, 33: 214}
     assert len(planar.case1_explicit_path().ts) == 127
     assert len(planar.case3_explicit_path().ts) == 223
+
+
+def test_squaring_scales_a_unit_step():
+    """|z'^2 - z^2| = |z' - z| |z' + z| = a sqrt(4 - a^2) for unit z, z' a
+    apart, z' the root of z'^2 nearest z (so a <= sqrt(2)): the chain step
+    a planar step of a lifts."""
+    rng = np.random.default_rng(0)
+    z, zp = np.exp(2j * np.pi * rng.random((2, 1000)))
+    zp = np.where(np.abs(zp - z) <= np.abs(zp + z), zp, -zp)
+    a = np.abs(zp - z)
+    assert np.max(a) <= np.sqrt(2)
+    assert_allclose(np.abs(zp ** 2 - z ** 2), a * np.sqrt(4 - a ** 2), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [5, 8, 17])
+@pytest.mark.parametrize("m", [0.02, 0.05, 0.2])
+def test_lifted_straightening_uses_the_step_bound(k, m):
+    """Straightened at m sqrt(4 - m^2), the chain lifts to planar steps of
+    at most m and of more than m/2, and connect_to_standard's path starts
+    with that lift."""
+    z = fl.random_planar_frame(k, np.random.default_rng(k))
+    chain = planar.chain_straighten(planar.square_map(z), m * np.sqrt(4 - m ** 2))
+    lift = planar.lift_path(chain, z)
+    largest = np.max(np.abs(np.diff(lift.points, axis=0)))
+    assert m / 2 < largest <= m + 1e-12
+    path = fl.connect_to_standard(z, m)
+    assert np.array_equal(path.points[:len(lift.ts)], lift.points)
 
 
 def test_rotation_path_refuses_nonzero_square_sum():
