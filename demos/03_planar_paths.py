@@ -43,5 +43,10 @@ print("\n4-vector homotopy endpoints:",
 print("same Gram point at both ends:",
       np.max(np.abs(loop[0].entries - loop[-1].entries)) < 1e-12)
 print("holonomy sign around the loop:", fl.holonomy_sign(loop))
+# a midpoint between each pair of loop points, each the Gram point of a
+# retracted frame: the finer loop has the same holonomy
+refined = fl.refine_loop(loop)
+print(f"holonomy sign around the refined loop ({len(refined)} points):",
+      fl.holonomy_sign(refined))
 print("holonomy sign around the doubled loop:",
       fl.holonomy_sign(loop + loop[1:]))

@@ -192,6 +192,50 @@ def simplex_frame(n: int) -> Frame:
     return Frame("R", np.array(simplex_rows(n)))
 
 
+class _Stalled(ValueError):
+    """`_retract` met its step cap without converging."""
+
+
+def _retract(M, tol: float = 1e-13, max_iter: int = 300) -> np.ndarray:
+    """Retract an n x k frame, or an (m, n, k) stack of them, onto the
+    spherical tight frames: tighten by M -> sqrt(k/n) (M M*)^{-1/2} M and
+    normalize the columns (Tropp, Dhillon, Heath and Strohmer 2005) until
+    max|M M* - (k/n) I| < ``tol`` over the stack.  ValueError for
+    ``max_iter`` < 1 and, before dividing by its norm, for a zero or NaN
+    column; `_Stalled` when ``max_iter`` steps do not converge.
+
+    The tightening is exact (one eigh of M M*) while the iterate is far
+    from tight. Near it, with E = (n/k) M M* - I, the map is
+    (I + E)^{-1/2} M, and once n max|M M* - (k/n) I| < 0.05 k/n, which
+    bounds ||E||_2 <= n max|E_ij| below 0.05, it takes the second-order
+    expansion (I - E/2 + 3E^2/8) M, whose error is O(||E||^3) < 1e-3 ||E||:
+    one n x n product per step instead of a factorization.  A stack takes
+    the step its worst error calls for.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    n, k = M.shape[-2:]
+    c, eye = k / n, np.eye(n)
+    D = M @ M.conj().swapaxes(-1, -2) - c * eye
+    err = np.max(np.abs(D))
+    for _ in range(max_iter):
+        if n * err < 0.05 * c:
+            T = eye - D / (2 * c) + (3 / (8 * c * c)) * (D @ D)
+        else:
+            w, V = np.linalg.eigh(D)
+            T = np.sqrt(c) * (V / np.sqrt(w + c)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        M = T @ M
+        norms = np.linalg.norm(M, axis=-2, keepdims=True)
+        if not norms.min() > 0:  # a NaN fails too
+            raise ValueError("cannot retract: a frame column is zero or NaN")
+        M /= norms
+        D = M @ M.conj().swapaxes(-1, -2) - c * eye
+        err = np.max(np.abs(D))
+        if err < tol:
+            return M
+    raise _Stalled("retraction onto spherical tight frames did not converge")
+
+
 def _check_structure_matrix(U: np.ndarray, field: str, tol: float) -> np.ndarray:
     U = _as_array(U, field, square=True)
     if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > check_positive(tol, "tol"):

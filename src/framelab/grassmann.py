@@ -18,7 +18,7 @@ import numpy as np
 
 from .closedform import one_redundant_counts
 from .defaults import DEFAULT_LOOP_STEP, check_field, check_integer, check_positive
-from .frames import DEFAULT_TOL, Frame, _as_array, is_spherical, is_tight
+from .frames import DEFAULT_TOL, Frame, _as_array, _retract, is_spherical, is_tight
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5
@@ -313,40 +313,33 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
 
 
 def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> GramPoint:
-    """Project a nearby matrix onto the Gram-point set.
-
-    Alternates the spectral projection onto rank-n projections with the
-    unit-diagonal correction; converges quickly for inputs close to a
-    valid Gram point (used to refine interpolated loop points).
+    """Project a nearby matrix onto the Gram-point set: F*F, where F is the
+    top-n frame of M (as `frame_from_gram` recovers it) retracted by
+    `frames._retract`.  ``max_iter`` caps the retraction steps and ``tol``
+    bounds max|F F* - (k/n) I| where they stop.  ValueError when they do
+    not stop in time, or when the top-n frame has a zero column.
     """
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     n, max_iter = check_integer(n, "n"), check_integer(max_iter, "max_iter")
-    field = "C" if M.dtype.kind == "c" else "R"
-    k = M.shape[0]
-    R = (M + M.conj().T) / 2
-    for _ in range(max_iter):
-        _, V, _ = _spectral_split((n / k) * R, n)
-        P = V[:, :n] @ V[:, :n].conj().T
-        R = (k / n) * P
-        d = np.real(np.diag(R)) - 1.0
-        err_diag = float(np.max(np.abs(d)))
-        R = R - np.diag(d.astype(R.dtype))
-        PP = (n / k) * R
-        err_idem = float(np.max(np.abs(PP @ PP - PP)))
-        if err_diag <= tol and err_idem <= tol:
-            break
-    else:
-        raise ValueError("projection onto the Gram-point set did not converge")
-    return GramPoint(field, n, R)
+    F = _retract(_recovered_frames(M, n)[0], tol, max_iter)
+    return GramPoint("C" if M.dtype.kind == "c" else "R", n, F.conj().T @ F)
 
 
-def refine_loop(loop, rounds: int = 1):
-    """Insert reprojected midpoints between consecutive loop points."""
-    pts = list(loop)
-    for _ in range(check_integer(rounds, "rounds")):
-        out = [pts[0]]
-        for a, b in zip(pts, pts[1:]):
-            mid = nearest_gram_point((a.entries + b.entries) / 2, a.n)
-            out.extend([mid, b])
-        pts = out
+def refine_loop(loop, rounds: int = 1) -> list:
+    """Insert `nearest_gram_point` of (R_i + R_{i+1})/2 between consecutive
+    points, ``rounds`` times, mapping all midpoints of a round as one stack.
+    ValueError for an empty loop, points that do not share (k, n) and
+    field, and a negative ``rounds``.
+    """
+    pts, rounds = list(loop), check_integer(rounds, "rounds")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if not pts or any((p.field, p.k, p.n) != (pts[0].field, pts[0].k, pts[0].n) for p in pts):
+        raise ValueError("need a nonempty loop of Gram points sharing (k, n) and field")
+    field, n = pts[0].field, pts[0].n
+    for _ in range(rounds if len(pts) > 1 else 0):
+        R = np.stack([p.entries for p in pts])
+        F = _retract(_recovered_frames((R[:-1] + R[1:]) / 2, n)[0])
+        mids = [GramPoint(field, n, m) for m in F.conj().swapaxes(-1, -2) @ F]
+        pts = [p for pair in zip(pts, mids) for p in pair] + pts[-1:]
     return pts

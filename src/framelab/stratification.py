@@ -18,7 +18,8 @@ import numpy as np
 from .cellcomplex import _components
 from .closedform import _check_shape, _stratum_block_dim
 from .defaults import check_field, check_integer, check_positive
-from .frames import DEFAULT_TOL, Frame, _as_array, act_orthogonal, act_permutation, act_phases
+from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, _Stalled, act_orthogonal,
+                     act_permutation, act_phases)
 from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
                         gram, torus_point)
 
@@ -200,16 +201,8 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
     rank-1 enumeration) are sampled exactly through the planar
     parameterization; other shapes kick the synthesis matrix by a Gaussian
     of size ``spread`` and retract onto the spherical tight frames by
-    alternating the tightening map M -> sqrt(k/n) (M M*)^{-1/2} M with
-    column normalization (retrying with smaller kicks if the alternation
-    stalls near a stratum boundary), until max|M M* - (k/n) I| < 1e-13.
-
-    The tightening is exact (one eigh of M M*) while the iterate is far
-    from tight. Near it, with E = (n/k) M M* - I, the map is
-    (I + E)^{-1/2} M, and once n max|M M* - (k/n) I| < 0.05 k/n, which
-    bounds ||E||_2 <= n max|E_ij| below 0.05, it takes the second-order
-    expansion (I - E/2 + 3E^2/8) M, whose error is O(||E||^3) < 1e-3 ||E||:
-    one n x n product per step instead of a factorization.
+    `frames._retract`, retrying with smaller kicks if it stalls near a
+    stratum boundary.
     """
     def dress(F):
         if field == "R":
@@ -240,24 +233,12 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
         return dress(frame_from_gram(complement(R1)))
 
     base = dress(harmonic_frame(k, n, field))
-    c, eye, kick = k / n, np.eye(n), spread
-    for _ in range(6):
+    for kick in (spread / 4 ** i for i in range(6)):
         M = base.entries + kick * rng.standard_normal((n, k))
         if field == "C":
             M = M + 1j * kick * rng.standard_normal((n, k))
-        D = M @ M.conj().T - c * eye
-        err = np.max(np.abs(D))
-        for _ in range(300):
-            if n * err < 0.05 * c:
-                T = eye - D / (2 * c) + (3 / (8 * c * c)) * (D @ D)
-            else:
-                w, V = np.linalg.eigh(D)
-                T = np.sqrt(c) * (V / np.sqrt(w + c)) @ V.conj().T
-            M = T @ M
-            M /= np.linalg.norm(M, axis=0)
-            D = M @ M.conj().T - c * eye
-            err = np.max(np.abs(D))
-            if err < 1e-13:
-                return Frame(field, M)
-        kick /= 4
-    raise ValueError("retraction onto spherical tight frames did not converge")
+        try:
+            return Frame(field, _retract(M))
+        except _Stalled as err:
+            stalled = err
+    raise stalled

@@ -266,6 +266,96 @@ def test_nearest_gram_point_projects():
     assert np.max(np.abs(proj.entries - R.entries)) < 0.05
 
 
+@pytest.mark.parametrize("k,n", [(5, 2), (9, 4)])
+def test_nearest_gram_point_projects_complex(k, n):
+    R = fl.gram(random_stf(k, n, "C", 9, spread=0.05))
+    rng = np.random.default_rng(1)
+    noisy = R.entries + 1e-3 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    proj = fl.nearest_gram_point(noisy, n)
+    assert proj.field == "C" and proj.entries.dtype == np.complex128
+    assert fl.is_gram_point(proj.entries, n, tol=1e-9).ok
+    assert np.max(np.abs(proj.entries - R.entries)) < 0.05
+
+
+def test_nearest_gram_point_refuses_what_it_cannot_retract():
+    # the top-2 frame of these has zero columns: refused before dividing by their norms
+    for M in (np.diag([2.0, 2, 0, 0]), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="column is zero or NaN"):
+            fl.nearest_gram_point(M, 2)
+    R = fl.gram(fl.simplex_frame(2)).entries
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            fl.nearest_gram_point(R, 2, max_iter)
+    assert np.max(np.abs(fl.nearest_gram_point(R, 2, 1).entries - R)) < 1e-13
+
+
+def _alternating_projection(M, n, max_iter=200, tol=1e-13):
+    """The Gram-side alternation `nearest_gram_point` ran before it took the
+    Gram point of a retracted frame: the nearest rank-n projection, then the
+    unit-diagonal fix, until both the diagonal and idempotency errors are
+    within tol."""
+    k = M.shape[0]
+    R = (M + M.conj().T) / 2
+    for _ in range(max_iter):
+        P = (n / k) * R
+        V = np.linalg.eigh((P + P.conj().T) / 2)[1][:, ::-1][:, :n]
+        R = (k / n) * (V @ V.conj().T)
+        d = np.real(np.diag(R)) - 1.0
+        R = R - np.diag(d.astype(R.dtype))
+        PP = (n / k) * R
+        if np.max(np.abs(d)) <= tol and np.max(np.abs(PP @ PP - PP)) <= tol:
+            return R
+    raise ValueError("projection onto the Gram-point set did not converge")
+
+
+@pytest.mark.parametrize("name", ["case-1", "case-3"])
+def test_refine_loop_matches_the_alternation(name, monkeypatch):
+    loop = _LOOPS[name][0]()
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    refined = fl.refine_loop(loop)
+    # one stacked recovery of the midpoint frames, however long the loop
+    assert 0 < len(calls) <= 2
+    monkeypatch.undo()
+    assert len(refined) == 2 * len(loop) - 1
+    assert all(a is b for a, b in zip(refined[::2], loop))
+    mids = np.stack([p.entries for p in refined[1::2]])
+    pairs = list(zip(loop, loop[1:]))
+    old = np.stack([_alternating_projection((a.entries + b.entries) / 2, a.n) for a, b in pairs])
+    one = np.stack([fl.nearest_gram_point((a.entries + b.entries) / 2, a.n).entries
+                    for a, b in pairs])
+    assert np.max(np.abs(mids - old)) < 1e-13
+    assert np.max(np.abs(mids - one)) < 1e-13
+
+
+def test_refine_loop_keeps_a_complex_loop_complex():
+    # the harmonic C(5,2) point conjugated by diag(exp(i t (0, 1, 2, 3, 4))),
+    # t once round the circle: a closed loop of complex Gram points
+    R = fl.gram(fl.harmonic_frame(5, 2, "C")).entries
+    loop = []
+    for t in np.linspace(0, 2 * np.pi, 13):
+        z = np.exp(1j * t * np.arange(5))
+        loop.append(fl.GramPoint("C", 2, np.diag(z.conj()) @ R @ np.diag(z)))
+    refined = fl.refine_loop(loop, 2)
+    assert len(refined) == 49
+    for p in refined:
+        assert p.field == "C" and p.entries.dtype == np.complex128
+        assert fl.is_gram_point(p.entries, 2, tol=1e-9).ok
+
+
+def test_refine_loop_refuses_malformed_loops():
+    g2, g3 = (fl.gram(fl.harmonic_frame(6, n)) for n in (2, 3))
+    mixed = {"empty": [], "mixed rank": [g2, g3, g2],
+             "mixed k": [g2, fl.gram(fl.harmonic_frame(5, 2)), g2],
+             "mixed field": [g2, fl.gram(fl.harmonic_frame(6, 2, "C")), g2]}
+    for loop in mixed.values():
+        with pytest.raises(ValueError, match="nonempty loop of Gram points sharing"):
+            fl.refine_loop(loop)
+    with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+        fl.refine_loop([g2, g2], -1)
+    assert len(fl.refine_loop([g2], 3)) == 1 and len(fl.refine_loop([g2, g2], 0)) == 2
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 12 - 1))
 def test_gram_equivariance_under_phases_and_permutations(bits):
@@ -357,6 +447,7 @@ _LOOPS = {
     "case-3": (lambda: fl.to_gram_loop(fl.case3_explicit_path()), -1),
     "doubled case-1": (lambda: case1_gram_loop() + case1_gram_loop()[1:], 1),
     "refined case-1": (lambda: fl.refine_loop(case1_gram_loop()), -1),
+    "refined case-3": (lambda: fl.refine_loop(fl.to_gram_loop(fl.case3_explicit_path())), -1),
     **{f"conjugation k={k} seed={seed}": (functools.partial(_conjugation_loop, k, seed), -1)
        for k in range(5, 10) for seed in range(2)},
 }

@@ -258,6 +258,23 @@ def test_retraction_factors_only_far_from_tight(monkeypatch):
     assert 0 < len(calls) <= 12
 
 
+def test_retries_catch_only_a_stalled_retraction(monkeypatch):
+    from framelab import frames, stratification
+
+    for error, tries in [(frames._Stalled("did not converge"), 6),
+                         (ValueError("cannot retract: a frame column is zero"), 1)]:
+        calls = []
+
+        def failing(M, _error=error):
+            calls.append(M)
+            raise _error
+
+        monkeypatch.setattr(stratification, "_retract", failing)
+        with pytest.raises(ValueError, match=str(error)):
+            fl.random_tight_frame(12, 5, "R", np.random.default_rng(0), spread=0.5)
+        assert len(calls) == tries
+
+
 @pytest.mark.parametrize("field,k,n,spread", [(f, k, n, 0.05) for f, k, n in GRID_SHAPES]
                          + [("C", 9, 4, 0.3), ("R", 12, 5, 0.5)])
 def test_retraction_lands_on_the_manifold(field, k, n, spread):
