@@ -79,13 +79,13 @@ def _enumerate_one_redundant(args):
 
 def _planar_connect(args):
     z = fl.to_planar(_frame_in(args.frame), args.tol)
-    return jsonio.path_to_dict(fl.connect_to_standard(z, args.max_step, args.tol))
+    return jsonio.path_to_dict(fl.connect_to_standard(z, args.max_step))
 
 
 def _lift(args):
     cp = jsonio.path_from_dict(jsonio.read_json(args.chainpath))
     start = fl.to_planar(_frame_in(args.start), args.tol)
-    return jsonio.path_to_dict(fl.lift_path(cp, start, args.tol))
+    return jsonio.path_to_dict(fl.lift_path(cp, start))
 
 
 def _holonomy(args):

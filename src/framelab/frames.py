@@ -196,13 +196,13 @@ class _Stalled(ValueError):
     """`_retract` met its step cap without converging."""
 
 
-def _retract(M, tol: float = 1e-13, max_iter: int = 300) -> np.ndarray:
+def _retract(M) -> np.ndarray:
     """Retract an n x k frame, or an (m, n, k) stack of them, onto the
     spherical tight frames: tighten by M -> sqrt(k/n) (M M*)^{-1/2} M and
     normalize the columns (Tropp, Dhillon, Heath and Strohmer 2005) until
-    max|M M* - (k/n) I| < ``tol`` over the stack.  ValueError for
-    ``max_iter`` < 1 and, before dividing by its norm, for a zero or NaN
-    column; `_Stalled` when ``max_iter`` steps do not converge.
+    max|M M* - (k/n) I| < 1e-13 over the stack.  ValueError, before
+    dividing by its norm, for a zero or NaN column; `_Stalled` when 300
+    steps do not converge.
 
     The tightening is exact (one eigh of M M*) while the iterate is far
     from tight. Near it, with E = (n/k) M M* - I, the map is
@@ -212,13 +212,11 @@ def _retract(M, tol: float = 1e-13, max_iter: int = 300) -> np.ndarray:
     one n x n product per step instead of a factorization.  A stack takes
     the step its worst error calls for.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, k = M.shape[-2:]
     c, eye = k / n, np.eye(n)
     D = M @ M.conj().swapaxes(-1, -2) - c * eye
     err = np.max(np.abs(D))
-    for _ in range(max_iter):
+    for _ in range(300):
         if n * err < 0.05 * c:
             T = eye - D / (2 * c) + (3 / (8 * c * c)) * (D @ D)
         else:
@@ -231,7 +229,7 @@ def _retract(M, tol: float = 1e-13, max_iter: int = 300) -> np.ndarray:
         M /= norms
         D = M @ M.conj().swapaxes(-1, -2) - c * eye
         err = np.max(np.abs(D))
-        if err < tol:
+        if err < 1e-13:
             return M
     raise _Stalled("retraction onto spherical tight frames did not converge")
 

@@ -312,16 +312,15 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     return 1 if det > 0 else -1
 
 
-def nearest_gram_point(M, n: int, max_iter: int = 200, tol: float = 1e-13) -> GramPoint:
+def nearest_gram_point(M, n: int) -> GramPoint:
     """Project a nearby matrix onto the Gram-point set: F*F, where F is the
     top-n frame of M (as `frame_from_gram` recovers it) retracted by
-    `frames._retract`.  ``max_iter`` caps the retraction steps and ``tol``
-    bounds max|F F* - (k/n) I| where they stop.  ValueError when they do
-    not stop in time, or when the top-n frame has a zero column.
+    `frames._retract`, which stops once max|F F* - (k/n) I| < 1e-13.
+    ValueError when it does not stop within 300 steps, or when the top-n
+    frame has a zero column.
     """
-    M, tol = _as_array(M, square=True), check_positive(tol, "tol")
-    n, max_iter = check_integer(n, "n"), check_integer(max_iter, "max_iter")
-    F = _retract(_recovered_frames(M, n)[0], tol, max_iter)
+    M, n = _as_array(M, square=True), check_integer(n, "n")
+    F = _retract(_recovered_frames(M, n)[0])
     return GramPoint("C" if M.dtype.kind == "c" else "R", n, F.conj().T @ F)
 
 

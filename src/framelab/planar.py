@@ -24,6 +24,8 @@ from .grassmann import GramPoint
 
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
+#: legs are sampled to steps below max_step less this margin
+_LEG_ATOL = 1e-12
 #: largest chain step connect_to_standard straightens with; lift_path refuses
 #: chain steps of 1 or more, and a step of half that keeps the roots apart.
 #: For max_step m it straightens at min(m sqrt(4 - m^2), LIFT_SAFE_STEP):
@@ -160,14 +162,13 @@ def from_planar(z) -> Frame:
     return Frame("R", np.vstack([z.real, z.imag]))
 
 
-def square_map(pf: PlanarFrame, tol: float = DEFAULT_TOL) -> Chain:
+def square_map(pf: PlanarFrame) -> Chain:
     """The covering map z -> z^2 (coordinatewise); the image sums to zero.
 
-    ``tol`` is the tolerance ``pf`` was accepted at.  Squaring turns a
-    modulus error e into 2e + e^2, so the chain is checked at tol(2 + tol).
+    Squaring turns a modulus error e into 2e + e^2, so the chain is checked
+    at tol(2 + tol) for the tolerance ``pf.tol`` that pf was accepted at.
     """
-    tol = check_positive(tol, "tol")
-    return Chain(pf.z ** 2, tol * (2 + tol))
+    return Chain(pf.z ** 2, pf.tol * (2 + pf.tol))
 
 
 def to_gram_loop(path: FramePath, tol: float = DEFAULT_TOL):
@@ -211,15 +212,15 @@ def canonical_planar(k: int) -> PlanarFrame:
 # path assembly
 
 
-def _sample_leg(fn, max_step: float, atol: float = 1e-12):
+def _sample_leg(fn, max_step: float):
     """Sample fn: [0,1] -> C^k adaptively until consecutive max-norm steps
-    are below max_step.  ``fn`` maps a vector of parameters to the
-    (len(t) x k) array of points; every interval whose step is too long is
-    bisected, all of them at once in each round."""
+    are below max_step less _LEG_ATOL.  ``fn`` maps a vector of
+    parameters to the (len(t) x k) array of points; every interval whose
+    step is too long is bisected, all of them at once in each round."""
     ts = np.array([0.0, 0.5, 1.0])
     pts = fn(ts)
     for _ in range(40):
-        long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > max_step - atol)
+        long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > max_step - _LEG_ATOL)
         if long.size == 0:
             return pts
         if len(ts) + long.size > MAX_LEG_SAMPLES:
@@ -246,7 +247,7 @@ def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
 def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     """Rotate coordinates ``idxs`` by a phase growing linearly to ``angle``
     (one angle for all, or one per index), in the fewest equal steps whose
-    chords stay within max_step less the 1e-12 margin of _sample_leg.
+    chords stay within max_step less _LEG_ATOL, as _sample_leg's do.
 
     On a planar frame this is valid whenever the squares of the rotated
     coordinates sum to zero, which a common rotation then preserves.
@@ -257,7 +258,7 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     moving = theta != 0
     # a coordinate of modulus r turning by phi moves by the chord 2 r sin(phi / 2)
     with np.errstate(divide="ignore"):
-        reach = np.clip((max_step - 1e-12) / (2 * np.abs(state[moving])), 0.0, 1.0)
+        reach = np.clip((max_step - _LEG_ATOL) / (2 * np.abs(state[moving])), 0.0, 1.0)
         need = np.max(np.abs(theta[moving]) / (2 * np.arcsin(reach)), initial=0.0)
     if not need < MAX_LEG_SAMPLES:
         raise ValueError(f"max_step {max_step:g} needs more than "
@@ -283,20 +284,20 @@ def _rotation_path(state: np.ndarray, stages, max_step: float):
 # covering-space lifting
 
 
-def lift_path(cp: FramePath, start: PlanarFrame, tol: float = DEFAULT_TOL) -> FramePath:
+def lift_path(cp: FramePath, start: PlanarFrame) -> FramePath:
     """Lift a chain path through the squaring covering map.
 
-    ``start`` must square to the chain at t = 0; at every step each
-    coordinate takes the square root nearest its predecessor, which is the
-    half-angle of the unwrapped chain angle once the signs are seeded from
-    ``start``.  Raises ValueError naming the coordinate and parameter when
-    the two roots are too close to equidistant to choose reliably (step
-    too large).
+    ``start`` must square to the chain at t = 0 within max(start.tol, 1e-9);
+    at every step each coordinate takes the square root nearest its
+    predecessor, which is the half-angle of the unwrapped chain angle once
+    the signs are seeded from ``start``.  Raises ValueError naming the
+    coordinate and parameter when the two roots are too close to
+    equidistant to choose reliably (step too large).
     """
     if cp.kind != "chain":
         raise ValueError("lift_path needs a chain path")
-    w, tol = cp.points, check_positive(tol, "tol")
-    if np.max(np.abs(start.z ** 2 - w[0])) > max(tol, 1e-9):
+    w = cp.points
+    if np.max(np.abs(start.z ** 2 - w[0])) > max(start.tol, 1e-9):
         raise ValueError("start does not lie over the chain path's first point")
     roots = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w), axis=0))
     lifted = np.where(np.abs(roots[0] - start.z) <= np.abs(roots[0] + start.z),
@@ -576,8 +577,7 @@ CASE3_WAYPOINTS = tuple(np.array(v) for v in (
 # full connectivity
 
 
-def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
-                        tol: float = DEFAULT_TOL) -> FramePath:
+def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     """A validated path from z to the canonical frame canonical_planar(k).
 
     Composes (1) chain straightening of the squared chain, (2) the lift of
@@ -587,13 +587,13 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP,
     of a sqrt(4 - a^2), which grows with a up to sqrt(2), so the
     straightening samples min(m sqrt(4 - m^2), LIFT_SAFE_STEP) apart for
     m = max_step: its lift keeps within m, and any finite max_step > 0
-    lifts.  ``tol`` is the tolerance z was accepted at.
+    lifts.  The chain of z is checked at z.tol, as square_map checks it.
     """
     max_step = check_positive(max_step, "max_step")
     k = z.k
     chain_step = LIFT_SAFE_STEP if max_step >= 1 else min(
         max_step * np.sqrt(4 - max_step ** 2), LIFT_SAFE_STEP)
-    zp = lift_path(chain_straighten(square_map(z, tol), chain_step), z, tol)
+    zp = lift_path(chain_straighten(square_map(z), chain_step), z)
     b = canonical_planar(k).z
     ratio = zp.end / b
     signs = np.round(ratio.real)

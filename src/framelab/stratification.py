@@ -20,7 +20,7 @@ from .closedform import _check_shape, _stratum_block_dim
 from .defaults import check_field, check_integer, check_positive
 from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, _Stalled, act_orthogonal,
                      act_permutation, act_phases)
-from .grassmann import (RANK_GAP, GramPoint, _spectral_split, complement, frame_from_gram,
+from .grassmann import (GramPoint, _check_gap, _spectral_split, complement, frame_from_gram,
                         gram, torus_point)
 
 #: relative eigenvalue cutoff for numerical rank decisions
@@ -111,8 +111,7 @@ def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
     """
     k, n = R.k, R.n
     _, V, gap = _spectral_split(R.projection(), n)
-    if gap < RANK_GAP:
-        raise ValueError("not a valid Gram point: eigenvalues of P not split at rank n")
+    _check_gap(gap)
     P = V[:, :n] @ V[:, :n].conj().T
     ev = np.linalg.eigvalsh(np.real(P * (np.eye(k) - P).conj()))
     rank = int(np.sum(ev > ev[-1] * RANK_RTOL)) if ev[-1] > 0 else 0

@@ -364,7 +364,7 @@ def test_planar_connect_takes_what_verify_passes(tmp_path, capsys, err, tol):
     assert code == 0 and err_text == ""
     path = jsonio.path_from_dict(json.loads(out))
     assert fl.validate_path(path, tol, expect_start=z, expect_end=fl.canonical_planar(6).z).ok
-    cp = fl.chain_straighten(fl.square_map(fl.PlanarFrame(z, tol), tol))
+    cp = fl.chain_straighten(fl.square_map(fl.PlanarFrame(z, tol)))
     code, out, err_text = run(capsys, "lift", write(tmp_path, "cp.json", jsonio.path_to_dict(cp)),
                               fpath, *flags)
     assert code == 0 and err_text == ""

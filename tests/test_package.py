@@ -2,6 +2,7 @@
 topology subcommands load."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -36,6 +37,20 @@ EXPORTS = {
                     "connected_components", "surface_report"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+#: parameter names of functions that take no option they could read from their inputs
+SIGNATURES = {
+    "square_map": ["pf"],
+    "lift_path": ["cp", "start"],
+    "connect_to_standard": ["z", "max_step"],
+    "nearest_gram_point": ["M", "n"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_signatures_take_no_derivable_option(name):
+    assert list(inspect.signature(getattr(fl, name)).parameters) == SIGNATURES[name]
 
 
 def _fresh_python(code: str) -> dict:

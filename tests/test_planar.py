@@ -328,9 +328,7 @@ def test_planar_types_take_a_tolerance():
     with pytest.raises(ValueError):
         fl.PlanarFrame(z)
     pf = fl.PlanarFrame(z, 1e-6)
-    with pytest.raises(ValueError):
-        fl.square_map(pf)
-    assert np.array_equal(fl.square_map(pf, 1e-6).w, z ** 2)
+    assert np.array_equal(fl.square_map(pf).w, z ** 2)
     with pytest.raises(ValueError):
         fl.Chain(z ** 2)
     fl.Chain(z ** 2, tol=1e-6)
@@ -343,17 +341,22 @@ def test_planar_types_keep_their_tolerance():
     assert fl.canonical_planar(6).tol == fl.DEFAULT_TOL
     assert fl.to_planar(fl.from_planar(z), 1e-6).tol == 1e-6
     assert fl.Chain(z ** 2, tol=1e-6).tol == 1e-6
-    assert fl.square_map(fl.PlanarFrame(z, 1e-6), 1e-6).tol == 1e-6 * (2 + 1e-6)
+    assert fl.square_map(fl.PlanarFrame(z, 1e-6)).tol == 1e-6 * (2 + 1e-6)
     assert fl.standard_chain(6).tol == fl.DEFAULT_TOL
     # the stored tol is the float the positive-number rule checked
     assert type(fl.PlanarFrame(z, np.float64(1e-6)).tol) is type(fl.Chain(z ** 2, 1).tol) is float
 
 
 def test_connect_to_standard_with_modulus_error():
+    """A frame accepted at a looser tol squares, lifts and connects at that
+    tol without being told it again."""
     rng = np.random.default_rng(11)
     for err, tol in ((1e-11, 1e-9), (1e-7, 1e-6)):
         z = fl.PlanarFrame(fl.random_planar_frame(6, rng).z * (1 + err), tol)
-        path = fl.connect_to_standard(z, tol=tol)
+        chain = fl.square_map(z)
+        assert chain.tol == tol * (2 + tol)
+        assert np.array_equal(fl.lift_path(fl.chain_straighten(chain), z).start, z.z)
+        path = fl.connect_to_standard(z)
         rep = fl.validate_path(path, tol, expect_start=z.z,
                                expect_end=fl.canonical_planar(6).z)
         assert rep.ok, rep

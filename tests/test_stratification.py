@@ -86,6 +86,12 @@ def test_tangent_report_two_bases():
     assert rep.stratum_dim == 0
 
 
+def test_tangent_report_names_the_gap():
+    # unit diagonal but P = I/2 has no rank-2 split: refused as frame_from_gram refuses it
+    with pytest.raises(ValueError, match=r"not clustered at 0 and 1 \(gap 0 < 0.5\)"):
+        fl.tangent_report(fl.GramPoint("R", 2, np.eye(4)))
+
+
 def test_block_count_equals_corank():
     cases = [fl.gram(BLOCK4), fl.gram(fl.simplex_frame(3)),
              fl.gram(fl.harmonic_frame(6, 2, "R")),
