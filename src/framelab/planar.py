@@ -13,6 +13,7 @@ coordinate subsets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -267,15 +268,39 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     return state * np.exp(1j * np.outer(t, theta))
 
 
-def _rotation_path(state: np.ndarray, stages, max_step: float):
-    """Rotation legs of a planar frame for the (subset, angle) stages,
-    applied in turn; each subset must have zero square sum."""
-    legs = []
+def _schedule(stages):
+    """(start, end) of each (subset, angle) stage turning at unit speed once
+    its coordinates are free: stages sharing a coordinate keep their order."""
+    free, times = {}, []
     for idxs, angle in stages:
-        idxs = list(idxs)
-        if abs(np.sum(state[idxs] ** 2)) > 1e-9:
-            raise AssertionError(f"subset {idxs} has nonzero square sum; rotation invalid")
-        legs.append(_rotation_leg(state, idxs, angle, max_step))
+        start = max([free.get(i, 0.0) for i in idxs])
+        times.append((start, start + abs(angle)))
+        free.update(dict.fromkeys(idxs, start + abs(angle)))
+    return times
+
+
+def _cost(stages):
+    """(makespan, number of stage starts and ends) of the stages by _schedule."""
+    times = _schedule(stages)
+    return round(max((e for _, e in times), default=0.0), 9), len(set().union(*times))
+
+
+def _rotation_path(state: np.ndarray, stages, max_step: float):
+    """Rotation legs of a planar frame for the (subset, angle) stages, one
+    per interval between _schedule's stage starts and ends; each subset must
+    have zero square sum at its start, which its common turn keeps."""
+    times = _schedule(stages)
+    events = sorted(set().union(*times))
+    legs = []
+    for a, b in zip(events, events[1:]):
+        theta = np.zeros(state.size)
+        for (sub, angle), (start, end) in zip(stages, times):
+            if start == a and abs(np.sum(state[list(sub)] ** 2)) > 1e-9:
+                raise AssertionError(f"subset {sub} has nonzero square sum; rotation invalid")
+            if start <= a < end:
+                # a stage alone in its interval turns by exactly its angle
+                theta[list(sub)] = angle if (a, b) == (start, end) else np.sign(angle) * (b - a)
+        legs.append(_rotation_leg(state, range(state.size), theta, max_step))
         state = legs[-1][-1]
     return legs
 
@@ -370,12 +395,12 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     the pair sums already summed to zero), then each antipodal pair is
     rotated to (1, -1).  Odd k: links 1-2 are one more pair, whose sum runs
     straight to -w3 while link 3 stays fixed and the pairs (4,5), ... run
-    to zero; the zero-sum triple is then rotated to the standard
-    orientation, with a bounded elbow-flip cycle when it lands
-    mirror-reversed.  One elbow rule places every moving pair: a pair whose
-    sum passes through zero keeps one normal to its segment (an antipodal
-    pair is first turned onto it), any other pair keeps its side of its
-    sum.
+    to zero; the zero-sum triple then turns to the standard orientation in
+    the leg that turns the pairs, which share no link with it, followed by
+    a bounded elbow-flip cycle when it lands mirror-reversed.  One elbow
+    rule places every moving pair: a pair whose sum passes through zero
+    keeps one normal to its segment (an antipodal pair is first turned onto
+    it), any other pair keeps its side of its sum.
     """
     max_step = check_positive(max_step, "max_step")
     k = c.k
@@ -411,22 +436,18 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     legs.append(_sample_leg(collapse, max_step))
     state = legs[-1][-1]
 
-    # stage 2: rotate every antipodal pair onto (1, -1)
-    deltas = -np.angle(state[pairs])
-    legs.append(_rotation_leg(state, np.concatenate([pairs, pairs + 1]),
-                              np.concatenate([deltas, deltas]), max_step))
+    # stages 2 and 3 in one leg: pairs onto (1, -1), at odd k the triple's third link to 1
+    theta = np.zeros(k)
+    theta[pairs] = theta[pairs + 1] = -np.angle(state[pairs])
+    if k % 2:
+        theta[:3] = -np.angle(state[2])
+    legs.append(_rotation_leg(state, range(k), theta, max_step))
     state = legs[-1][-1]
 
-    if k % 2:
-        # stage 3: rotate the zero-sum triple so its third link is 1
-        legs.append(_rotation_leg(state, (0, 1, 2), -float(np.angle(state[2])), max_step))
-        state = legs[-1][-1]
-
-        if abs(state[0] - np.conj(_OMEGA)) < 1e-6:
-            legs.extend(_mirror_fix_legs(state, max_step))
-            state = legs[-1][-1]
-        elif abs(state[0] - _OMEGA) > 1e-6:
-            raise ValueError("triple did not land on a third root of unity")
+    if k % 2 and abs(state[0] - np.conj(_OMEGA)) < 1e-6:
+        legs.extend(_mirror_fix_legs(state, max_step))
+    elif k % 2 and abs(state[0] - _OMEGA) > 1e-6:
+        raise ValueError("triple did not land on a third root of unity")
 
     path = _concat_legs(legs, "chain", max_step)
     if np.max(np.abs(path.end - standard_chain(k).w)) > 1e-9:
@@ -468,13 +489,12 @@ def _fiber_signs(k: int):
     return {2, 3} | set(range(5, k, 2)), set(range(4, k, 2))
 
 
-def _special_generators(k: int):
-    """Sign flips that balanced pi-rotations cannot make, each a (pattern,
-    stages) pair: the stages are (subset, rotation angle) with zero square
-    sum at every stage, and pattern is the index set they negate."""
-    if k % 2 == 0:
-        return [({0, 2, 3}, [((0, 3), np.pi / 2), ((0, 2), np.pi / 2), ((2, 3), np.pi / 2)])]
-    return [
+@functools.lru_cache(maxsize=None)
+def _special_heads(k: int):
+    """(cost, pattern, stages, busy) of each set of the odd-k sign flips that
+    pairs and _triples cannot make, cheapest first: stages with zero square sum
+    at each start that negate pattern and turn the coordinates in busy."""
+    specials = [] if k % 2 == 0 else [
         ({0, 1, 2}, [((0, 1, 2), np.pi)]),
         (set(range(k)), [(tuple(range(k)), np.pi)]),
         ({1}, [((2, 4), -np.pi / 3), ((1, 4), np.pi / 2),
@@ -482,45 +502,65 @@ def _special_generators(k: int):
         ({0, 2, 4}, [((2, 4), np.pi / 3), ((0, 4), np.pi / 2),
                      ((0, 2), np.pi / 2), ((2, 4), np.pi / 6)]),
     ]
+    heads = []
+    for size in range(len(specials) + 1):
+        for chosen in itertools.combinations(specials, size):
+            stages = tuple(stage for _, st in chosen for stage in st)
+            heads.append((_cost(stages), functools.reduce(set.symmetric_difference, (
+                p for p, _ in chosen), set()), stages, {i for idxs, _ in stages for i in idxs}))
+    return sorted(heads, key=lambda head: head[0])
 
 
-def _balanced_flips(v: set, plus: set, minus: set):
-    """At most two subsets, each with as many +1 as -1 squares, whose
-    symmetric difference is v (which needs |v & plus| = |v & minus| mod 2).
+def _triples(v: set, plus: set, minus: set, busy: set):
+    """Quarter turns (x, u), (x, y), (y, u) with zero square sum at each start,
+    negating x, y of one sign class and u of the other, taken from v where
+    possible, else off the busy coordinates."""
+    def key(i):
+        return i not in v, i in busy, i
+    return [[((x, u), np.pi / 2), ((x, y), np.pi / 2), ((y, u), np.pi / 2)]
+            for one, other in ((plus, minus), (minus, plus)) if len(one) >= 2
+            for (x, y), u in [(sorted(one, key=key)[:2], min(other, key=key))]]
 
-    Rotating such a subset by pi negates exactly it and keeps the square
-    sum zero throughout.  With a = |v & plus| >= c = |v & minus| and
-    d = (a - c) / 2, d minus-indices Q outside v pad both subsets: the first
-    holds c + d of v's plus-indices, all of v's minus-indices and Q, the
-    second the other d plus-indices and Q, so Q is negated twice.  The
-    mirror case swaps the roles of plus and minus.
-    """
+
+def _balanced_flips(v: set, plus: set, minus: set, busy: set):
+    """(+1, -1) pairs, each negated by a pi-turn with zero square sum, whose
+    symmetric difference is v (|v & plus| = |v & minus| mod 2).  With
+    a = |v & plus| >= c = |v & minus|: c pairs within v, and the other a - c
+    plus-indices two on each of (a - c) / 2 minus-indices Q outside v, busy
+    last (the mirror case swaps plus and minus).  Pairs off busy and Q, which
+    all turn at once, come as one subset."""
     big, small, pad = sorted(v & plus), sorted(v & minus), minus
     if len(big) < len(small):
         big, small, pad = small, big, plus
-    d = (len(big) - len(small)) // 2
-    q = sorted(pad - v)[:d]
-    first = big[:len(small) + d] + small + q
-    second = big[len(small) + d:] + q
-    return [tuple(sorted(f)) for f in (first, second) if f]
+    q = (sorted(pad - v - busy) + sorted(pad - v & busy))[:(len(big) - len(small)) // 2]
+    pairs = list(zip(big, small))
+    free = tuple(i for f in pairs if busy.isdisjoint(f) for i in f)
+    return ([free] if free else []) + [f for f in pairs if not busy.isdisjoint(f)] + list(
+        zip(big[len(small):], q + q))
 
 
 def _flip_moves(k: int, want) -> list:
-    """(subset, angle) rotation stages over the standard chain that negate
-    exactly the coordinates in ``want``: the fewest special generators that
-    leave a pattern balanced pi-rotations can make, then at most two of
-    those rotations."""
+    """(subset, angle) rotation stages over the standard chain negating exactly ``want``:
+    a head of _special_heads, one of _triples if the rest has unequal parities, then
+    _balanced_flips; of least _cost: makespan, then legs, each rounding its samples up."""
     plus, minus = _fiber_signs(k)
-    specials = _special_generators(k)
-    for size in range(len(specials) + 1):
-        for chosen in itertools.combinations(specials, size):
-            v = set(int(i) for i in want)
-            for pattern, _ in chosen:
-                v ^= pattern
-            if v <= plus | minus and len(v & plus) % 2 == len(v & minus) % 2:
-                return ([stage for _, stages in chosen for stage in stages]
-                        + [(f, np.pi) for f in _balanced_flips(v, plus, minus)])
-    raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
+    want, best = {int(i) for i in want}, ((np.inf, 0), None)
+    for bound, pattern, stages, busy in _special_heads(k):
+        if bound >= best[0]:  # stages added to a plan only add time and legs
+            break
+        v = want ^ pattern
+        if not v <= plus | minus:
+            continue
+        even = len(v & plus) % 2 == len(v & minus) % 2
+        for extra in [[]] if even else _triples(v, plus, minus, busy):
+            turned = {i for idxs, _ in extra for i in idxs}
+            plan = [*stages, *extra, *((f, np.pi) for f in _balanced_flips(
+                v ^ turned, plus, minus, busy | turned))]
+            if (cost := _cost(plan)) < best[0]:
+                best = cost, plan
+    if best[1] is None:
+        raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +618,16 @@ CASE3_WAYPOINTS = tuple(np.array(v) for v in (
 
 
 def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
-    """A validated path from z to the canonical frame canonical_planar(k).
+    """A path from z to canonical_planar(k); validate_path checks it, this does not.
 
     Composes (1) chain straightening of the squared chain, (2) the lift of
-    that straightening starting at z, and (3) finitely many subset
-    rotations connecting the lift endpoint to the canonical frame inside
-    the fiber over the standard chain.  A planar step a lifts a chain step
-    of a sqrt(4 - a^2), which grows with a up to sqrt(2), so the
-    straightening samples min(m sqrt(4 - m^2), LIFT_SAFE_STEP) apart for
-    m = max_step: its lift keeps within m, and any finite max_step > 0
-    lifts.  The chain of z is checked at z.tol, as square_map checks it.
+    that straightening starting at z, and (3) rotations of zero-square-sum
+    subsets, concurrent where they share no coordinate, connecting the lift
+    endpoint to the canonical frame in the fiber over the standard chain.
+    A planar step a lifts a chain step of a sqrt(4 - a^2), which grows with
+    a up to sqrt(2), so the straightening samples min(m sqrt(4 - m^2),
+    LIFT_SAFE_STEP) apart for m = max_step: its lift keeps within m, and any
+    finite max_step > 0 lifts.  z's chain is checked at z.tol, as square_map does.
     """
     max_step = check_positive(max_step, "max_step")
     k = z.k
