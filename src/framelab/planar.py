@@ -220,7 +220,7 @@ def _sample_leg(fn, max_step: float):
     step is too long is bisected, all of them at once in each round."""
     ts = np.array([0.0, 0.5, 1.0])
     pts = fn(ts)
-    for _ in range(40):
+    for _ in range(np.finfo(float).nmant):  # down to the float resolution of t
         long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > max_step - _LEG_ATOL)
         if long.size == 0:
             return pts
@@ -386,6 +386,35 @@ def _pair_track(first, rho0, rho1):
     return track
 
 
+def _collapse(state: np.ndarray, p, rho1, max_step: float):
+    """Legs moving the sums of the pairs (p, p + 1) straight from their
+    values in ``state`` to ``rho1`` on _pair_track's elbows, every other
+    link fixed.  A pair more than rounding off its track's start (an
+    antipodal pair, or one whose segment passes within 1e-12 of zero) is
+    first turned rigidly onto it, which moves its sum by about 1e-12 at
+    most; the sampled leg starts at the state itself."""
+    rho0 = state[p] + state[p + 1]
+    moving = np.abs(rho1 - rho0) >= 1e-14
+    p = p[moving]
+    track = _pair_track(state[p], rho0[moving], rho1[moving])
+    turn = np.angle(track(np.zeros(1))[0][0] / state[p])
+    theta = np.zeros(state.size)
+    theta[p] = theta[p + 1] = np.where(np.abs(turn) > 1e-6, turn, 0.0)
+    legs = []
+    if np.any(theta):
+        legs.append(_rotation_leg(state, range(state.size), theta, max_step))
+        state = legs[-1][-1]
+
+    def collapse(t):
+        out = np.repeat(state[None, :], len(t), axis=0)
+        out[:, p], out[:, p + 1] = track(t)
+        out[t == 0] = state
+        return out
+
+    legs.append(_sample_leg(collapse, max_step))
+    return legs
+
+
 def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     """A path in chain space from c to the standard chain.
 
@@ -396,11 +425,13 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     rotated to (1, -1).  Odd k: links 1-2 are one more pair, whose sum runs
     straight to -w3 while link 3 stays fixed and the pairs (4,5), ... run
     to zero; the zero-sum triple then turns to the standard orientation in
-    the leg that turns the pairs, which share no link with it, followed by
-    a bounded elbow-flip cycle when it lands mirror-reversed.  One elbow
+    the leg that turns the pairs, which share no link with it.  One elbow
     rule places every moving pair: a pair whose sum passes through zero
-    keeps one normal to its segment (an antipodal pair is first turned onto
-    it), any other pair keeps its side of its sum.
+    keeps one normal to its segment, any other pair keeps its side of its
+    sum.  The triple's orientation is chosen where it is free: when links
+    1-2 would land it mirrored, (w-bar, w, 1), their sum first runs to zero
+    while links 4-5 take up -w3, and the antipodal pair turns onto i w3,
+    from which it lands (w, w-bar, 1).
     """
     max_step = check_positive(max_step, "max_step")
     k = c.k
@@ -415,25 +446,16 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     rho1 = np.zeros(p.size, dtype=np.complex128)
     if k % 2:
         rho1[0] = -state[2]
-        if abs(state[0] + state[1]) < 1e-12:
-            # antipodal links 1-2: turn them onto the normal their track
-            # starts from; their zero sum keeps the chain closed
-            wa = _pair_track(state[:1], state[:1] + state[1:2], rho1[:1])(np.zeros(1))[0]
-            legs.append(_rotation_leg(state, (0, 1), float(np.angle(wa[0, 0] / state[0])),
+        # link 1 where the direct route lands it: w3 w, or w3 w-bar if mirrored
+        lands = _pair_track(state[:1], state[:1] + state[1:2], rho1[:1])(np.ones(1))[0][0, 0]
+        if np.imag(lands / state[2]) < 0:
+            # links 1-2 to zero while links 4-5, pair 1 of p, take up -w3
+            legs += _collapse(state, p, np.roll(rho1, 1), max_step)
+            state = legs[-1][-1]
+            legs.append(_rotation_leg(state, (0, 1), float(np.angle(1j * state[2] / state[0])),
                                       max_step))
             state = legs[-1][-1]
-    rho0 = state[p] + state[p + 1]
-    moving = np.abs(rho1 - rho0) >= 1e-14
-    p = p[moving]
-    track = _pair_track(state[p], rho0[moving], rho1[moving])
-    base = state
-
-    def collapse(t):
-        out = np.repeat(base[None, :], len(t), axis=0)
-        out[:, p], out[:, p + 1] = track(t)
-        return out
-
-    legs.append(_sample_leg(collapse, max_step))
+    legs += _collapse(state, p, rho1, max_step)
     state = legs[-1][-1]
 
     # stages 2 and 3 in one leg: pairs onto (1, -1), at odd k the triple's third link to 1
@@ -442,39 +464,11 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     if k % 2:
         theta[:3] = -np.angle(state[2])
     legs.append(_rotation_leg(state, range(k), theta, max_step))
-    state = legs[-1][-1]
-
-    if k % 2 and abs(state[0] - np.conj(_OMEGA)) < 1e-6:
-        legs.extend(_mirror_fix_legs(state, max_step))
-    elif k % 2 and abs(state[0] - _OMEGA) > 1e-6:
-        raise ValueError("triple did not land on a third root of unity")
 
     path = _concat_legs(legs, "chain", max_step)
     if np.max(np.abs(path.end - standard_chain(k).w)) > 1e-9:
         raise ValueError("straightening missed the standard chain")
     return path
-
-
-def _mirror_fix_legs(state: np.ndarray, max_step: float):
-    """Flip a mirror-reversed zero-sum triple (w-bar, w, 1, ...) into
-    (w, w-bar, 1, ...) by stretching links 1-2 through collinearity while
-    the pair (4, 5) absorbs; needs that pair to sit at (1, -1)."""
-    if np.max(np.abs(state[3:5] - np.array([1.0, -1.0]))) > 1e-9:
-        raise ValueError("mirror fix expects links 4,5 at (1,-1)")
-    # swing the absorber pair perpendicular so it can open along the real axis
-    legs = [_rotation_leg(state, (3, 4), np.pi / 2, max_step)]
-    base = legs[-1][-1]
-
-    def cycle(t):
-        g = 1.0 - np.abs(2.0 * t - 1.0)
-        out = np.repeat(base[None, :], len(t), axis=0)
-        out[:, 0], out[:, 1] = _elbow(-(1.0 + g), np.where(t < 0.5, -1j, 1j))
-        out[:, 3], out[:, 4] = _elbow(g, 1j)
-        return out
-
-    legs.append(_sample_leg(cycle, max_step))
-    legs.append(_rotation_leg(legs[-1][-1], (3, 4), -np.pi / 2, max_step))
-    return legs
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,10 @@ def test_connect_to_standard_random_k6():
 @pytest.mark.parametrize("k", [5, 7])
 @pytest.mark.parametrize("eps", [0, 1e-12, 1e-9, 1e-8, 1e-6, 4e-5, 1e-2, np.pi / 2, 2, np.pi])
 def test_connect_with_antipodal_links_1_2(k, eps):
-    """Links 1-2 of the chain start antipodal at w0 = -i e^{i eps}, eps
-    away from the normal -i of their segment to -w3 = -1; the
-    straightening turns them onto that normal first, however small the
-    turn."""
+    """Links 1-2 of the chain start antipodal at w0 = -i e^{i eps}; from
+    near -i = -i w3 their segment to -w3 = -1 would land the triple
+    mirrored, so the straightening turns them onto i w3 first, from which
+    it lands (w, w-bar, 1)."""
     w0 = -1j * np.exp(1j * eps)
     r = np.exp(1j * np.pi / 3)
     z = fl.PlanarFrame([np.sqrt(w0), np.sqrt(-w0), 1, r, np.conj(r)]
@@ -191,16 +191,90 @@ def test_connect_near_the_canonical_frame(k, eps):
         assert rep.ok, rep
 
 
+def _closed_frame(head, k, rng, near=None):
+    """A planar frame whose chain starts with the links ``head``, goes on
+    with random links up to k - 2 and ends with an elbow that closes it.
+    Its coordinates are the square roots nearest ``near``, and its elbow
+    the one nearest near's squares; random ones when near is None."""
+    while True:
+        w = np.concatenate([head, np.exp(2j * np.pi * rng.random(k - 2 - len(head)))])
+        s = -np.sum(w)
+        if abs(s) < 2 - 1e-9:
+            break
+    side = rng.choice([-1.0, 1.0]) if near is None else np.sign(np.real(
+        np.conj(1j * s) * near[-2] ** 2)) or 1.0
+    z = np.sqrt(np.concatenate([w, planar._elbow(s, side * 1j * s / abs(s))]))
+    near = z * rng.choice([-1.0, 1.0], size=k) if near is None else near
+    return fl.PlanarFrame(np.where(np.abs(z - near) <= np.abs(z + near), z, -z))
+
+
+#: connect_to_standard's paths on the frames below take fewer samples than
+#: this times k / max_step
+SAMPLES_PER_K_STEP = 30
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["antipodal", "graze", "canonical", "conjugate", "repeated"]),
+       st.sampled_from([4, 5, 6, 7, 8, 9, 17]), st.floats(-15, -6),
+       st.floats(np.log10(0.02), np.log10(2)), st.integers(0, 2 ** 32 - 1))
+def test_connect_adversarial_frames(kind, k, log_eps, log_step, seed):
+    """Frames at the edges of the straightening's rules connect, validate
+    with both ends and keep within SAMPLES_PER_K_STEP * k / max_step
+    samples, eps = 10^log_eps: links 1-2 of the chain summing to eps
+    (nearly antipodal), or nearly along link 3, so that their segment to
+    -w3 passes about eps from zero; frames about eps from the canonical
+    frame, or from its conjugate with signs flipped; repeated links, from
+    the pairs (c, ic) and, at odd k, the triple c e^{i pi j / 3}."""
+    rng = np.random.default_rng(seed)
+    eps, max_step = 10.0 ** log_eps, 10.0 ** log_step
+    b = fl.canonical_planar(k).z
+    a = np.exp(2j * np.pi * rng.random())
+    side = rng.choice([-1.0, 1.0])
+    if kind == "antipodal":
+        z = _closed_frame(planar._elbow(eps * a, side * 1j * a), k, rng)
+    elif kind == "graze":
+        sigma = rng.uniform(0.1, 0.9) * a * np.exp(1j * eps * rng.choice([-1.0, 1.0]))
+        z = _closed_frame([*planar._elbow(sigma, side * 1j * sigma / abs(sigma)), a][:k - 2],
+                          k, rng)
+    elif kind in ("canonical", "conjugate"):
+        near = b if kind == "canonical" else np.conj(b) * rng.choice([-1.0, 1.0], size=k)
+        z = _closed_frame((near[:k - 2] * np.exp(1j * eps * rng.standard_normal(k - 2))) ** 2,
+                          k, rng, near)
+    else:
+        c = rng.choice([a, np.exp(2j * np.pi * rng.random())], size=k // 2)
+        z = np.concatenate([np.outer(c[:k // 2 - k % 2], [1, 1j]).ravel(),
+                            c[-1] * np.exp(1j * np.pi / 3 * np.arange(3 * (k % 2)))])
+        z = fl.PlanarFrame(rng.permutation(z) * rng.choice([-1.0, 1.0], size=k))
+    path = fl.connect_to_standard(z, max_step)
+    assert fl.validate_path(path, expect_start=z.z, expect_end=b).ok
+    assert len(path.ts) < SAMPLES_PER_K_STEP * k / max_step
+
+
+@pytest.mark.parametrize("max_step", [0.05, 0.5])
+@pytest.mark.parametrize("z", [[1, 1, 1j, 1j], [1, 1, 1, 1j, 1j, 1j], [1, 1, 1j, 1j, 1, 1j]])
+def test_connect_repeated_orthonormal_basis(z, max_step):
+    """The rotated basis (u, iu) repeated: links 1-2 of the chain are equal,
+    so their computed sum has modulus 2 less rounding and their elbow a
+    height of about 2e-8, not 0; the straightening starts at the chain."""
+    pf = fl.PlanarFrame(np.exp(0.7j) * np.array(z))
+    path = fl.connect_to_standard(pf, max_step)
+    rep = fl.validate_path(path, expect_start=pf.z, expect_end=fl.canonical_planar(pf.k).z)
+    assert rep.ok, rep
+
+
 def test_straightening_sample_counts():
     """The shape of the seeded paths: any change to how chains straighten
     or lift shows here first."""
-    counts = {k: len(fl.connect_to_standard(
-        fl.random_planar_frame(k, np.random.default_rng(0))).ts)
-        for k in (4, 5, 6, 7, 9, 17, 33)}
-    assert counts == {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 186}
-    # the counts before the fiber moves ran concurrently: no path grew
-    before = {4: 132, 5: 374, 6: 114, 7: 287, 9: 296, 17: 374, 33: 214}
-    assert all(counts[k] <= before[k] for k in counts)
+    frames = {k: fl.random_planar_frame(k, np.random.default_rng(0))
+              for k in (4, 5, 6, 7, 9, 17, 33)}
+    counts = {k: len(fl.connect_to_standard(z).ts) for k, z in frames.items()}
+    assert counts == {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}
+    step = 0.05 * np.sqrt(4 - 0.05 ** 2)
+    chain = {k: len(fl.chain_straighten(fl.square_map(z), step).ts) for k, z in frames.items()}
+    assert chain == {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 94}
+    # the straightenings before links 1-2 chose the triple's side: none grew
+    before = {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 121}
+    assert all(chain[k] <= before[k] for k in chain)
     assert len(planar.case1_explicit_path().ts) == 127
     assert len(planar.case3_explicit_path().ts) == 223
 
