@@ -2,10 +2,11 @@
 
 A Gram point R is stratified by the partition of coordinate indices into
 the minimal subsets A whose coordinate projections Q_A commute with R;
-equivalently, the connected components of the support graph of R.  At a
-point with trivial partition the diagonal-extraction map on the
-Grassmannian has full rank k-1 (a regular point), and the stratum through
-R is a manifold whose dimension is a sum of closed-form per-block terms.
+equivalently, the connected components of the support graph of R.  The
+diagonal-extraction map on the Grassmannian has rank k - |partition| at R,
+full rank k-1 exactly at a point with trivial partition (a regular point),
+and the stratum through R is a manifold whose dimension is a sum of
+closed-form per-block terms.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, _Stalled, act_orth
 from .grassmann import (GramPoint, _check_gap, _spectral_split, complement, frame_from_gram,
                         gram, torus_point)
 
-#: relative eigenvalue cutoff for numerical rank decisions
-RANK_RTOL = 1e-8
-
-
 @dataclass(frozen=True)
 class Partition:
     """A partition of {1..k}, blocks sorted by minimum element (1-based)."""
@@ -36,8 +33,10 @@ class Partition:
 
     def __post_init__(self):
         k = check_integer(self.k, "k")
-        blocks = (tuple(sorted(check_integer(i, "block entry") for i in b)) for b in self.blocks)
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+        blocks = [tuple(sorted(check_integer(i, "block entry") for i in b)) for b in self.blocks]
+        if k < 1 or not all(blocks):
+            raise ValueError(f"need k >= 1 and nonempty blocks, got k={k}, blocks={blocks}")
+        blocks = tuple(sorted(blocks))
         if sorted(i for b in blocks for i in b) != list(range(1, k + 1)):
             raise ValueError("blocks must partition 1..k")
         object.__setattr__(self, "k", k)
@@ -53,7 +52,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class TangentReport:
-    """Rank of the diagonal-extraction differential at a Gram point."""
+    """Rank k - |sigma| of the diagonal-extraction differential at a Gram point,
+    regular iff sigma is trivial, and the dimension of sigma's stratum, all
+    from one commutant partition sigma."""
 
     rank: int
     regular: bool
@@ -91,6 +92,7 @@ def is_orthodecomposable(F: Frame, tol: float = DEFAULT_TOL):
 
 def check_block_cardinalities(p: Partition, k: int, n: int) -> bool:
     """True iff every block size is a multiple of k' = k / gcd(k, n)."""
+    k, n = _check_shape(k, n)
     if p.k != k:
         raise ValueError(f"partition is over {p.k} indices, expected {k}")
     kp = k // math.gcd(k, n)
@@ -98,34 +100,28 @@ def check_block_cardinalities(p: Partition, k: int, n: int) -> bool:
 
 
 def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
-    """Numerical rank of the diagonal-extraction differential at R.
+    """Rank of the diagonal-extraction differential at R, from the
+    commutant partition sigma of R at tol.
 
-    With orthonormal bases u_1..u_n of range(P) and u_{n+1}..u_k of ker(P),
-    P = (n/k) R, the differential's range is spanned by the real vectors
-    Re(u_i * conj(u_j)) (entrywise product), plus Im(...) in the complex
-    case, over 1 <= i <= n < j <= k.  Their Gram matrix is the Hadamard
-    product Re(P * conj(I - P)), whose eigenvalues give the rank.  The
-    point is regular iff the rank is k-1 (always <= k-1: every spanning
-    vector sums to zero).  stratum_dim sums the per-block closed-form
-    dimensions over the commutant partition of R.
+    With P = (n/k) R, the differential sends a tangent vector [A, P]
+    (A skew-adjoint) to diag([A, P]).  A real diagonal D is orthogonal to
+    all of these iff tr(A [P, D]) = 0 for every A, iff the skew-adjoint
+    [P, D] is 0, iff D is constant on each block of sigma; so rank =
+    k - |sigma| for real and complex points, and R is regular (rank k-1)
+    iff sigma is trivial.
+    stratum_dim sums the closed-form dimensions of the blocks, each of
+    rank n_b = k_b n / k; a block size that makes n_b fractional is refused.
+    R must split into eigenvalues near 1 and 0 (``frame_from_gram``'s gap).
     """
     k, n = R.k, R.n
-    _, V, gap = _spectral_split(R.projection(), n)
-    _check_gap(gap)
-    P = V[:, :n] @ V[:, :n].conj().T
-    ev = np.linalg.eigvalsh(np.real(P * (np.eye(k) - P).conj()))
-    rank = int(np.sum(ev > ev[-1] * RANK_RTOL)) if ev[-1] > 0 else 0
+    _check_gap(_spectral_split(R.projection(), n)[2])
     sigma = commutant_partition(R.entries, tol)
-    dim = 0
-    for blk in sigma.blocks:
-        kb = len(blk)
-        nb_exact = kb * n / k
-        nb = round(nb_exact)
-        if abs(nb_exact - nb) > 1e-9:
-            raise ValueError(f"block of size {kb} has non-integer rank {nb_exact}")
-        dim += _stratum_block_dim(kb, nb, R.field)
+    if not check_block_cardinalities(sigma, k, n):
+        raise ValueError(f"block sizes {[len(b) for b in sigma.blocks]} give a "
+                         f"non-integer block rank k_b n / k at k={k}, n={n}")
+    dim = sum(_stratum_block_dim(len(b), len(b) * n // k, R.field) for b in sigma.blocks)
     ambient = n * (k - n) if R.field == "R" else 2 * n * (k - n)
-    return TangentReport(rank, rank == k - 1, dim, ambient)
+    return TangentReport(k - len(sigma), sigma.trivial, dim, ambient)
 
 
 def harmonic_frame(k: int, n: int, field: str = "R") -> Frame:

@@ -139,6 +139,17 @@ def test_partition_and_tangent(tmp_path, capsys):
     assert rep["rank"] == 2 and not rep["regular"]
 
 
+def test_tol_decides_the_tangent_rank(tmp_path, capsys):
+    from test_stratification import givens_point
+
+    # the halves couple through Gram entries of about 7e-6
+    gpath = write(tmp_path, "g.json", jsonio.gram_to_dict(givens_point("R", 1e-5)))
+    for flags, doc in [((), {"rank": 11, "regular": True, "stratum_dim": 25}),
+                       (("--tol", "1e-3"), {"rank": 10, "regular": False, "stratum_dim": 8})]:
+        code, out, _ = run(capsys, "tangent", gpath, *flags)
+        assert code == 0 and json.loads(out) == dict(doc, ambient_dim=36)
+
+
 def test_regular_point_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "regular-point", "--k", "6", "--n", "3")
     assert code == 0

@@ -56,6 +56,10 @@ def test_check_block_cardinalities():
     assert fl.check_block_cardinalities(fl.Partition(4, ((1, 3), (2, 4))), 4, 2)
     assert not fl.check_block_cardinalities(fl.Partition(5, ((1, 2), (3, 4, 5))), 5, 2)
     assert fl.check_block_cardinalities(fl.Partition(6, ((1, 2, 3), (4, 5, 6))), 6, 4)
+    for k, n, match in [(4.0, 2, "k must be an integer"), (4, 2.0, "n must be an integer"),
+                        (4, 0, "k > n >= 1"), (4, -2, "k > n >= 1"), (4, 4, "k > n >= 1")]:
+        with pytest.raises(ValueError, match=match):
+            fl.check_block_cardinalities(fl.Partition(4, ((1, 3), (2, 4))), k, n)
 
 
 def test_block_cardinalities_hold_for_frames():
@@ -92,14 +96,31 @@ def test_tangent_report_names_the_gap():
         fl.tangent_report(fl.GramPoint("R", 2, np.eye(4)))
 
 
+def test_tangent_report_refuses_a_fractional_block_rank():
+    # at tol 0.6 every entry -1/2 of the (3, 2) simplex is cut: three blocks of rank 2/3
+    S = fl.gram(fl.simplex_frame(2))
+    with pytest.raises(ValueError, match=r"block sizes \[1, 1, 1\] give a non-integer block rank"):
+        fl.tangent_report(S, tol=0.6)
+
+
+def test_tangent_report_makes_one_eigen_call(monkeypatch):
+    R = _random_point(48, 24, "R", 2)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _f=getattr(np.linalg, name),
+                            **kw: calls.append(_name) or _f(*a, **kw))
+    assert fl.tangent_report(R).rank == 47
+    assert calls == ["eigh"]
+
+
 def test_block_count_equals_corank():
+    # the library's rank is k - |sigma| by construction; the column rank shares no code with it
     cases = [fl.gram(BLOCK4), fl.gram(fl.simplex_frame(3)),
              fl.gram(fl.harmonic_frame(6, 2, "R")),
              fl.construct_regular_point(6, 3)]
     for R in cases:
-        rep = fl.tangent_report(R)
         sigma = fl.commutant_partition(R.entries)
-        assert len(sigma) == R.k - rep.rank
+        assert len(sigma) == R.k - _column_rank(R)
 
 
 def _column_rank(R):
@@ -133,16 +154,48 @@ def _block_point():
     return fl.GramPoint("R", 6, block)
 
 
+def givens_point(field, theta):
+    """Two seeded (6, 3) frames on the diagonal of a 6 x 12 frame, with
+    columns 0 and 6 turned by a Givens angle theta (a phase e^{0.7i} on the
+    sine when complex).  The turn keeps the frame spherical and tight; the
+    Gram entries between the halves are about 0.71 theta."""
+    rng = np.random.default_rng(0)
+    M = np.zeros((6, 12), dtype=complex if field == "C" else float)
+    for b in (0, 1):
+        M[3 * b:3 * b + 3, 6 * b:6 * b + 6] = fl.random_tight_frame(
+            6, 3, field, rng, spread=0.05).entries
+    c, s = math.cos(theta), math.sin(theta) * (np.exp(0.7j) if field == "C" else 1)
+    a, b = M[:, 0].copy(), M[:, 6].copy()
+    M[:, 0], M[:, 6] = c * a + s * b, -np.conj(s) * a + c * b
+    return fl.gram(fl.Frame(field, M))
+
+
+GIVENS = [(field, theta) for field in "RC" for theta in (1e-3, 1e-5, 1e-7)]
+
+
 @pytest.mark.parametrize("make,rank", [
     (lambda: _random_point(6, 3, "R", 1), 5),
     (lambda: _random_point(48, 24, "R", 2), 47),
     (lambda: fl.construct_regular_point(64, 24), 63),
     (lambda: _random_point(9, 4, "C", 3), 8),
     (_block_point, 10),
-], ids=["R(6,3)", "R(48,24)", "regular(64,24)", "C(9,4)", "block(12,6)"])
+] + [(lambda f=f, t=t: givens_point(f, t), 11) for f, t in GIVENS],
+    ids=["R(6,3)", "R(48,24)", "regular(64,24)", "C(9,4)", "block(12,6)"]
+    + [f"givens-{f}-{t:g}" for f, t in GIVENS])
 def test_tangent_rank_matches_column_definition(make, rank):
     R = make()
     assert fl.tangent_report(R).rank == _column_rank(R) == rank
+
+
+@pytest.mark.parametrize("field,theta", GIVENS)
+def test_one_tolerance_decides_rank_regularity_and_stratum(field, theta):
+    R = givens_point(field, theta)
+    for tol, blocks in [(1e-9, 1), (1e-2, 2)]:
+        rep = fl.tangent_report(R, tol)
+        assert len(fl.commutant_partition(R.entries, tol)) == blocks
+        assert rep.rank == 12 - blocks and rep.regular == (blocks == 1)
+        want = fl.expected_dimensions(12 // blocks, 6 // blocks, field)["dimG"]
+        assert rep.stratum_dim == blocks * want
 
 
 def test_expected_dimensions_values():
@@ -243,12 +296,19 @@ def test_stratum_dim_matches_expected_at_regular_points():
 
 
 def test_partition_validation():
+    from framelab import jsonio
+
     with pytest.raises(ValueError):
         fl.Partition(4, ((1, 2), (2, 3, 4)))
     with pytest.raises(ValueError):
         fl.Partition(4, ((1, 2),))
     p = fl.Partition(4, ((4, 2), (3, 1)))
     assert p.blocks == ((1, 3), (2, 4))
+    for k, blocks in [(-1, ()), (0, ()), (2, ((1,), (2,), ())), (2, ((), (1, 2)))]:
+        with pytest.raises(ValueError, match="need k >= 1 and nonempty blocks"):
+            fl.Partition(k, blocks)
+    with pytest.raises(ValueError, match="need k >= 1 and nonempty blocks"):
+        jsonio.partition_from_dict({"k": 2, "blocks": [[1], [2], []]})
 
 
 GRID_SHAPES = [("R", 6, 3), ("R", 12, 5), ("R", 24, 12), ("R", 48, 24), ("R", 64, 24),
