@@ -13,6 +13,8 @@ subcommand loads only the modules it calls: ``complex`` and
 ``surface-report`` run without numpy, and so do ``simplex``, ``dims`` and
 ``enumerate-1red`` without ``--points``, which print closed forms from
 `closedform`.  A run builds the arguments of the subcommand it names only.
+The ``framelab`` command sets OPENBLAS_NUM_THREADS=1 unless the caller has
+set it.
 """
 
 from __future__ import annotations
@@ -192,6 +194,9 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # no stage gains from a second BLAS thread, which only burns CPU; numpy
+    # reads this when a handler first loads it, and a caller's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -84,6 +84,32 @@ def _spectral_split(P, n: int):
     return ev, V, ev[..., n - 1] - ev[..., n]
 
 
+def _split_decided(P, n: int):
+    """Whether the self-adjoint part H of one k-by-k P splits into n
+    eigenvalues near 1 and k-n near 0, decided from one product: the
+    verdict `is_gram_point`'s ``eigh`` rule would give (gap >= RANK_GAP,
+    extreme eigenvalues within 1/4 of 1 and 0), or None when
+    delta = ||H^2 - H||_F and tr H cannot decide it.
+
+    Every eigenvalue l of H has |l (l - 1)| <= ||H^2 - H||_2 <= delta.  For
+    delta < 1/4 each l therefore lies within e = (1 - sqrt(1 - 4 delta))/2
+    of 0 or 1 (the inner root; the outer deviation (sqrt(1 + 4 delta) - 1)/2
+    is smaller).  If m eigenvalues lie near 1, |tr H - m| <= k e, so for
+    k e < 1/4 m = n exactly when |tr H - n| < 1/2.  Then the gap is at
+    least 1 - 2 e > 1/2 and the extreme eigenvalues lie within e < 1/4 of
+    1 and 0: True.  Otherwise the two eigenvalues at the cut lie near the
+    same end and the gap is at most 2 e < 1/2: False.  An overflowing
+    product gives an infinite or NaN delta, which decides nothing.
+    """
+    H = (P + P.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = float(np.linalg.norm(H @ H - H))
+    if not delta < 0.25:
+        return None
+    e = (1 - np.sqrt(1 - 4 * delta)) / 2
+    return bool(abs(np.trace(H).real - n) < 0.5) if H.shape[0] * e < 0.25 else None
+
+
 def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
     """The orbit invariant F*F of a spherical tight frame.
 
@@ -107,7 +133,13 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
 
     Verifies M* = M, idempotency of P = (n/k) M, unit diagonal, and that
     the spectrum of P splits into n eigenvalues near 1 and k-n near 0 with
-    a gap of at least RANK_GAP.
+    a gap of at least RANK_GAP (``rank_ok``).  The split needs no
+    eigendecomposition near a projection: with H = (P + P*)/2 and
+    delta = ||H^2 - H||_F, every eigenvalue lies within
+    e = (1 - sqrt(1 - 4 delta))/2 of 0 or 1, and for k e < 1/4 the trace
+    counts those near 1 (`_split_decided`).  Only when delta or tr H
+    cannot decide does ``rank_ok`` come from an ``eigh`` of H, the gap and
+    both extreme eigenvalues within 0.25 of 1 and 0.
     """
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     n = check_integer(n, "n")
@@ -117,8 +149,8 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     P = (n / k) * M
     idem = bool(np.max(np.abs(P @ P - P)) <= tol * scale)
     diag = bool(np.max(np.abs(np.diag(M) - 1.0)) <= tol)
-    rank_ok = False
-    if 0 < n < k:
+    rank_ok = _split_decided(P, n) if 0 < n < k else False
+    if rank_ok is None:
         ev, _, gap = _spectral_split(P, n)
         rank_ok = bool(gap >= RANK_GAP and abs(ev[0] - 1.0) <= 0.25 and abs(ev[-1]) <= 0.25)
     return GramCheck(sa, idem, diag, rank_ok)
@@ -140,7 +172,11 @@ def frame_from_gram(R: GramPoint) -> Frame:
     The projection P = (n/k) R is eigendecomposed; the n eigenvectors with
     eigenvalue near 1 are stacked (conjugate-transposed) and scaled by
     sqrt(k/n).  Requires the spectrum of P to split with a gap of at least
-    RANK_GAP between the n-th and (n+1)-th eigenvalues.
+    RANK_GAP between the n-th and (n+1)-th eigenvalues, read off the same
+    ``eigh``.  This is the one Gram-point step that needs the eigenvectors:
+    `is_gram_point` and `tangent_report` decide the split from
+    ||H^2 - H||_F and tr H (`_split_decided`) and run an ``eigh`` only
+    when those cannot decide.
     """
     F, gap = _recovered_frames(R.entries, R.n)
     _check_gap(gap)

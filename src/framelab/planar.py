@@ -268,10 +268,12 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     return state * np.exp(1j * np.outer(t, theta))
 
 
-def _schedule(stages):
+def _schedule(stages, free=None):
     """(start, end) of each (subset, angle) stage turning at unit speed once
-    its coordinates are free: stages sharing a coordinate keep their order."""
-    free, times = {}, []
+    its coordinates are free: stages sharing a coordinate keep their order.
+    ``free`` maps each coordinate to the time it is freed (0 if absent) and
+    is updated in place, so a schedule can go on from an earlier one."""
+    free, times = {} if free is None else free, []
     for idxs, angle in stages:
         start = max([free.get(i, 0.0) for i in idxs])
         times.append((start, start + abs(angle)))
@@ -279,10 +281,16 @@ def _schedule(stages):
     return times
 
 
-def _cost(stages):
-    """(makespan, number of stage starts and ends) of the stages by _schedule."""
-    times = _schedule(stages)
-    return round(max((e for _, e in times), default=0.0), 9), len(set().union(*times))
+def _cost(free, events, rest=frozenset()):
+    """(makespan, number of stage starts and ends) of a _schedule that
+    frees each coordinate i at free[i] and starts or ends stages at events.
+    With ``rest``, a lower bound on that cost once pi-turns negating every
+    index in rest follow: each turns by pi once it is free, and added stages
+    only add time and events."""
+    span = max(free.values(), default=0.0)
+    if rest:
+        span = max(span, max([free[i] for i in rest & free.keys()], default=0.0) + np.pi)
+    return round(span, 9), len(events)
 
 
 def _rotation_path(state: np.ndarray, stages, max_step: float):
@@ -485,9 +493,10 @@ def _fiber_signs(k: int):
 
 @functools.lru_cache(maxsize=None)
 def _special_heads(k: int):
-    """(cost, pattern, stages, busy) of each set of the odd-k sign flips that
-    pairs and _triples cannot make, cheapest first: stages with zero square sum
-    at each start that negate pattern and turn the coordinates in busy."""
+    """(cost, pattern, stages, free, events) of each set of the odd-k sign
+    flips that pairs and _triples cannot make, cheapest first: stages with
+    zero square sum at each start that negate pattern, the time _schedule
+    frees each coordinate they turn, and their stage starts and ends."""
     specials = [] if k % 2 == 0 else [
         ({0, 1, 2}, [((0, 1, 2), np.pi)]),
         (set(range(k)), [(tuple(range(k)), np.pi)]),
@@ -499,9 +508,10 @@ def _special_heads(k: int):
     heads = []
     for size in range(len(specials) + 1):
         for chosen in itertools.combinations(specials, size):
-            stages = tuple(stage for _, st in chosen for stage in st)
-            heads.append((_cost(stages), functools.reduce(set.symmetric_difference, (
-                p for p, _ in chosen), set()), stages, {i for idxs, _ in stages for i in idxs}))
+            stages, free = tuple(stage for _, st in chosen for stage in st), {}
+            events = set().union(*_schedule(stages, free))
+            heads.append((_cost(free, events), functools.reduce(set.symmetric_difference, (
+                p for p, _ in chosen), set()), stages, free, events))
     return sorted(heads, key=lambda head: head[0])
 
 
@@ -536,22 +546,27 @@ def _balanced_flips(v: set, plus: set, minus: set, busy: set):
 def _flip_moves(k: int, want) -> list:
     """(subset, angle) rotation stages over the standard chain negating exactly ``want``:
     a head of _special_heads, one of _triples if the rest has unequal parities, then
-    _balanced_flips; of least _cost: makespan, then legs, each rounding its samples up."""
+    _balanced_flips; of least _cost: makespan, then legs, each rounding its samples up.
+    A plan is built only when _cost's lower bound for its head and triple beats the best."""
     plus, minus = _fiber_signs(k)
-    want, best = {int(i) for i in want}, ((np.inf, 0), None)
-    for bound, pattern, stages, busy in _special_heads(k):
-        if bound >= best[0]:  # stages added to a plan only add time and legs
+    signed, want, best = plus | minus, {int(i) for i in want}, ((np.inf, 0), None)
+    for cost, pattern, stages, free, events in _special_heads(k):
+        if cost >= best[0]:  # stages added to a plan only add time and legs
             break
         v = want ^ pattern
-        if not v <= plus | minus:
+        if not v <= signed:
             continue
         even = len(v & plus) % 2 == len(v & minus) % 2
-        for extra in [[]] if even else _triples(v, plus, minus, busy):
+        for extra in [[]] if even else _triples(v, plus, minus, free.keys()):
             turned = {i for idxs, _ in extra for i in idxs}
-            plan = [*stages, *extra, *((f, np.pi) for f in _balanced_flips(
-                v ^ turned, plus, minus, busy | turned))]
-            if (cost := _cost(plan)) < best[0]:
-                best = cost, plan
+            rest, ends = v ^ turned, dict(free)  # the plan's schedule goes on from the head's
+            marks = events.union(*_schedule(extra, ends))
+            if _cost(ends, marks, rest) >= best[0]:  # the flips cannot make it win
+                continue
+            flips = [(f, np.pi) for f in _balanced_flips(rest, plus, minus, free.keys() | turned)]
+            marks.update(*_schedule(flips, ends))
+            if (cost := _cost(ends, marks)) < best[0]:
+                best = cost, [*stages, *extra, *flips]
     if best[1] is None:
         raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
     return best[1]

@@ -295,6 +295,20 @@ def test_env_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["tight"]
 
 
+@pytest.mark.parametrize("inherited, seen", [(None, "1"), ("3", "3")])
+def test_command_pins_blas_threads_unless_set(capsys, monkeypatch, inherited, seen):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # the teardown restores the caller's value
+    if inherited is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", inherited)
+    monkeypatch.setattr(sys, "argv", ["framelab", "dims", "--k", "4", "--n", "2"])
+    with pytest.raises(SystemExit) as exit:
+        cli.main_entry()
+    assert exit.value.code == 0 and "dimG" in json.loads(capsys.readouterr().out)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == seen
+
+
 def test_json_round_trip_exact(tmp_path, capsys):
     F = fl.harmonic_frame(5, 2, "C")
     doc = jsonio.frame_to_dict(F)

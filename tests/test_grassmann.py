@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import framelab as fl
-from framelab import grassmann
+from framelab import grassmann, stratification
 
 BLOCK4 = fl.Frame("R", np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float))
 
@@ -553,3 +553,115 @@ def test_holonomy_lift_is_stacked(monkeypatch):
     assert seen[0] == seen[1]
     assert set(seen[0]) == {"_spectral_split", "_procrustes"}
     assert max(seen[0].values()) <= 2
+
+
+def _count_eigen_calls(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _f=getattr(np.linalg, name),
+                            **kw: calls.append(_name) or _f(*a, **kw))
+    return calls
+
+
+def test_is_gram_point_eigen_calls(monkeypatch):
+    # ||H^2 - H||_F and tr H decide the split of a Gram point; an eigh runs
+    # only on an input they cannot decide, here P = I/2 with delta = 1/2
+    R = fl.construct_regular_point(48, 24)
+    calls = _count_eigen_calls(monkeypatch)
+    assert fl.is_gram_point(R.entries, 24).ok
+    assert calls == []
+    assert not fl.is_gram_point(np.eye(4), 2).rank_ok
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("k,n", [(4, 2), (9, 4), (48, 24)])
+def test_split_bound_decides_only_within_its_proof(k, n):
+    # one eigenvalue x near 0 and n at 1: delta = x (1 - x), whose inner root
+    # e = x is the deviation itself, so the bound decides exactly when k x < 1/4
+    for x, decided in ((0.99 / (4 * k), True), (1.01 / (4 * k), None)):
+        P = np.diag(np.r_[np.ones(n), x, np.zeros(k - n - 1)])
+        assert grassmann._split_decided(P, n) is decided
+
+
+def _eigh_split(P, n):
+    """The spectral-split rule by definition, sharing no code with the
+    library: gap >= 1/2 at the n-th eigenvalue, the extremes within 1/4
+    of 1 and 0."""
+    ev = np.linalg.eigvalsh((P + P.conj().T) / 2)[::-1]
+    return bool(ev[n - 1] - ev[n] >= 0.5 and abs(ev[0] - 1) <= 0.25 and abs(ev[-1]) <= 0.25)
+
+
+def _noise(k, field, rng):
+    A = rng.standard_normal((k, k))
+    return A + 1j * rng.standard_normal((k, k)) if field == "C" else A
+
+
+_SHAPES = ((6, 3, "R"), (12, 5, "R"), (9, 4, "C"), (16, 7, "C"))
+
+
+@functools.cache
+def _split_corpus():
+    """(field, n, M) inputs near and far from the Gram points, by family;
+    M is (k/n) P for the candidate projection P."""
+    rng = np.random.default_rng(23)
+    corpus = collections.defaultdict(list)
+    for k, n, field in _SHAPES:
+        R = fl.gram(random_stf(k, n, field, 23 + k, spread=0.05)).entries
+        for eps in 10.0 ** np.linspace(-14, 0, 15):
+            corpus["perturbed"].append((field, n, R + eps * _noise(k, field, rng)))
+        for rank in (n - 1, n + 1):
+            V = np.linalg.qr(_noise(k, field, rng))[0][:, :rank]
+            for eps in (0.0, 1e-12, 1e-6, 1e-3, 1e-1):
+                P = V @ V.conj().T + eps * _noise(k, field, rng)
+                corpus["rank n +- 1"].append((field, n, (k / n) * P))
+        for scale in (0.1, 0.5, 1.0, 2.0, 5.0):
+            for _ in range(2):
+                A = _noise(k, field, rng)
+                corpus["self-adjoint"].append((field, n, scale * (A + A.conj().T) / 2))
+        for at in (0.25, 0.5, 0.75):
+            for moved in ((n - 1,), (n,), (n - 1, n), (0, k - 1)):
+                spec = np.r_[np.ones(n), np.zeros(k - n)]
+                spec[list(moved)] = at
+                for eps in (0.0, 1e-9):
+                    U = np.linalg.qr(_noise(k, field, rng))[0]
+                    P = (U * spec) @ U.conj().T + eps * _noise(k, field, rng)
+                    corpus["spectrum at 1/4, 1/2, 3/4"].append((field, n, (k / n) * P))
+    return dict(corpus)
+
+
+@pytest.mark.parametrize("family", sorted(_split_corpus()))
+def test_split_bound_agrees_with_eigh(family):
+    decided = collections.Counter()
+    for field, n, M in _split_corpus()[family]:
+        P = (n / M.shape[0]) * M
+        verdict = grassmann._split_decided(P, n)
+        decided[verdict] += 1
+        if verdict is not None:
+            assert verdict == _eigh_split(P, n)
+    # what the bound decides and what it leaves to the eigh: Gram points
+    # perturbed up to 1e-2 (k = 6) or 1e-3, rank n +- 1 up to 1e-3, and no
+    # spectrum with an eigenvalue in [1/4, 3/4]; a weaker bound shows here
+    expected = {"perturbed": {True: 49, None: 11}, "rank n +- 1": {False: 32, None: 8},
+                "self-adjoint": {None: 40}, "spectrum at 1/4, 1/2, 3/4": {None: 96}}
+    assert dict(decided) == expected[family]
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("family", sorted(_split_corpus()))
+def test_split_bound_keeps_every_verdict_and_message(family, monkeypatch):
+    # is_gram_point's fields and tangent_report's answer or refusal, with
+    # the bound and with every split left to the eigh, as before the bound
+    inputs = [(M, fl.GramPoint(field, n, M)) for field, n, M in _split_corpus()[family]]
+    runs = []
+    for _ in range(2):
+        runs.append([(_outcome(fl.is_gram_point, M, R.n), _outcome(fl.tangent_report, R))
+                     for M, R in inputs])
+        monkeypatch.setattr(grassmann, "_split_decided", lambda P, n: None)
+        monkeypatch.setattr(stratification, "_split_decided", lambda P, n: None)
+    assert runs[0] == runs[1]

@@ -540,6 +540,38 @@ def test_flip_moves_reach_every_pattern(k):
         assert _makespan(moves) <= bound + 1e-9, (want, moves)
 
 
+def _plan_cost(stages):
+    """(makespan, number of distinct stage starts and ends), each stage
+    turning at unit speed once the stages before it free its coordinates."""
+    free, events = {}, set()
+    for idxs, angle in stages:
+        start = max(free.get(i, 0.0) for i in idxs)
+        free.update((i, start + abs(angle)) for i in idxs)
+        events |= {start, start + abs(angle)}
+    return round(max(free.values(), default=0.0), 9), len(events)
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 11])
+def test_flip_moves_pruning_keeps_the_least_plan(k):
+    """The search skips plans whose lower bound cannot win; building every
+    plan of every head and triple and taking the first of least cost
+    (makespan, then legs) picks the same one."""
+    plus, minus = planar._fiber_signs(k)
+    for bits in range(2 ** k):
+        want = {j for j in range(k) if (bits >> j) & 1}
+        plans = []
+        for _, pattern, stages, free, _ in planar._special_heads(k):
+            v = want ^ pattern
+            if not v <= plus | minus:
+                continue
+            even = len(v & plus) % 2 == len(v & minus) % 2
+            for extra in [[]] if even else planar._triples(v, plus, minus, set(free)):
+                turned = {i for idxs, _ in extra for i in idxs}
+                plans.append([*stages, *extra, *((f, np.pi) for f in planar._balanced_flips(
+                    v ^ turned, plus, minus, set(free) | turned))])
+        assert planar._flip_moves(k, sorted(want)) == min(plans, key=_plan_cost), want
+
+
 def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
     """The per-sample validate_path loop that the array reductions replaced,
     with each sample's constraint judged by is_tight on the frame in R^2 it

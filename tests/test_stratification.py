@@ -103,13 +103,18 @@ def test_tangent_report_refuses_a_fractional_block_rank():
         fl.tangent_report(S, tol=0.6)
 
 
-def test_tangent_report_makes_one_eigen_call(monkeypatch):
+def test_tangent_report_eigen_calls(monkeypatch):
+    # ||H^2 - H||_F and tr H pass a Gram point's split; an eigh runs only on
+    # an input they cannot decide, and reports the gap it refuses
     R = _random_point(48, 24, "R", 2)
     calls = []
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _f=getattr(np.linalg, name),
                             **kw: calls.append(_name) or _f(*a, **kw))
     assert fl.tangent_report(R).rank == 47
+    assert calls == []
+    with pytest.raises(ValueError, match=r"not clustered at 0 and 1 \(gap 0 < 0.5\)"):
+        fl.tangent_report(fl.GramPoint("R", 2, np.eye(4)))
     assert calls == ["eigh"]
 
 
