@@ -13,8 +13,7 @@ coordinate subsets.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,18 +280,6 @@ def _schedule(stages, free=None):
     return times
 
 
-def _cost(free, events, rest=frozenset()):
-    """(makespan, number of stage starts and ends) of a _schedule that
-    frees each coordinate i at free[i] and starts or ends stages at events.
-    With ``rest``, a lower bound on that cost once pi-turns negating every
-    index in rest follow: each turns by pi once it is free, and added stages
-    only add time and events."""
-    span = max(free.values(), default=0.0)
-    if rest:
-        span = max(span, max([free[i] for i in rest & free.keys()], default=0.0) + np.pi)
-    return round(span, 9), len(events)
-
-
 def _rotation_path(state: np.ndarray, stages, max_step: float):
     """Rotation legs of a planar frame for the (subset, angle) stages, one
     per interval between _schedule's stage starts and ends; each subset must
@@ -491,85 +478,168 @@ def _fiber_signs(k: int):
     return {2, 3} | set(range(5, k, 2)), set(range(4, k, 2))
 
 
-@functools.lru_cache(maxsize=None)
-def _special_heads(k: int):
-    """(cost, pattern, stages, free, events) of each set of the odd-k sign
-    flips that pairs and _triples cannot make, cheapest first: stages with
-    zero square sum at each start that negate pattern, the time _schedule
-    frees each coordinate they turn, and their stage starts and ends."""
-    specials = [] if k % 2 == 0 else [
-        ({0, 1, 2}, [((0, 1, 2), np.pi)]),
-        (set(range(k)), [(tuple(range(k)), np.pi)]),
-        ({1}, [((2, 4), -np.pi / 3), ((1, 4), np.pi / 2),
-               ((1, 2), np.pi / 2), ((2, 4), -np.pi / 6)]),
-        ({0, 2, 4}, [((2, 4), np.pi / 3), ((0, 4), np.pi / 2),
-                     ((0, 2), np.pi / 2), ((2, 4), np.pi / 6)]),
-    ]
-    heads = []
-    for size in range(len(specials) + 1):
-        for chosen in itertools.combinations(specials, size):
-            stages, free = tuple(stage for _, st in chosen for stage in st), {}
-            events = set().union(*_schedule(stages, free))
-            heads.append((_cost(free, events), functools.reduce(set.symmetric_difference, (
-                p for p, _ in chosen), set()), stages, free, events))
-    return sorted(heads, key=lambda head: head[0])
+#: pi/6 to 46 bits: sums of its small multiples are exact, so fiber-move stages
+#: that end together end together in _schedule, not a rounding apart
+_SIXTH_PI = math.ldexp(round(math.ldexp(math.pi / 6, 46)), -46)
+
+#: least-makespan plans for the odd-k head, printed by tests/fiber_search.py: per
+#: line the head (0: coordinates 0-4; 1 or -1: those and, at position 5, a
+#: borrowed coordinate of that square), its negated positions as bits, and stages
+#: with zero square sum at each start, one word each: the positions' digits and
+#: the signed turn in _SIXTH_PI.  Where bytecode is not cached, every process
+#: compiles this module; as nested tuples the table added 6 ms and 2 MB to that.
+_HEAD_PLANS = {(int(head), int(bits, 2)): plan for head, bits, plan in (
+    line.split(maxsplit=2) for line in """\
+0 00001 012+1 34-1 023+1 14-1 04+2 123-2 013+2
+0 00010 012+1 34-1 14+2 023-2 123+1 04-1 013+2
+0 00011 012+2 34-1 014+2 23-1 013+2 24-1
+0 00100 24+2 013-2 023+1 14-1 123+1 04-1 012+2
+0 00101 013+2 24-2 04+3 123-3 013+1 24-1
+0 00110 013+1 24-1 14+3 023-3 013+2 24-2
+0 00111 012+6
+0 01000 34+2 012-2 023+1 14-1 123+1 04-1 013+2
+0 01001 012+2 34-2 04+3 123-3 012+1 34-1
+0 01010 012+1 34-1 14+3 023-3 012+2 34-2
+0 01011 013+6
+0 01100 24+3 013-3 012+3 34-3
+0 01101 012-1 13+3 024-3 34+3 012-2
+0 01110 34+2 012-3 03+3 124-3 34+1
+0 01111 012+2 023+2 123+2 013+2
+0 10000 24+1 013-1 04+1 123-1 14+2 34+2
+0 10001 34+2 012-3 124+3 03-3 34+1
+0 10010 012-1 024+3 13-3 34+3 012-2
+0 10011 013+3 24-3 012+3 34-3
+0 10100 24+6
+0 10101 012+1 34-1 023+3 14-3 012+2 34-2
+0 10110 012+2 34-2 123+3 04-3 012+1 34-1
+0 10111 012+4 34-4 023+1 14-1 123+1 04-1 013+2
+0 11000 34+6
+0 11001 013+1 24-1 023+3 14-3 013+2 24-2
+0 11010 013+2 24-2 123+3 04-3 013+1 24-1
+0 11011 013+4 24-4 023+1 14-1 123+1 04-1 012+2
+0 11100 24+1 013-1 123+1 234+4 03+1 34+1
+0 11101 013+3 24-3 34-1 03+3 124-3 34+1
+0 11110 24+3 013-3 34+1 024+3 13-3 34-1
+0 11111 01234+6
+1 100000 24+2 015-2 235-2 013+2 45-2
+1 100001 013+2 45-2 04+3 135-3 013+1 45-1
+1 100010 013+1 45-1 14+3 035-3 013+2 45-2
+1 100011 015+6
+1 100100 24+3 015-3 012+3 45-3
+1 100101 012-1 15+3 024-3 45+3 012-2
+1 100110 45+2 012-3 05+3 124-3 45+1
+1 100111 012+2 025+2 125+2 015+2
+1 101000 34+3 015-3 013+3 45-3
+1 101001 013-1 15+3 034-3 45+3 013-2
+1 101010 45+2 013-3 05+3 134-3 45+1
+1 101011 013+2 035+2 135+2 015+2
+1 101100 012+3 34-3 25+3 013-3 45+3
+1 101101 013+2 24-3 035+3 12-3 45+1 01345+1 45+1
+1 101110 24+3 013-2 135-3 02+3 45-1 01345-1 45-1
+1 101111 012+1 45-1 025+1 14-1 123+1 04-1 01235+3 01345+2 45+1
+1 110000 45+6
+1 110001 015+1 34-1 035+3 14-3 015+2 34-2
+1 110010 015+2 34-2 135+3 04-3 015+1 34-1
+1 110011 012+2 34-2 235-2 013+4 45-4
+1 110100 013+1 24-1 0245-2 2345-1 1235-1 1245-1 013+1 45-1
+1 110101 013+1 0245+6 013-1
+1 110110 013-1 1245+6 013+1
+1 110111 01245+6
+1 111000 012+1 34-1 0345-2 2345-1 1235-1 1345-1 012+1 45-1
+1 111001 012+1 0345+6 012-1
+1 111010 012-1 1345+6 012+1
+1 111011 01345+6
+1 111100 012+1 124+1 03-3 245+4 13-3 045+1 015+1
+1 111101 01245+2 02345+4 035+1 14-1 34+1 015-1
+1 111110 24+1 015-1 125+1 04-1 12345+4 01345+2
+1 111111 01234+2 02345+2 12345+2 015+2
+-1 100000 013+2 25-2 0145-2 24+2 35-2
+-1 100001 35+2 012-3 125+3 03-3 35+1
+-1 100010 012-1 025+3 13-3 35+3 012-2
+-1 100011 013+3 25-3 012+3 35-3
+-1 100100 25+6
+-1 100101 012+1 35-1 023+3 15-3 012+2 35-2
+-1 100110 012+2 35-2 123+3 05-3 012+1 35-1
+-1 100111 012+1 34-2 125+1 0145+1 0125+2 02345+1 01235+1
+-1 101000 35+6
+-1 101001 013+1 25-1 023+3 15-3 013+2 25-2
+-1 101010 013+2 25-2 123+3 05-3 013+1 25-1
+-1 101011 013+1 24-2 135+1 0145+1 0135+2 02345+1 01235+1
+-1 101100 013-1 12+2 035-2 02+3 145-1 35-3 24+1
+-1 101101 34-1 0235+6 34+1
+-1 101110 34+1 1235+6 34-1
+-1 101111 01235+6
+-1 110000 34+3 25-3 24+3 35-3
+-1 110001 34+2 012-2 14+2 05-4 24+2 35-2
+-1 110010 012+2 34-2 15+4 04-2 24-2 35+2
+-1 110011 013+1 25-3 134+2 014+2 35-4 024+2 01235+1
+-1 110100 012+1 34-1 235+2 14-2 135+1 04-1 25+3 34-2
+-1 110101 35+1 012-1 123+1 05-5 24+6 35-2
+-1 110110 012+1 35-1 15+1 023-1 1245+4 2345+2
+-1 110111 24+1 013-1 04+5 235-2 125-5 03+2 35+1
+-1 111000 013+1 24-1 235+2 14-2 125+1 04-1 35+3 24-2
+-1 111001 25+1 013-1 123+1 05-5 34+6 25-2
+-1 111010 013+1 25-1 15+1 023-1 1345+4 2345+2
+-1 111011 34+1 012-1 04+5 235-2 135-5 02+2 25+1
+-1 111100 2345+6
+-1 111101 013-1 02345+6 013+1
+-1 111110 013+1 12345+6 013-1
+-1 111111 01234+2 1245+2 0345+2 01235+2
+""".splitlines())}
 
 
-def _triples(v: set, plus: set, minus: set, busy: set):
+def _triples(v: set, plus: set, minus: set):
     """Quarter turns (x, u), (x, y), (y, u) with zero square sum at each start,
-    negating x, y of one sign class and u of the other, taken from v where
-    possible, else off the busy coordinates."""
+    negating x, y of the sign class with more indices in v and u of the
+    other, each taken from v where possible."""
     def key(i):
-        return i not in v, i in busy, i
-    return [[((x, u), np.pi / 2), ((x, y), np.pi / 2), ((y, u), np.pi / 2)]
-            for one, other in ((plus, minus), (minus, plus)) if len(one) >= 2
-            for (x, y), u in [(sorted(one, key=key)[:2], min(other, key=key))]]
+        return i not in v, i
+    one, other = sorted((plus, minus), key=lambda c: len(v & c), reverse=True)
+    (x, y), u = sorted(one, key=key)[:2], min(other, key=key)
+    return [((x, u), 3 * _SIXTH_PI), ((x, y), 3 * _SIXTH_PI), ((y, u), 3 * _SIXTH_PI)]
 
 
 def _balanced_flips(v: set, plus: set, minus: set, busy: set):
-    """(+1, -1) pairs, each negated by a pi-turn with zero square sum, whose
-    symmetric difference is v (|v & plus| = |v & minus| mod 2).  With
-    a = |v & plus| >= c = |v & minus|: c pairs within v, and the other a - c
-    plus-indices two on each of (a - c) / 2 minus-indices Q outside v, busy
-    last (the mirror case swaps plus and minus).  Pairs off busy and Q, which
-    all turn at once, come as one subset."""
+    """(subset, angle) stages negating v, |v & plus| = |v & minus| mod 2, that
+    all turn at once.  With a = |v & plus| >= c = |v & minus|: c (+1, -1) pairs
+    within v turn by pi as one subset, and the other a - c plus-indices go in
+    twos x, y with two minus-indices q, q' outside v, busy last, by two-pad
+    swaps: (x, q) turns by pi/2 while (y, q') turns by -pi/2, then (x, q') by
+    pi/2 while (y, q) turns by -pi/2, negating x and y and returning q and q'.
+    Each of the four quarter turns takes every swap's pair as one subset (the
+    mirror case swaps plus and minus)."""
     big, small, pad = sorted(v & plus), sorted(v & minus), minus
     if len(big) < len(small):
         big, small, pad = small, big, plus
-    q = (sorted(pad - v - busy) + sorted(pad - v & busy))[:(len(big) - len(small)) // 2]
-    pairs = list(zip(big, small))
-    free = tuple(i for f in pairs if busy.isdisjoint(f) for i in f)
-    return ([free] if free else []) + [f for f in pairs if not busy.isdisjoint(f)] + list(
-        zip(big[len(small):], q + q))
+    q = (sorted(pad - v - busy) + sorted(pad - v & busy))[:len(big) - len(small)]
+    x, y = big[len(small)::2], big[len(small) + 1::2]
+    pairs, quarter = tuple(i for f in zip(big, small) for i in f), 3 * _SIXTH_PI
+    return ([(pairs, 2 * quarter)] if pairs else []) + ([
+        ((*x, *q[::2]), quarter), ((*y, *q[1::2]), -quarter),
+        ((*x, *q[1::2]), quarter), ((*y, *q[::2]), -quarter)] if x else [])
 
 
 def _flip_moves(k: int, want) -> list:
-    """(subset, angle) rotation stages over the standard chain negating exactly ``want``:
-    a head of _special_heads, one of _triples if the rest has unequal parities, then
-    _balanced_flips; of least _cost: makespan, then legs, each rounding its samples up.
-    A plan is built only when _cost's lower bound for its head and triple beats the best."""
+    """(subset, angle) rotation stages over the standard chain negating exactly ``want``.
+    At odd k coordinates 0-4 take their least-makespan plan from _HEAD_PLANS, and
+    when the other flips' sign classes differ in parity, the first flip of the larger
+    class joins the head; at even k such flips start with _triples.  _balanced_flips
+    negates the rest alongside, so an odd-k plan takes at most 3 pi / 2."""
     plus, minus = _fiber_signs(k)
-    signed, want, best = plus | minus, {int(i) for i in want}, ((np.inf, 0), None)
-    for cost, pattern, stages, free, events in _special_heads(k):
-        if cost >= best[0]:  # stages added to a plan only add time and legs
-            break
-        v = want ^ pattern
-        if not v <= signed:
-            continue
-        even = len(v & plus) % 2 == len(v & minus) % 2
-        for extra in [[]] if even else _triples(v, plus, minus, free.keys()):
-            turned = {i for idxs, _ in extra for i in idxs}
-            rest, ends = v ^ turned, dict(free)  # the plan's schedule goes on from the head's
-            marks = events.union(*_schedule(extra, ends))
-            if _cost(ends, marks, rest) >= best[0]:  # the flips cannot make it win
-                continue
-            flips = [(f, np.pi) for f in _balanced_flips(rest, plus, minus, free.keys() | turned)]
-            marks.update(*_schedule(flips, ends))
-            if (cost := _cost(ends, marks)) < best[0]:
-                best = cost, [*stages, *extra, *flips]
-    if best[1] is None:
-        raise AssertionError(f"flip pattern {sorted(want)} is outside the move span")
-    return best[1]
+    want = {int(i) for i in want}
+    if k % 2 == 0:
+        stages = _triples(want, plus, minus) if len(want) % 2 else []
+        turned = {i for idxs, _ in stages for i in idxs}
+        return stages + _balanced_flips(want ^ turned, plus, minus, turned)
+    head, rest = [0, 1, 2, 3, 4], want - {0, 1, 2, 3, 4}
+    if len(rest) % 2:  # the classes differ in parity
+        head.append(min(max(rest & plus, rest & minus, key=len)))
+        rest.discard(head[5])
+    key = (0 if len(head) == 5 else 1 if head[5] in plus else -1,
+           sum(1 << p for p, i in enumerate(head) if i in want))
+    stages = [(tuple(head[int(p)] for p in stage[:-2]), int(stage[-2:]) * _SIXTH_PI)
+              for stage in _HEAD_PLANS.get(key, "").split()]
+    return stages + _balanced_flips(rest, plus, minus, set(head))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from numpy.testing import assert_allclose
 import framelab as fl
 from framelab import planar
 from framelab.planar import CASE1_WAYPOINTS, CASE3_WAYPOINTS, FramePath
+
+import fiber_search
 
 
 def test_to_planar_two_bases():
@@ -268,7 +272,10 @@ def test_straightening_sample_counts():
     frames = {k: fl.random_planar_frame(k, np.random.default_rng(0))
               for k in (4, 5, 6, 7, 9, 17, 33)}
     counts = {k: len(fl.connect_to_standard(z).ts) for k, z in frames.items()}
-    assert counts == {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}
+    assert counts == {4: 132, 5: 135, 6: 114, 7: 111, 9: 120, 17: 136, 33: 160}
+    # the counts before the odd-k head took its least plan: none grew
+    old = {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}
+    assert all(counts[k] <= old[k] for k in counts)
     step = 0.05 * np.sqrt(4 - 0.05 ** 2)
     chain = {k: len(fl.chain_straighten(fl.square_map(z), step).ts) for k, z in frames.items()}
     assert chain == {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 94}
@@ -524,13 +531,13 @@ def _makespan(stages):
     return max(free.values(), default=0.0)
 
 
-@pytest.mark.parametrize("k", [6, 7, 8, 9, 10, 11])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9, 10, 11])
 def test_flip_moves_reach_every_pattern(k):
     """Applied in order, with zero square sum at each stage's start, the
     moves reach the canonical frame, within 3 pi when run concurrently
-    (4.5 pi at odd k, whose generators are longer)."""
+    (3 pi / 2 at odd k, whose head takes a least plan)."""
     b = fl.canonical_planar(k).z
-    bound = 3 * np.pi if k % 2 == 0 else 4.5 * np.pi
+    bound = 3 * np.pi if k % 2 == 0 else 1.5 * np.pi
     for bits in range(2 ** k):
         want = [j for j in range(k) if (bits >> j) & 1]
         signs = np.ones(k)
@@ -540,36 +547,33 @@ def test_flip_moves_reach_every_pattern(k):
         assert _makespan(moves) <= bound + 1e-9, (want, moves)
 
 
-def _plan_cost(stages):
-    """(makespan, number of distinct stage starts and ends), each stage
-    turning at unit speed once the stages before it free its coordinates."""
-    free, events = {}, set()
-    for idxs, angle in stages:
-        start = max(free.get(i, 0.0) for i in idxs)
-        free.update((i, start + abs(angle)) for i in idxs)
-        events |= {start, start + abs(angle)}
-    return round(max(free.values(), default=0.0), 9), len(events)
-
-
-@pytest.mark.parametrize("k", [5, 7, 9, 11])
-def test_flip_moves_pruning_keeps_the_least_plan(k):
-    """The search skips plans whose lower bound cannot win; building every
-    plan of every head and triple and taking the first of least cost
-    (makespan, then legs) picks the same one."""
-    plus, minus = planar._fiber_signs(k)
-    for bits in range(2 ** k):
-        want = {j for j in range(k) if (bits >> j) & 1}
-        plans = []
-        for _, pattern, stages, free, _ in planar._special_heads(k):
-            v = want ^ pattern
-            if not v <= plus | minus:
-                continue
-            even = len(v & plus) % 2 == len(v & minus) % 2
-            for extra in [[]] if even else planar._triples(v, plus, minus, set(free)):
-                turned = {i for idxs, _ in extra for i in idxs}
-                plans.append([*stages, *extra, *((f, np.pi) for f in planar._balanced_flips(
-                    v ^ turned, plus, minus, set(free) | turned))])
-        assert planar._flip_moves(k, sorted(want)) == min(plans, key=_plan_cost), want
+@pytest.mark.parametrize("head", [0, 1, -1])
+def test_head_plans_meet_the_search_floor(head):
+    """Each odd-k head plan negates its pattern with zero square sum at each
+    stage start, in the least makespan over concurrent turns of disjoint
+    zero-square-sum subsets, and is the plan fiber_search prints.  Coordinates
+    0-4 reach 21 patterns in pi, 4 in 7 pi / 6 and 6 in 4 pi / 3; with a
+    borrowed coordinate (of k = 7: 5 squares to 1, 6 to -1), the 32 patterns
+    that negate it take at most 3 pi / 2."""
+    search = fiber_search.Search(fiber_search.HEADS[head])
+    b = fl.canonical_planar(7).z[[0, 1, 2, 3, 4, 5 if head == 1 else 6][:search.m]]
+    assert_allclose(np.exp(1j * np.pi / 6 * search.start), b, rtol=0, atol=1e-15)
+    plans = {bits: plan for (h, bits), plan in planar._HEAD_PLANS.items() if h == head}
+    assert sorted(plans) == list(range(1, 32) if head == 0 else range(32, 64))
+    floors = Counter()
+    for bits, plan in plans.items():
+        signs = np.array([1 - 2 * ((bits >> j) & 1) for j in range(search.m)])
+        stages = [([int(p) for p in word[:-2]], int(word[-2:]) * np.pi / 6)
+                  for word in plan.split()]
+        assert np.max(np.abs(_apply_stages(signs * b, stages) - b)) < 1e-12, bits
+        floor = search.moves_count(bits)
+        assert abs(_makespan(stages) - floor * np.pi / 6) < 1e-9, bits
+        assert plan == fiber_search.text(search.plan(bits)), bits
+        floors[floor] += 1
+    if head == 0:
+        assert floors == {6: 21, 7: 4, 8: 6}
+    else:
+        assert max(floors) <= 9
 
 
 def _validate_path_loop(p, tol, expect_start=None, expect_end=None):
