@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         # at interpreter exit writes nothing and reports nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"framelab: {exc}", file=sys.stderr)
         return 2
 

@@ -247,8 +247,11 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     ..., e_n), e_j = +-1 (the leading sign is fixed because v and -v give the
     same R), stacked in the order of b = 0 ... 2^n - 1 with e_{j+1} = -1
     exactly when bit j of b is set: points[b] holds the entries of the Gram
-    point (field "R", n = 1) for sign pattern b, all exactly +-1 from one
-    read-only outer product of the sign rows.  A
+    point (field "R", n = 1) for sign pattern b.  The read-only stack is
+    built by doubling: points[0] is all ones, and for j = 0 ... n-1 the
+    block points[2^j : 2^(j+1)] is a copy of points[:2^j] with row and
+    column j+1 negated, which sets bit j of every pattern in it.  Every
+    entry is a copy or a negation of 1.0, so each is exactly +-1.  A
     permutation orbit is determined by the number m of minus signs up to a
     global flip, that is by min(m, n+1-m), which takes floor((n+1)/2) + 1 =
     ceil(n/2) + 1 values as m runs over 0 ... n; a sign orbit by the
@@ -256,9 +259,13 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     against literal group enumeration.
     """
     count, permutation_orbits, sign_orbits = one_redundant_counts(n)
-    bits = (np.arange(count)[:, None] >> np.arange(n)) & 1
-    s = np.hstack([np.ones((count, 1)), 1 - 2 * bits])
-    points = s[:, :, None] * s[:, None, :]
+    points = np.empty((count, n + 1, n + 1))
+    points[0] = 1.0
+    for j in range(n):
+        block = points[2 ** j:2 ** (j + 1)]
+        block[...] = points[:2 ** j]
+        block[:, j + 1] *= -1  # row j+1, then column j+1: the corner flips back
+        block[:, :, j + 1] *= -1
     points.flags.writeable = False
     return OneRedundantEnumeration(points, permutation_orbits, sign_orbits)
 

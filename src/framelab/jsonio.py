@@ -222,11 +222,17 @@ def complex_from_dict(d: dict) -> Complex2:
 
 
 def read_json(path: str) -> dict:
-    """Load a JSON document from a file path or from stdin when path is '-'."""
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Load a JSON document from a file path or from stdin when path is '-'.
+
+    A document nested deeper than the decoder's recursion allows is refused
+    with a ValueError, as malformed input."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def write_json(doc, path: str = "-") -> None:

@@ -248,6 +248,31 @@ def test_malformed_document_exits_2(capsys, monkeypatch, cmd, doc):
     assert "Traceback" not in err
 
 
+def test_oversized_request_exits_2(capsys):
+    """A request the machine cannot hold is refused like malformed input.
+    --n 40 --points asks for one 2^40 x 41 x 41 float64 stack, 2^40 * 41^2
+    * 8 B = 13.1 PiB: above the 128 TiB user address space, so the
+    allocation is refused under any overcommit setting and nothing is
+    filled."""
+    code, out, err = run(capsys, "enumerate-1red", "--n", "40", "--points")
+    _one_line_error(code, out, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "complement"])
+def test_deeply_nested_document_exits_2(tmp_path, capsys, monkeypatch, cmd):
+    """The decoder's recursion limit is malformed input, not a crash; once
+    from a file and once from stdin."""
+    doc = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, cmd, source)
+        _one_line_error(code, out, err)
+        assert "nested too deeply" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("message,doc", _BAD_COMPLEXES.items())
 def test_complex_document_refusal_names_the_fault(capsys, monkeypatch, message, doc):
     """A repeat is refused, not silently merged, and ends or vertices that

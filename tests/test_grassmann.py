@@ -195,11 +195,13 @@ def _per_point_enumeration(n):
     return points, len(perm_canon)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_enumeration_matches_the_per_point_loop(n):
     points, perm = _per_point_enumeration(n)
     res = fl.enumerate_one_redundant(n)
     assert res.points.dtype == np.float64 and res.points.shape == (2 ** n, n + 1, n + 1)
+    # one owned contiguous stack: the block copies leave no writable view behind
+    assert res.points.flags.c_contiguous and res.points.base is None
     # R = s s^T for the sign row s of pattern b: every entry exactly +-1
     for b, R in enumerate(res.points):
         s = np.array([1] + [1 - 2 * ((b >> j) & 1) for j in range(n)])
