@@ -291,10 +291,6 @@ def _sgn(eps) -> str:
     return "".join("+" if s > 0 else "-" for s in eps)
 
 
-def _twist(t, eps):
-    return tuple(a * b for a, b in zip(t, eps))
-
-
 def build_g52() -> Complex2:
     """Sixteen 20-gon faces indexed by sign vectors in {+-1}^4, glued along
     the tabulated edge and vertex identifications.

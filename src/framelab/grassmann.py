@@ -270,11 +270,12 @@ def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:
     return OneRedundantEnumeration(points, permutation_orbits, sign_orbits)
 
 
-def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Orthogonal V minimizing ||V B - A||_F (V may have det -1), for one
-    pair of matrices or a stack of pairs."""
-    U, _, Wt = np.linalg.svd(A @ B.swapaxes(-1, -2).conj())
-    return U @ Wt
+def _procrustes(A: np.ndarray, B: np.ndarray):
+    """Orthogonal V minimizing ||V B - A||_F (V may have det -1), and the
+    smallest singular value of A B*, for one pair of matrices or a stack
+    of pairs.  V is unique exactly when that value is positive."""
+    U, s, Wt = np.linalg.svd(A @ B.swapaxes(-1, -2).conj())
+    return U @ Wt, s[..., -1]
 
 
 def lift_gram_path(path, tol: float = DEFAULT_TOL,
@@ -288,41 +289,42 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     between consecutive raw frames from one stacked SVD; the turns are the
     running products W_1 ... W_i.
 
-    Refuses (ValueError) in the order a point-by-point lift meets the
-    faults: the spectral gap of R_0 (below RANK_GAP); then, at the first
-    index i with a fault, the Gram step |R_i - R_{i-1}| (max norm above
-    ``max_step``), the spectral gap of R_i and the alignment residual
-    |F[i] - F[i-1]| (max norm above 2.5 max_step + 1e-6).  Last, it
-    refuses a path with a frame that misses its R_i by more than ``tol``
-    in max norm: that R_i is not a Gram point.
+    Three rules decide each index i, in this order, and the first index
+    that breaks one is refused (ValueError naming it): the Gram step
+    |R_i - R_{i-1}| is at most ``max_step`` in max norm (sampling density);
+    the frame of R_i reproduces R_i within ``tol`` (else R_i is no Gram
+    point); and the Procrustes margin (n/k) sigma_min(F[i-1] F[i]^T) =
+    sqrt(1 - ||P_i - P_{i-1}||_2^2), P = (n/k) R, read off the fit's SVD,
+    is above ``tol``, so the fit is unique (Kato 1966, I 4.6) and the step
+    stays in one local trivialization of F -> G.
     """
     tol, max_step = check_positive(tol, "tol"), check_positive(max_step, "max_step")
     pts = list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
-    n = pts[0].n
+    k, n = pts[0].k, pts[0].n
     R = np.stack([p.entries for p in pts])
-    raw, gaps = _recovered_frames(R, n)
-    turns = np.concatenate((np.eye(n)[None], _procrustes(raw[:-1], raw[1:])))
+    raw = _recovered_frames(R, n)[0]
+    fits, smin = _procrustes(raw[:-1], raw[1:])
+    steps = np.max(np.abs(np.diff(R, axis=0, prepend=R[:1])), axis=(1, 2))
+    misses = np.max(np.abs(raw.swapaxes(-1, -2) @ raw - R), axis=(1, 2))
+    margins = np.concatenate(([np.inf], (n / k) * smin))
+    bad = (steps > max_step) | (misses > tol) | ~(margins > tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if steps[i] > max_step:
+            raise ValueError(f"gram step {steps[i]:.3g} at index {i} exceeds {max_step}")
+        if misses[i] > tol:
+            raise ValueError(f"frame at index {i} misses its Gram point by {misses[i]:.3g}"
+                             f" > tol {tol:g}: not a Gram point")
+        raise ValueError(f"Procrustes margin {margins[i]:.3g} at index {i} <= tol {tol:g}:"
+                         " the fit onto the previous frame is not unique")
+    turns = np.concatenate((np.eye(n)[None], fits))
     span = 1
     while span < len(turns):  # inclusive scan: turns[i] = W_1 ... W_i
         turns[span:] = turns[:-span] @ turns[span:]
         span *= 2
     frames = turns @ raw
-    steps, resids = (np.max(np.abs(np.diff(a, axis=0, prepend=a[:1])), axis=(1, 2))
-                     for a in (R, frames))
-    bad = (steps > max_step) | (gaps < RANK_GAP) | (resids > 2.5 * max_step + 1e-6)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if steps[i] > max_step:
-            raise ValueError(f"gram step {steps[i]:.3g} at index {i} exceeds {max_step}")
-        _check_gap(gaps[i])
-        raise ValueError(f"alignment residual {resids[i]:.3g} at index {i}: step too large")
-    misses = np.max(np.abs(raw.swapaxes(-1, -2) @ raw - R), axis=(1, 2))
-    if misses.max() > tol:
-        i = int(np.argmax(misses > tol))
-        raise ValueError(f"frame at index {i} misses its Gram point by {misses[i]:.3g}"
-                         f" > tol {tol:g}: not a Gram point")
     frames.flags.writeable = False
     return frames
 
@@ -331,13 +333,11 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
                   max_step: float = DEFAULT_LOOP_STEP) -> int:
     """Sign of the orthogonal transformation picked up around a Gram loop.
 
-    The loop (first point == last point within ``tol``, consecutive points
-    within ``max_step`` in max norm) is lifted to aligned frames by
-    `lift_gram_path`.  Returns sign(det U) for the U with F_N = U F_0.
-    Refuses (ValueError) an open loop, then every fault `lift_gram_path`
-    refuses (a complex point, mixed (k, n), a step too large to track
-    reliably), and a U that is not orthogonal or whose determinant is not
-    +-1 within 1e-6.
+    The loop (first point == last point within ``tol``) is lifted to
+    aligned frames F by `lift_gram_path` and its three rules.  Returns
+    sign(det U) for the Procrustes fit U of F[-1] onto F[0].  Refuses
+    (ValueError) fewer than two points, an open loop, every fault the lift
+    refuses, and a closing fit whose margin is not above ``tol``.
     """
     pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
@@ -346,13 +346,12 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
         raise ValueError("loop is not closed (first != last)")
     F = lift_gram_path(pts, tol, max_step)
     n, k = F.shape[1:]
-    U = (n / k) * (F[-1] @ F[0].T)
-    if np.max(np.abs(U @ U.T - np.eye(n))) > 1e-6:
-        raise ValueError("final alignment is not orthogonal; refine the loop")
-    det = float(np.linalg.det(U))
-    if abs(abs(det) - 1.0) > 1e-6:
-        raise ValueError("unreliable holonomy determinant; refine the loop")
-    return 1 if det > 0 else -1
+    U, smin = _procrustes(F[-1], F[0])
+    margin = (n / k) * smin
+    if not margin > tol:
+        raise ValueError(f"closing Procrustes margin {margin:.3g} <= tol {tol:g}:"
+                         " the fit onto the first frame is not unique")
+    return 1 if np.linalg.det(U) > 0 else -1
 
 
 def nearest_gram_point(M, n: int) -> GramPoint:

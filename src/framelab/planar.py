@@ -267,12 +267,10 @@ def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
     return state * np.exp(1j * np.outer(t, theta))
 
 
-def _schedule(stages, free=None):
+def _schedule(stages):
     """(start, end) of each (subset, angle) stage turning at unit speed once
-    its coordinates are free: stages sharing a coordinate keep their order.
-    ``free`` maps each coordinate to the time it is freed (0 if absent) and
-    is updated in place, so a schedule can go on from an earlier one."""
-    free, times = {} if free is None else free, []
+    its coordinates are free: stages sharing a coordinate keep their order."""
+    free, times = {}, []
     for idxs, angle in stages:
         start = max([free.get(i, 0.0) for i in idxs])
         times.append((start, start + abs(angle)))

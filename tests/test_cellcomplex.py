@@ -322,13 +322,17 @@ def test_g52_counts():
     assert len(fl.connected_components(C)) == 1
 
 
+def _twist(t, eps):
+    return tuple(a * b for a, b in zip(t, eps))
+
+
 def test_g52_vertex_class_sizes():
     # per sign vector the merged classes collect (2, 4, 4, 4, 4, 2) corners
     sizes = {}
     for eps in itertools.product((1, -1), repeat=4):
         for letter in cellcomplex._VSEQ:
             name, tw = cellcomplex._VERTEX_CLASS[letter]
-            label = f"{name}|{cellcomplex._sgn(cellcomplex._twist(tw, eps))}"
+            label = f"{name}|{cellcomplex._sgn(_twist(tw, eps))}"
             sizes[label] = sizes.get(label, 0) + 1
     assert len(sizes) == 96
     by_name = {}
@@ -386,7 +390,7 @@ def _letter_by_letter_g52():
     """(vertices, edges, faces) of G^R_{5,2} built as the tables read: each
     raw letter's class label from _sgn(_twist(...)), at both ends of every
     edge, with the gluing direction read off the first traversal."""
-    sgn, twist = cellcomplex._sgn, cellcomplex._twist
+    sgn, twist = cellcomplex._sgn, _twist
     vertices, edges, faces = set(), {}, {}
     for eps in itertools.product((1, -1), repeat=4):
         walk = []

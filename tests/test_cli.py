@@ -201,6 +201,18 @@ def test_holonomy_subcommand(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"sign": -1}
 
 
+def test_holonomy_tol_reaches_every_check(tmp_path, capsys):
+    """A loop closed within 1e-2 only: `--tol 1e-2` reaches every check on
+    its closing fit and accepts it; the default tol refuses it as open."""
+    e = np.exp(5e-3j)
+    loop = fl.to_gram_loop(fl.case1_explicit_path())
+    loop.append(fl.gram(fl.from_planar(np.array([e, 1j * e, 1, 1j]))))
+    lpath = write(tmp_path, "loop.json", jsonio.loop_to_dict(loop))
+    code, out, _ = run(capsys, "holonomy", lpath, "--tol", "1e-2")
+    assert code == 0 and json.loads(out) == {"sign": -1}
+    _one_line_error(*run(capsys, "holonomy", lpath))
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -30,6 +30,9 @@ def test_repeated_vector_bounds():
     F = fl.Frame("R", np.array([[1, 1, 0], [0, 0, 1]], dtype=float))
     b = fl.frame_bounds(F)
     assert_allclose([b.lower, b.upper], [1, 2], atol=1e-14)
+    for lower, upper in ((2.0, 1.0), (-0.5, 1.0)):
+        with pytest.raises(ValueError, match="invalid bounds"):
+            fl.FrameBounds(lower, upper)
 
 
 def test_zero_frame_rejected():
@@ -62,6 +65,8 @@ def test_on_ellipsoid_sphere_case():
 def test_on_ellipsoid_scaled_columns_fail():
     F = fl.Frame("R", 2 * fl.simplex_frame(3).entries)
     assert not fl.is_on_ellipsoid(F, fl.EllipsoidSpec((1, 1, 1)))
+    with pytest.raises(ValueError, match="axis count 2 != ambient dimension 3"):
+        fl.is_on_ellipsoid(F, fl.EllipsoidSpec((1, 1)))
 
 
 def test_on_ellipsoid_mixed_axes():
@@ -74,6 +79,9 @@ def test_expected_tight_bound():
     assert fl.expected_tight_bound(fl.EllipsoidSpec((1, 1)), 5) == pytest.approx(2.5)
     assert fl.expected_tight_bound(fl.EllipsoidSpec((1,) * 4), 9) == pytest.approx(9 / 4)
     assert fl.expected_tight_bound(fl.EllipsoidSpec((2, 1, 1)), 8) == pytest.approx(2.0)
+    for k in (3, 2):
+        with pytest.raises(ValueError, match=f"need k > n, got k={k}, n=3"):
+            fl.expected_tight_bound(fl.EllipsoidSpec((1, 1, 1)), k)
 
 
 def test_simplex_small_cases_explicit():
@@ -149,8 +157,13 @@ def test_act_phases():
     assert_allclose(flipped.entries[:, 0], -F.entries[:, 0])
     tight, _ = fl.is_tight(flipped)
     assert tight
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only \\+-1 phases"):
         fl.act_phases(F, [1j, 1, 1])
+    for zetas in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="need 3 phases"):
+            fl.act_phases(F, zetas)
+    with pytest.raises(ValueError, match="phases must be unimodular"):
+        fl.act_phases(F, [2, 1, 1])
     C = fl.harmonic_frame(4, 2, "C")
     rotated = fl.act_phases(C, [1j] * 4)
     G = rotated.conj_transpose() @ rotated.entries

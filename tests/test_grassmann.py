@@ -106,6 +106,9 @@ def test_frame_from_gram_rejects_bad_spectrum():
     M = np.eye(4)
     with pytest.raises(ValueError, match="clustered"):
         fl.frame_from_gram(fl.GramPoint("R", 2, M))
+    for n in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"need 0 < n < k, got n={n}, k=4"):
+            fl.GramPoint("R", n, M)
 
 
 def test_same_orbit_witness_accuracy():
@@ -116,6 +119,9 @@ def test_same_orbit_witness_accuracy():
     w = fl.same_orbit(F, G)
     assert w is not None and np.max(np.abs(w.U - Q)) < 1e-9
     assert fl.same_orbit(F, F).residual < 1e-12
+    for other in (random_stf(7, 3, "R", 1), random_stf(6, 2, "R", 1), random_stf(6, 3, "C", 1)):
+        with pytest.raises(ValueError, match="mismatched shape or field"):
+            fl.same_orbit(F, other)
 
 
 def test_same_orbit_absent_when_grams_differ():
@@ -133,6 +139,11 @@ def test_torus_point_values():
     rng = np.random.default_rng(0)
     z = np.exp(2j * np.pi * rng.random(5))
     assert fl.is_gram_point(fl.torus_point(z).entries, 1).ok
+    with pytest.raises(ValueError, match="at least one phase"):
+        fl.torus_point([])
+    for zetas in ([1j, 2.0], [1 + 1e-9]):
+        with pytest.raises(ValueError, match="phases must be unimodular"):
+            fl.torus_point(zetas)
 
 
 def _brute_force_orbits(n):
@@ -257,6 +268,17 @@ def test_holonomy_rejects_open_or_coarse_loops():
         fl.holonomy_sign(loop[:-5])
     with pytest.raises(ValueError, match="step"):
         fl.holonomy_sign([loop[0], loop[len(loop) // 2], loop[0]])
+    for pts in ([], loop[:1]):
+        with pytest.raises(ValueError, match="loop needs at least two points"):
+            fl.holonomy_sign(pts)
+    # ||P_63 - P_0||_2 = 1: the fit of the frame at 63 onto the one at 0 is
+    # not unique, and no max_step hides that
+    with pytest.raises(ValueError, match="Procrustes margin 3e-17 at index 1 <= tol"):
+        fl.holonomy_sign([loop[0], loop[63], loop[0]], max_step=10.0)
+    # every fit of this thinned loop is unique (margins 0.797), yet at
+    # max_step=10 it lifts to +1: the step rule is the sampling density
+    with pytest.raises(ValueError, match="gram step 0.963 at index 1 exceeds 0.2"):
+        fl.holonomy_sign([loop[0], loop[100], loop[126]])
 
 
 def test_nearest_gram_point_projects():
@@ -286,6 +308,9 @@ def test_nearest_gram_point_refuses_what_it_cannot_retract():
             fl.nearest_gram_point(M, 2)
     R = fl.gram(fl.simplex_frame(2)).entries
     assert np.max(np.abs(fl.nearest_gram_point(R, 2).entries - R)) < 1e-13
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"need 0 < n < k, got n={n}, k=3"):
+            fl.nearest_gram_point(R, n)
 
 
 def _alternating_projection(M, n, max_iter=200, tol=1e-13):
@@ -396,8 +421,9 @@ def test_gram_constant_on_orbits():
 
 
 def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, max_step=grassmann.DEFAULT_LOOP_STEP):
-    """The step-by-step lift `holonomy_sign` used before it stacked the
-    eigendecompositions and the Procrustes fits."""
+    """A step-by-step lift under the lift's three rules per index (Gram
+    step, frame miss, Procrustes margin), then the margin of the closing
+    fit, with frames from a plain ``eigh`` and fits from a plain SVD."""
     pts = list(loop)
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
@@ -408,27 +434,33 @@ def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, max_step=grassmann.DEFAULT
         raise ValueError("loop points have mismatched (k, n)")
     if np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
         raise ValueError("loop is not closed (first != last)")
-    F0 = fl.frame_from_gram(pts[0])
-    F_prev = F0.entries
-    for i, R in enumerate(pts[1:], start=1):
-        gap = float(np.max(np.abs(R.entries - pts[i - 1].entries)))
-        if gap > max_step:
-            raise ValueError(f"gram step {gap:.3g} at index {i} exceeds {max_step}")
-        G = fl.frame_from_gram(R).entries
-        U, _, Wt = np.linalg.svd(F_prev @ G.T)
-        F_next = U @ Wt @ G
-        resid = float(np.max(np.abs(F_next - F_prev)))
-        if resid > 2.5 * max_step + 1e-6:
-            raise ValueError(
-                f"alignment residual {resid:.3g} at index {i}: step too large")
-        F_prev = F_next
-    U = (n / k) * (F_prev @ F0.entries.T)
-    if np.max(np.abs(U @ U.T - np.eye(n))) > 1e-6:
-        raise ValueError("final alignment is not orthogonal; refine the loop")
-    det = float(np.linalg.det(U))
-    if abs(abs(det) - 1.0) > 1e-6:
-        raise ValueError("unreliable holonomy determinant; refine the loop")
-    return 1 if det > 0 else -1
+
+    def fit(A, B):
+        U, s, Wt = np.linalg.svd(A @ B.T)
+        return U @ Wt, n / k * s[-1]
+
+    frames = []
+    for i, R in enumerate(pts):
+        step = float(np.max(np.abs(R.entries - pts[i - 1].entries))) if i else 0.0
+        if step > max_step:
+            raise ValueError(f"gram step {step:.3g} at index {i} exceeds {max_step}")
+        G = np.sqrt(k / n) * np.linalg.eigh(n / k * R.entries)[1][:, -n:].T
+        miss = float(np.max(np.abs(G.T @ G - R.entries)))
+        if miss > tol:
+            raise ValueError(f"frame at index {i} misses its Gram point by {miss:.3g}"
+                             f" > tol {tol:g}: not a Gram point")
+        if frames:
+            W, margin = fit(frames[-1], G)
+            if not margin > tol:
+                raise ValueError(f"Procrustes margin {margin:.3g} at index {i} <= tol {tol:g}:"
+                                 " the fit onto the previous frame is not unique")
+            G = W @ G
+        frames.append(G)
+    U, margin = fit(frames[-1], frames[0])
+    if not margin > tol:
+        raise ValueError(f"closing Procrustes margin {margin:.3g} <= tol {tol:g}:"
+                         " the fit onto the first frame is not unique")
+    return 1 if np.linalg.det(U) > 0 else -1
 
 
 @functools.cache
@@ -462,7 +494,8 @@ def test_holonomy_matches_the_per_step_loop(name):
 def _spread_points(k=16, n=9, turn=0.02):
     """Two matrices (k/n) P whose top-n spectrum sits just 0.51 above the
     rest; turning one top eigenvector a little moves the frame by about
-    three times the Gram step, so the alignment residual check fires."""
+    three times the Gram step.  P is no projection, so the frame recovered
+    from it misses the first point."""
     H = np.array([[1.0]])
     while len(H) < k:
         H = np.block([[H, H], [H, -H]])
@@ -489,6 +522,8 @@ def _faulty_loops():
         "identity wide, then a cut": (c3[:40] + [eye] + c3[40:100] + c3[200:],
                                       {"max_step": 1.5}),
         "alignment residual": ([a, b, a], {"max_step": step * 1.0001}),
+        "non-unique fit": ([c1[0], c1[63], c1[0]], {"max_step": 10.0}),
+        "non-unique closing fit": (c1[48:80], {"tol": 0.72}),
     }
 
 
@@ -529,11 +564,57 @@ def test_lift_gram_path_refuses_what_is_no_gram_path():
         fl.holonomy_sign([R, off, R])
     assert fl.lift_gram_path([R, off, R], tol=1e-5).shape == (3, 2, 3)
     assert fl.holonomy_sign([R, off, R], tol=1e-5) == 1
+    # one point has no fit to hold to the margin rule, at any tol
+    assert fl.lift_gram_path([R], tol=2.0).shape == (1, 2, 3)
     for path in ([], [fl.torus_point([1j])], [R, fl.gram(fl.simplex_frame(3))]):
         with pytest.raises(ValueError, match="nonempty path of real Gram points"):
             fl.lift_gram_path(path)
     with pytest.raises(ValueError, match="max_step"):
         fl.lift_gram_path([R, R], max_step=0)
+
+
+def test_holonomy_tol_reaches_the_closing_fit():
+    """The case-1 loop closed by a point 5e-3 from its start, so closed only
+    within tol = 1e-2: its end frame is no exact turn of its first, and tol
+    alone decides whether its closing fit holds."""
+    e = np.exp(5e-3j)
+    loop = case1_gram_loop() + [fl.gram(fl.from_planar(np.array([e, 1j * e, 1, 1j])))]
+    assert fl.holonomy_sign(loop, tol=1e-2) == _per_step_holonomy_sign(loop, tol=1e-2) == -1
+    with pytest.raises(ValueError, match="not closed"):
+        fl.holonomy_sign(loop)
+
+
+@pytest.mark.parametrize("k, n, field", [(7, 3, "R"), (9, 4, "C")])
+def test_procrustes_section_trivializes_the_bundle(k, n, field):
+    """Over the ball ||P - P_0||_2 < 1, s(R) = V(R) raw(R) with V(R) the
+    Procrustes fit of the recovered frame raw(R) onto F_0 is a section of
+    F -> G through F_0, and F = U s(F*F) with U = (n/k) F s(R)* unitary:
+    the local trivialization the lift's margin rule rests on.  The margin
+    (n/k) sigma_min(F_0 raw(R)*) is sqrt(1 - ||P - P_0||_2^2)."""
+    rng = np.random.default_rng(k)
+
+    def noise(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field == "C" else z
+
+    def H(A):
+        return A.conj().swapaxes(-1, -2)
+
+    F0 = random_stf(k, n, field, k, spread=0.3).entries
+    F = np.linalg.qr(noise(16, n, n))[0] @ fl.frames._retract(
+        F0 + np.linspace(0.01, 0.25, 16)[:, None, None] * noise(16, n, k))
+    R = H(F) @ F
+    raw = grassmann._recovered_frames(np.concatenate((R, H(F0)[None] @ F0)), n)[0]
+    V, smin = grassmann._procrustes(F0, raw)
+    s = V @ raw
+    assert np.max(np.abs(s[-1] - F0)) < 1e-12
+    s, smin = s[:-1], smin[:-1]
+    U = (n / k) * F @ H(s)
+    dP = np.linalg.norm((n / k) * (R - H(F0) @ F0), 2, axis=(1, 2))
+    assert 0 < dP.min() and dP.max() < 0.9
+    assert np.max(np.abs(U @ H(U) - np.eye(n))) < 1e-12
+    assert np.max(np.abs(U @ s - F)) < 1e-12
+    assert np.max(np.abs((n / k) * smin - np.sqrt(1 - dP ** 2))) < 1e-12
 
 
 def test_holonomy_lift_is_stacked(monkeypatch):

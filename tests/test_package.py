@@ -39,12 +39,15 @@ EXPORTS = {
 NAMES = [name for names in EXPORTS.values() for name in names]
 
 
-#: parameter names of functions that take no option they could read from their inputs
+#: parameter names of functions that take no option they could read from their
+#: inputs, and of the Gram lift, whose steps tol and max_step decide alone
 SIGNATURES = {
     "square_map": ["pf"],
     "lift_path": ["cp", "start"],
     "connect_to_standard": ["z", "max_step"],
     "nearest_gram_point": ["M", "n"],
+    "lift_gram_path": ["path", "tol", "max_step"],
+    "holonomy_sign": ["loop", "tol", "max_step"],
 }
 
 
