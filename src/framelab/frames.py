@@ -136,9 +136,14 @@ def frame_bounds(F: Frame) -> FrameBounds:
     Accepts any nonzero matrix; for k <= n the lower bound may be 0
     (diagnostic use), in which case F is not a frame for the full space.
     """
+    return _bounds(F, frame_operator(F))
+
+
+def _bounds(F: Frame, S: np.ndarray) -> FrameBounds:
+    """`frame_bounds` of F from its frame operator S = F F*."""
     if np.max(np.abs(F.entries)) == 0:
         raise ValueError("frame_bounds requires a nonzero frame")
-    ev = np.linalg.eigvalsh(frame_operator(F))
+    ev = np.linalg.eigvalsh(S)
     lo = float(max(ev[0], 0.0))
     return FrameBounds(lo, float(ev[-1]))
 
@@ -148,12 +153,13 @@ def is_tight(F: Frame, tol: float = DEFAULT_TOL):
 
     Returns ``(tight, B)`` where B = trace(F F*)/n, the common frame bound
     when the frame is tight.  Tight means the optimal bounds agree to a
-    relative tolerance: lambda_max - lambda_min <= tol * lambda_max.
+    relative tolerance: lambda_max - lambda_min <= tol * lambda_max.  F F*
+    is formed once, for both.
     """
     tol = check_positive(tol, "tol")
-    b = frame_bounds(F)
-    bound = float(np.trace(frame_operator(F)).real) / F.n
-    return (b.upper - b.lower) <= tol * b.upper, bound
+    S = frame_operator(F)
+    b = _bounds(F, S)
+    return (b.upper - b.lower) <= tol * b.upper, float(np.trace(S).real) / F.n
 
 
 def is_spherical(F: Frame, tol: float = DEFAULT_TOL) -> bool:

@@ -12,6 +12,8 @@ one redundant vector, and the holonomy sign of a loop of Gram points
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .frames import DEFAULT_TOL, Frame, _as_array, _retract, is_spherical, is_ti
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5
+#: machine epsilon of float64
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,6 @@ def _spectral_split(P, n: int):
     or a stack of them (..., k, k)."""
     ev, V = np.linalg.eigh((P + P.swapaxes(-1, -2).conj()) / 2)
     ev, V = ev[..., ::-1], V[..., ::-1]
-    if not 0 < n < ev.shape[-1]:
-        raise ValueError(f"need 0 < n < k, got n={n}, k={ev.shape[-1]}")
     return ev, V, ev[..., n - 1] - ev[..., n]
 
 
@@ -169,26 +171,116 @@ def complement(R: GramPoint) -> GramPoint:
 def frame_from_gram(R: GramPoint) -> Frame:
     """Recover a spherical tight frame F with F*F = R.
 
-    The projection P = (n/k) R is eigendecomposed; the n eigenvectors with
-    eigenvalue near 1 are stacked (conjugate-transposed) and scaled by
-    sqrt(k/n).  Requires the spectrum of P to split with a gap of at least
-    RANK_GAP between the n-th and (n+1)-th eigenvalues, read off the same
-    ``eigh``.  This is the one Gram-point step that needs the eigenvectors:
-    `is_gram_point` and `tangent_report` decide the split from
-    ||H^2 - H||_F and tr H (`_split_decided`) and run an ``eigh`` only
-    when those cannot decide.
+    F = sqrt(k/n) Q* for an orthonormal basis Q of the range of the
+    projection P = (n/k) R, found by a certified range finder with no
+    eigendecomposition (`_recovered_frames`).  Requires the spectrum of P
+    to split with a gap of at least RANK_GAP between the n-th and
+    (n+1)-th eigenvalues: the range finder certifies that bound, and an
+    input it cannot certify gets the ``eigh`` of P, which reports the gap
+    it refuses.  The frame is determined by R up to an orthogonal
+    (unitary) map, and the range finder's differs from the ``eigh``
+    frame's by one.
     """
     F, gap = _recovered_frames(R.entries, R.n)
     _check_gap(gap)
     return Frame(R.field, F)
 
 
+@functools.lru_cache(maxsize=64)
+def _probe(k: int, n: int) -> np.ndarray:
+    """The range finder's fixed probe: a read-only k-by-n standard
+    Gaussian seeded by (k, n), so it never reads a global random state."""
+    omega = np.random.default_rng((k, n)).standard_normal((k, n))
+    omega.flags.writeable = False
+    return omega
+
+
+def _squared_norms(A):
+    """||A||_F^2 of one matrix, or of each matrix of a stack; an overflow
+    gives inf without a warning."""
+    if A.ndim == 2:
+        return np.vdot(A, A).real
+    return np.einsum("...ij,...ij->...", A.conj(), A).real
+
+
 def _recovered_frames(R, n: int):
-    """sqrt(k/n) V* for the top n eigenvectors V of P = (n/k) R, and the
-    spectral gap of P, for one Gram matrix or a stack of them."""
+    """sqrt(k/n) times an orthonormal basis (as rows) of the range of the
+    rank-n projection P = (n/k) R, and a lower bound on the gap between the
+    n-th and (n+1)-th eigenvalues of P, for one Gram matrix or a stack.
+
+    A range finder (Halko, Martinsson and Tropp, SIAM Review 53, 2011)
+    spans range(H Omega), H = (P + P*)/2 and Omega the fixed k-by-n probe
+    `_probe`: for a rank-n projection H that is range(H).  Its rows
+    X = L^-1 (H Omega)*, L L* the Cholesky factor of (H Omega)*(H Omega),
+    are orthonormal up to rounding.  One power step X H, made orthonormal
+    by one Newton-Schulz step, gives the frame.  The same products certify
+    it.  With rho = ||X H - X||_F, D = (X H)(X H)* - I and d = ||D||_F:
+    - X X* = (X H)(X H)* - E X* - X E* - E E* for E = X H - X, so
+      e = ||X X* - I||_2 <= (rho + sqrt(1 + d + 2 rho^2))^2 - 1, and the
+      orthonormal rows Q* = (X X*)^-1/2 X have ||Q* H - Q*||_F <= r =
+      rho / sqrt(1 - e);
+    - a unit x = Q y has x* H x >= 1 - r, so H has n eigenvalues >= 1 - r
+      (Courant-Fischer); the squares of the other k - n sum to at most
+      s^2 = ||H||_F^2 - n (1 - r)^2, so each lies in [-s, s], and the gap
+      is at least g = 1 - r - s;
+    - for the eigenvectors V' of those, V'*(H Q - Q) = (L' - I) V'* Q with
+      |1 - l'| >= 1 - s, so the sine of the angle between range(Q) and the
+      top-n eigenspace V is at most sigma = r / (1 - s) (Davis-Kahan);
+    - the power step scales that angle's tangent by at most s / (1 - r),
+      to t = s sigma / ((1 - r) sqrt(1 - sigma^2));
+    - the step X H - D X H / 2 keeps the row space and maps each
+      eigenvalue 1 + f of (X H)(X H)* to 1 - 3f^2/4 + f^3/4, so its rows
+      are orthonormal to within d^2.
+    So F*F differs from the Gram matrix of the ``eigh`` frame (the top-n
+    eigenvectors of H) by at most b = (k/n) (t + d^2) in any entry.  The
+    frame is taken when g >= RANK_GAP, so the ``eigh`` gap passes
+    RANK_GAP too, and b <= n eps, the rounding error of forming F*F
+    itself: the two frames then agree to working precision, up to an
+    orthogonal (unitary) map.  Every other matrix gets the ``eigh`` frame
+    and gap, as before: one far from a projection (a midpoint
+    (P_i + P_j)/2 of Gram points an angle a apart has rho and s at least
+    about sin^2(a/2), so b >= sin^4(a/2)), one whose products overflow,
+    and one whose noise keeps b above n eps.  A stack in which H Omega has
+    numerical rank below n somewhere takes the ``eigh`` path whole.
+    ValueError unless 0 < n < k.
+    """
     k = R.shape[-1]
-    _, V, gap = _spectral_split((n / k) * R, n)
-    return np.sqrt(k / n) * V[..., :n].swapaxes(-1, -2).conj(), gap
+    if not 0 < n < k:
+        raise ValueError(f"need 0 < n < k, got n={n}, k={k}")
+    H = (R + R.swapaxes(-1, -2).conj()) * (n / (2 * k))
+    with np.errstate(all="ignore"):
+        Yt = _probe(k, n).T @ H  # (H Omega)*
+        try:
+            L = np.linalg.cholesky(Yt @ Yt.swapaxes(-1, -2).conj())
+        except np.linalg.LinAlgError:  # H Omega has numerical rank < n somewhere
+            ok = np.zeros(R.shape[:-2], bool)
+        else:
+            X = np.linalg.inv(L) @ Yt
+            XH = X @ H
+            rho = _squared_norms(XH - X) ** 0.5
+            D = XH @ XH.swapaxes(-1, -2).conj()
+            diagonal = np.einsum("...ii->...i", D)
+            diagonal -= 1
+            d2 = _squared_norms(D)
+            r = rho / (2 - (rho + (1 + d2 ** 0.5 + 2 * rho * rho) ** 0.5) ** 2) ** 0.5
+            s = abs(_squared_norms(H) - n * (1 - r) ** 2) ** 0.5
+            sigma = r / (1 - s)
+            t = s * sigma / ((1 - r) * (1 - sigma * sigma) ** 0.5)
+            gap = 1 - r - s
+            ok = (gap >= RANK_GAP) & ((k / n) * (t + d2) <= n * _EPS)
+            D *= -math.sqrt(k / n) / 2  # F = sqrt(k/n) (I - D/2) X H
+            diagonal += math.sqrt(k / n)
+            F = D @ XH
+    if ok if R.ndim == 2 else ok.all():
+        return F, gap
+    bad = ~ok
+    P = (n / k) * R
+    _, V, eigh_gap = _spectral_split(P[bad] if R.ndim > 2 else P, n)
+    eigh_F = np.sqrt(k / n) * V[..., :n].swapaxes(-1, -2).conj()
+    if R.ndim == 2 or bad.all():
+        return eigh_F, eigh_gap
+    F[bad], gap[bad] = eigh_F, eigh_gap
+    return F, gap
 
 
 def _check_gap(gap) -> None:
@@ -278,6 +370,11 @@ def _procrustes(A: np.ndarray, B: np.ndarray):
     return U @ Wt, s[..., -1]
 
 
+def _check_margin_tol(tol: float) -> None:
+    if tol >= 1:
+        raise ValueError(f"tol {tol:g} >= 1 refuses every step: a Procrustes margin is at most 1")
+
+
 def lift_gram_path(path, tol: float = DEFAULT_TOL,
                    max_step: float = DEFAULT_LOOP_STEP) -> np.ndarray:
     """Frames over a path of real Gram points, each aligned to its predecessor.
@@ -285,9 +382,9 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     Returns a read-only (m, n, k) float64 array F with F[i]^T F[i] = R_i.
     F[0] is the frame `frame_from_gram` recovers from R_0, and F[i] is the
     frame of R_i turned by the orthogonal Procrustes fit onto F[i-1].  All m
-    frames come from one stacked eigendecomposition, and the fits W_i
-    between consecutive raw frames from one stacked SVD; the turns are the
-    running products W_1 ... W_i.
+    frames come from one stacked range finder (`_recovered_frames`), and
+    the fits W_i between consecutive raw frames from one stacked SVD; the
+    turns are the running products W_1 ... W_i.
 
     Three rules decide each index i, in this order, and the first index
     that breaks one is refused (ValueError naming it): the Gram step
@@ -296,12 +393,15 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     point); and the Procrustes margin (n/k) sigma_min(F[i-1] F[i]^T) =
     sqrt(1 - ||P_i - P_{i-1}||_2^2), P = (n/k) R, read off the fit's SVD,
     is above ``tol``, so the fit is unique (Kato 1966, I 4.6) and the step
-    stays in one local trivialization of F -> G.
+    stays in one local trivialization of F -> G.  The margin is at most 1,
+    so a path of two or more points refuses ``tol`` >= 1 before any step.
     """
     tol, max_step = check_positive(tol, "tol"), check_positive(max_step, "max_step")
     pts = list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
+    if len(pts) > 1:
+        _check_margin_tol(tol)
     k, n = pts[0].k, pts[0].n
     R = np.stack([p.entries for p in pts])
     raw = _recovered_frames(R, n)[0]
@@ -336,12 +436,14 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     The loop (first point == last point within ``tol``) is lifted to
     aligned frames F by `lift_gram_path` and its three rules.  Returns
     sign(det U) for the Procrustes fit U of F[-1] onto F[0].  Refuses
-    (ValueError) fewer than two points, an open loop, every fault the lift
-    refuses, and a closing fit whose margin is not above ``tol``.
+    (ValueError) fewer than two points, ``tol`` >= 1, an open loop, every
+    fault the lift refuses, and a closing fit whose margin is not above
+    ``tol``.
     """
     pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
+    _check_margin_tol(tol)
     if pts[0].k != pts[-1].k or np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
         raise ValueError("loop is not closed (first != last)")
     F = lift_gram_path(pts, tol, max_step)

@@ -213,6 +213,17 @@ def test_holonomy_tol_reaches_every_check(tmp_path, capsys):
     _one_line_error(*run(capsys, "holonomy", lpath))
 
 
+def test_holonomy_refuses_a_tol_no_margin_can_pass(tmp_path, capsys):
+    """Every Procrustes margin is at most 1, so --tol >= 1 is refused up
+    front with one line."""
+    loop = fl.to_gram_loop(fl.case1_explicit_path())
+    lpath = write(tmp_path, "loop.json", jsonio.loop_to_dict(loop))
+    for tol in ("1", "2.5"):
+        code, out, err = run(capsys, "holonomy", lpath, "--tol", tol)
+        _one_line_error(code, out, err)
+        assert f"tol {float(tol):g} >= 1 refuses every step" in err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -58,6 +58,27 @@ def test_is_tight_orthonormal_basis():
     assert_allclose(bound, 1.0)
 
 
+def test_is_tight_forms_the_frame_operator_once(monkeypatch):
+    """(tight, B) are bit for bit what frame_bounds and trace(F F*)/n
+    give, from one F F*; a zero frame is still refused."""
+    rng = np.random.default_rng(7)
+    frames = [fl.simplex_frame(3), fl.Frame("R", np.array([[1, 0, 1], [0, 1, 0]], dtype=float)),
+              fl.Frame("C", rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))),
+              fl.harmonic_frame(9, 4, "C")]
+    expected = []
+    for F in frames:
+        b = fl.frame_bounds(F)
+        bound = float(np.trace(F.entries @ F.entries.conj().T).real) / F.n
+        expected.append(((b.upper - b.lower) <= 1e-9 * b.upper, bound))
+    calls = []
+    monkeypatch.setattr(fl.frames, "frame_operator",
+                        lambda F, _real=fl.frames.frame_operator: calls.append(1) or _real(F))
+    assert [fl.is_tight(F) for F in frames] == expected
+    assert len(calls) == len(frames)
+    with pytest.raises(ValueError, match="nonzero frame"):
+        fl.is_tight(fl.Frame("R", np.zeros((2, 3))))
+
+
 def test_on_ellipsoid_sphere_case():
     assert fl.is_on_ellipsoid(fl.simplex_frame(4), fl.EllipsoidSpec((1, 1, 1, 1)))
 
