@@ -138,7 +138,9 @@ COMMANDS = {
                        _TOL, _FORMAT),
     "lift": (_lift, ("chainpath", {}), ("start", {}), _TOL, _FORMAT),
     "holonomy": (_holonomy, ("loop", {}),
-                 ("--max-step", {"type": float, "default": DEFAULT_LOOP_STEP}),
+                 ("--max-step", {"type": float, "default": DEFAULT_LOOP_STEP,
+                                 "help": "largest Gram step between loop points: the sampling"
+                                         " density, which no Procrustes margin replaces"}),
                  _TOL, _FORMAT),
     "complex": (lambda a: jsonio.complex_to_dict(getattr(fl, f"build_{a.which}")()),
                 ("which", {"choices": ("g42", "g52")}),

@@ -77,15 +77,6 @@ class GramCheck:
         return self.self_adjoint and self.idempotent and self.unit_diagonal and self.rank_ok
 
 
-def _spectral_split(P, n: int):
-    """Eigenvalues (descending), matching eigenvectors and the gap
-    ev[..., n-1] - ev[..., n] of the self-adjoint part of P, for one matrix
-    or a stack of them (..., k, k)."""
-    ev, V = np.linalg.eigh((P + P.swapaxes(-1, -2).conj()) / 2)
-    ev, V = ev[..., ::-1], V[..., ::-1]
-    return ev, V, ev[..., n - 1] - ev[..., n]
-
-
 def _split_decided(P, n: int):
     """Whether the self-adjoint part H of one k-by-k P splits into n
     eigenvalues near 1 and k-n near 0, decided from one product: the
@@ -153,8 +144,7 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     diag = bool(np.max(np.abs(np.diag(M) - 1.0)) <= tol)
     rank_ok = _split_decided(P, n) if 0 < n < k else False
     if rank_ok is None:
-        ev, _, gap = _spectral_split(P, n)
-        rank_ok = bool(gap >= RANK_GAP and abs(ev[0] - 1.0) <= 0.25 and abs(ev[-1]) <= 0.25)
+        rank_ok = not _split_refusal(_eigh_frames(M, n)[1])
     return GramCheck(sa, idem, diag, rank_ok)
 
 
@@ -173,16 +163,18 @@ def frame_from_gram(R: GramPoint) -> Frame:
 
     F = sqrt(k/n) Q* for an orthonormal basis Q of the range of the
     projection P = (n/k) R, found by a certified range finder with no
-    eigendecomposition (`_recovered_frames`).  Requires the spectrum of P
-    to split with a gap of at least RANK_GAP between the n-th and
-    (n+1)-th eigenvalues: the range finder certifies that bound, and an
-    input it cannot certify gets the ``eigh`` of P, which reports the gap
-    it refuses.  The frame is determined by R up to an orthogonal
-    (unitary) map, and the range finder's differs from the ``eigh``
-    frame's by one.
+    eigendecomposition (`_recovered_frames`).  Requires `is_gram_point`'s
+    ``eigh`` rule for the spectrum of P: a gap of at least RANK_GAP
+    between the n-th and (n+1)-th eigenvalues, and the extreme
+    eigenvalues within 1/4 of 1 and 0 (so 2R is refused, while 1.2R
+    passes).  The range finder certifies that rule, and an input it
+    cannot certify gets the ``eigh`` of P, which reports what it refuses.
+    The frame is determined by R up to an orthogonal (unitary) map, and
+    the range finder's differs from the ``eigh`` frame's by one.
     """
-    F, gap = _recovered_frames(R.entries, R.n)
-    _check_gap(gap)
+    F, split = _recovered_frames(R.entries, R.n)
+    if refusal := _split_refusal(split):
+        raise ValueError(refusal)
     return Frame(R.field, F)
 
 
@@ -205,8 +197,8 @@ def _squared_norms(A):
 
 def _recovered_frames(R, n: int):
     """sqrt(k/n) times an orthonormal basis (as rows) of the range of the
-    rank-n projection P = (n/k) R, and a lower bound on the gap between the
-    n-th and (n+1)-th eigenvalues of P, for one Gram matrix or a stack.
+    rank-n projection P = (n/k) R, and the split of the spectrum of P that
+    `_split_refusal` judges, for one Gram matrix or a stack (0 < n < k).
 
     A range finder (Halko, Martinsson and Tropp, SIAM Review 53, 2011)
     spans range(H Omega), H = (P + P*)/2 and Omega the fixed k-by-n probe
@@ -222,7 +214,8 @@ def _recovered_frames(R, n: int):
     - a unit x = Q y has x* H x >= 1 - r, so H has n eigenvalues >= 1 - r
       (Courant-Fischer); the squares of the other k - n sum to at most
       s^2 = ||H||_F^2 - n (1 - r)^2, so each lies in [-s, s], and the gap
-      is at least g = 1 - r - s;
+      is at least g = 1 - r - s; by the same sum the largest, l_1, has
+      l_1^2 <= (1 - r)^2 + s^2, so |l_1 - 1| <= max(r, s);
     - for the eigenvectors V' of those, V'*(H Q - Q) = (L' - I) V'* Q with
       |1 - l'| >= 1 - s, so the sine of the angle between range(Q) and the
       top-n eigenspace V is at most sigma = r / (1 - s) (Davis-Kahan);
@@ -233,20 +226,17 @@ def _recovered_frames(R, n: int):
       are orthonormal to within d^2.
     So F*F differs from the Gram matrix of the ``eigh`` frame (the top-n
     eigenvectors of H) by at most b = (k/n) (t + d^2) in any entry.  The
-    frame is taken when g >= RANK_GAP, so the ``eigh`` gap passes
-    RANK_GAP too, and b <= n eps, the rounding error of forming F*F
-    itself: the two frames then agree to working precision, up to an
-    orthogonal (unitary) map.  Every other matrix gets the ``eigh`` frame
-    and gap, as before: one far from a projection (a midpoint
-    (P_i + P_j)/2 of Gram points an angle a apart has rho and s at least
-    about sin^2(a/2), so b >= sin^4(a/2)), one whose products overflow,
-    and one whose noise keeps b above n eps.  A stack in which H Omega has
-    numerical rank below n somewhere takes the ``eigh`` path whole.
-    ValueError unless 0 < n < k.
+    frame is taken when g >= RANK_GAP and max(r, s) <= 1/4, so the
+    ``eigh`` rule of `_split_refusal` holds too, and b <= n eps, the
+    rounding error of forming F*F itself: the two frames then agree to
+    working precision, up to an orthogonal (unitary) map.  Its split is
+    the bounds (1 - r, g, s), which pass that rule.  Every other matrix
+    gets the ``eigh`` frame and split of `_eigh_frames`: one far from a
+    projection, one whose products overflow, and one whose noise keeps b
+    above n eps.  A stack in which H Omega has numerical rank below n
+    somewhere takes the ``eigh`` path whole.
     """
     k = R.shape[-1]
-    if not 0 < n < k:
-        raise ValueError(f"need 0 < n < k, got n={n}, k={k}")
     H = (R + R.swapaxes(-1, -2).conj()) * (n / (2 * k))
     with np.errstate(all="ignore"):
         Yt = _probe(k, n).T @ H  # (H Omega)*
@@ -267,25 +257,40 @@ def _recovered_frames(R, n: int):
             sigma = r / (1 - s)
             t = s * sigma / ((1 - r) * (1 - sigma * sigma) ** 0.5)
             gap = 1 - r - s
-            ok = (gap >= RANK_GAP) & ((k / n) * (t + d2) <= n * _EPS)
+            ok = (gap >= RANK_GAP) & (np.maximum(r, s) <= 0.25) & ((k / n) * (t + d2) <= n * _EPS)
             D *= -math.sqrt(k / n) / 2  # F = sqrt(k/n) (I - D/2) X H
             diagonal += math.sqrt(k / n)
             F = D @ XH
-    if ok if R.ndim == 2 else ok.all():
-        return F, gap
-    bad = ~ok
+            split = np.stack((1 - r, gap, s), -1)
+    if R.ndim == 2 or not ok.any():
+        return (F, split) if ok.all() else _eigh_frames(R, n)
+    if not ok.all():
+        F[~ok], split[~ok] = _eigh_frames(R[~ok], n)
+    return F, split
+
+
+def _eigh_frames(R, n: int):
+    """The ``eigh`` frame sqrt(k/n) V* of R, V the top-n eigenvectors of
+    the self-adjoint part of P = (n/k) R, and the split (l_1, l_n - l_{n+1},
+    l_k) of its descending eigenvalues l, for one matrix or a stack."""
+    k = R.shape[-1]
     P = (n / k) * R
-    _, V, eigh_gap = _spectral_split(P[bad] if R.ndim > 2 else P, n)
-    eigh_F = np.sqrt(k / n) * V[..., :n].swapaxes(-1, -2).conj()
-    if R.ndim == 2 or bad.all():
-        return eigh_F, eigh_gap
-    F[bad], gap[bad] = eigh_F, eigh_gap
-    return F, gap
+    ev, V = np.linalg.eigh((P + P.swapaxes(-1, -2).conj()) / 2)
+    ev, top = ev[..., ::-1], V[..., ::-1][..., :n]  # descending
+    split = np.stack((ev[..., 0], ev[..., n - 1] - ev[..., n], ev[..., -1]), -1)
+    return np.sqrt(k / n) * top.swapaxes(-1, -2).conj(), split
 
 
-def _check_gap(gap) -> None:
-    if gap < RANK_GAP:
-        raise ValueError(f"eigenvalues not clustered at 0 and 1 (gap {gap:.3g} < {RANK_GAP})")
+def _split_refusal(split) -> str:
+    """Why the split (l_1, gap, l_k) of P breaks `is_gram_point`'s ``eigh``
+    rule, gap >= RANK_GAP and l_1, l_k within 1/4 of 1 and 0, or ""."""
+    top, gap, bottom = split
+    if not gap >= RANK_GAP:
+        return f"eigenvalues not clustered at 0 and 1 (gap {gap:.3g} < {RANK_GAP})"
+    if not (abs(top - 1) <= 0.25 and abs(bottom) <= 0.25):
+        return (f"eigenvalues not clustered at 0 and 1 (extreme eigenvalues {top:.3g}"
+                f" and {bottom:.3g}, not within 0.25 of 1 and 0)")
+    return ""
 
 
 def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
@@ -370,11 +375,6 @@ def _procrustes(A: np.ndarray, B: np.ndarray):
     return U @ Wt, s[..., -1]
 
 
-def _check_margin_tol(tol: float) -> None:
-    if tol >= 1:
-        raise ValueError(f"tol {tol:g} >= 1 refuses every step: a Procrustes margin is at most 1")
-
-
 def lift_gram_path(path, tol: float = DEFAULT_TOL,
                    max_step: float = DEFAULT_LOOP_STEP) -> np.ndarray:
     """Frames over a path of real Gram points, each aligned to its predecessor.
@@ -400,8 +400,8 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     pts = list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
-    if len(pts) > 1:
-        _check_margin_tol(tol)
+    if len(pts) > 1 and tol >= 1:
+        raise ValueError(f"tol {tol:g} >= 1 refuses every step: a Procrustes margin is at most 1")
     k, n = pts[0].k, pts[0].n
     R = np.stack([p.entries for p in pts])
     raw = _recovered_frames(R, n)[0]
@@ -433,44 +433,42 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
                   max_step: float = DEFAULT_LOOP_STEP) -> int:
     """Sign of the orthogonal transformation picked up around a Gram loop.
 
-    The loop (first point == last point within ``tol``) is lifted to
-    aligned frames F by `lift_gram_path` and its three rules.  Returns
-    sign(det U) for the Procrustes fit U of F[-1] onto F[0].  Refuses
-    (ValueError) fewer than two points, ``tol`` >= 1, an open loop, every
-    fault the lift refuses, and a closing fit whose margin is not above
-    ``tol``.
+    The loop R_0, ..., R_{m-1} (first point == last point within ``tol``)
+    is closed by R_0 once more and lifted to aligned frames F by
+    `lift_gram_path`, so the closing step, index m, answers to the lift's
+    three rules like every other step.  F[m] is the frame of R_0 turned
+    by the product of all the fits: returns the sign of det(F[m] F[0]^T).
+    Refuses (ValueError) fewer than two points, an open loop and every
+    fault the lift refuses, ``tol`` >= 1 among them.
     """
     pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
-    _check_margin_tol(tol)
     if pts[0].k != pts[-1].k or np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
         raise ValueError("loop is not closed (first != last)")
-    F = lift_gram_path(pts, tol, max_step)
-    n, k = F.shape[1:]
-    U, smin = _procrustes(F[-1], F[0])
-    margin = (n / k) * smin
-    if not margin > tol:
-        raise ValueError(f"closing Procrustes margin {margin:.3g} <= tol {tol:g}:"
-                         " the fit onto the first frame is not unique")
-    return 1 if np.linalg.det(U) > 0 else -1
+    F = lift_gram_path(pts + pts[:1], tol, max_step)
+    return 1 if np.linalg.det(F[-1] @ F[0].T) > 0 else -1
 
 
 def nearest_gram_point(M, n: int) -> GramPoint:
     """Project a nearby matrix onto the Gram-point set: F*F, where F is the
-    top-n frame of M (as `frame_from_gram` recovers it) retracted by
-    `frames._retract`, which stops once max|F F* - (k/n) I| < 1e-13.
-    ValueError when it does not stop within 300 steps, or when the top-n
+    top-n ``eigh`` frame of M (`_eigh_frames`; M need not be a Gram point,
+    so no range finder is tried) retracted by `frames._retract`, which
+    stops once max|F F* - (k/n) I| < 1e-13.  ValueError unless 0 < n < k,
+    when the retraction does not stop within 300 steps, or when the top-n
     frame has a zero column.
     """
     M, n = _as_array(M, square=True), check_integer(n, "n")
-    F = _retract(_recovered_frames(M, n)[0])
+    if not 0 < n < M.shape[0]:
+        raise ValueError(f"need 0 < n < k, got n={n}, k={M.shape[0]}")
+    F = _retract(_eigh_frames(M, n)[0])
     return GramPoint("C" if M.dtype.kind == "c" else "R", n, F.conj().T @ F)
 
 
 def refine_loop(loop, rounds: int = 1) -> list:
     """Insert `nearest_gram_point` of (R_i + R_{i+1})/2 between consecutive
-    points, ``rounds`` times, mapping all midpoints of a round as one stack.
+    points, ``rounds`` times, mapping all midpoints of a round as one stack
+    (one stacked ``eigh``: a midpoint is no projection).
     ValueError for an empty loop, points that do not share (k, n) and
     field, and a negative ``rounds``.
     """
@@ -482,7 +480,7 @@ def refine_loop(loop, rounds: int = 1) -> list:
     field, n = pts[0].field, pts[0].n
     for _ in range(rounds if len(pts) > 1 else 0):
         R = np.stack([p.entries for p in pts])
-        F = _retract(_recovered_frames((R[:-1] + R[1:]) / 2, n)[0])
+        F = _retract(_eigh_frames((R[:-1] + R[1:]) / 2, n)[0])
         mids = [GramPoint(field, n, m) for m in F.conj().swapaxes(-1, -2) @ F]
         pts = [p for pair in zip(pts, mids) for p in pair] + pts[-1:]
     return pts

@@ -237,10 +237,14 @@ def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
         if np.max(np.abs(leg[0] - prev[-1])) > 1e-9:
             raise ValueError("legs are not contiguous")
     pts = np.concatenate([legs[0][:1]] + [leg[1:] for leg in legs])
-    # collapse consecutive duplicates so the parameter stays strictly monotone
-    pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
-    if len(pts) == 1:
-        pts = np.vstack([pts, pts])
+    # drop a sample within _LEG_ATOL of the one before it (a snap repeats a
+    # point up to rounding), but keep the exact end and drop its predecessor
+    # instead; no step grows past max_step, since legs keep their steps
+    # within max_step - _LEG_ATOL.  Every leg has two points or more.
+    if len(pts) > 2:
+        moved = np.max(np.abs(np.diff(pts, axis=0)), axis=1) > _LEG_ATOL
+        moved[-2] &= moved[-1]
+        pts = pts[np.concatenate([[True], moved[:-1], [True]])]
     return FramePath(kind, np.linspace(0.0, 1.0, len(pts)), pts, max_step)
 
 

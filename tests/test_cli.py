@@ -203,7 +203,7 @@ def test_holonomy_subcommand(tmp_path, capsys):
 
 def test_holonomy_tol_reaches_every_check(tmp_path, capsys):
     """A loop closed within 1e-2 only: `--tol 1e-2` reaches every check on
-    its closing fit and accepts it; the default tol refuses it as open."""
+    its closing step and accepts it; the default tol refuses it as open."""
     e = np.exp(5e-3j)
     loop = fl.to_gram_loop(fl.case1_explicit_path())
     loop.append(fl.gram(fl.from_planar(np.array([e, 1j * e, 1, 1j]))))

@@ -40,7 +40,8 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 #: parameter names of functions that take no option they could read from their
-#: inputs, and of the Gram lift, whose steps tol and max_step decide alone
+#: inputs, of the Gram lift, whose steps tol and max_step decide alone, and of
+#: the Gram-point recovery and loop functions, so that none gains an option
 SIGNATURES = {
     "square_map": ["pf"],
     "lift_path": ["cp", "start"],
@@ -48,6 +49,10 @@ SIGNATURES = {
     "nearest_gram_point": ["M", "n"],
     "lift_gram_path": ["path", "tol", "max_step"],
     "holonomy_sign": ["loop", "tol", "max_step"],
+    "refine_loop": ["loop", "rounds"],
+    "frame_from_gram": ["R"],
+    "tangent_report": ["R", "tol"],
+    "to_gram_loop": ["path", "tol"],
 }
 
 

@@ -266,19 +266,35 @@ def test_connect_repeated_orthonormal_basis(z, max_step):
     assert rep.ok, rep
 
 
+def test_paths_hold_no_repeated_sample():
+    """A snapped join repeats a point up to rounding; the repeat is dropped
+    (before the exact end, its predecessor is), so every step moves by more
+    than _LEG_ATOL and the path still meets the step bound and its ends."""
+    for k in (5, 9, 17):
+        for seed in range(3):
+            z = fl.random_planar_frame(k, np.random.default_rng(seed))
+            path = fl.connect_to_standard(z)
+            steps = np.max(np.abs(np.diff(path.points, axis=0)), axis=1)
+            assert steps.min() > planar._LEG_ATOL and steps.max() <= path.max_step
+            assert np.array_equal(path.points[-1], fl.canonical_planar(k).z)
+            rep = fl.validate_path(path, expect_start=z.z, expect_end=fl.canonical_planar(k).z)
+            assert rep.ok, rep
+
+
 def test_straightening_sample_counts():
     """The shape of the seeded paths: any change to how chains straighten
     or lift shows here first."""
     frames = {k: fl.random_planar_frame(k, np.random.default_rng(0))
               for k in (4, 5, 6, 7, 9, 17, 33)}
     counts = {k: len(fl.connect_to_standard(z).ts) for k, z in frames.items()}
-    assert counts == {4: 132, 5: 135, 6: 114, 7: 111, 9: 120, 17: 136, 33: 160}
+    # 3 fewer than before the snapped repeats were dropped
+    assert counts == {4: 129, 5: 132, 6: 111, 7: 108, 9: 117, 17: 133, 33: 157}
     # the counts before the odd-k head took its least plan: none grew
     old = {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}
     assert all(counts[k] <= old[k] for k in counts)
     step = 0.05 * np.sqrt(4 - 0.05 ** 2)
     chain = {k: len(fl.chain_straighten(fl.square_map(z), step).ts) for k, z in frames.items()}
-    assert chain == {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 94}
+    assert chain == {4: 33, 5: 47, 6: 48, 7: 23, 9: 32, 17: 47, 33: 93}
     # the straightenings before links 1-2 chose the triple's side: none grew
     before = {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 121}
     assert all(chain[k] <= before[k] for k in chain)
