@@ -2,11 +2,12 @@
 
 Subcommands read JSON from file arguments ('-' means stdin), write JSON to
 stdout, and compose through pipes.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 malformed input or usage error.  The
-environment variable FRAMELAB_TOL overrides the default tolerance.  A
-reader that closes the pipe early is not an error: the rest of the output
-is dropped, nothing is printed on stderr, and the exit code is the
-command's own.
+passed, 1 verification failed, 2 malformed input or usage error, an
+input whose arithmetic overflows included (numpy's warning is then its one
+stderr line).  The environment variable FRAMELAB_TOL overrides the default
+tolerance.  A reader that closes the pipe early is not an error: the rest
+of the output is dropped, nothing is printed on stderr, and the exit code
+is the command's own.
 
 A handler reaches the library through the lazy ``framelab`` package, so a
 subcommand loads only the modules it calls: ``complex`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import framelab as fl
 
@@ -175,7 +177,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser(argv[0] if argv else None).parse_args(argv)
         args.tol = check_positive(args.tol, "--tol")
-        doc = args.handler(args)
+        with warnings.catch_warnings():  # an overflow is a refusal, not a line ahead of one
+            warnings.simplefilter("error", RuntimeWarning)
+            doc = args.handler(args)
         doc, code = doc if isinstance(doc, tuple) else (doc, 0)
         if vars(args).get("format") == "text":
             for key, val in doc.items():
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
         # at interpreter exit writes nothing and reports nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, RuntimeWarning) as exc:
         print(f"framelab: {exc}", file=sys.stderr)
         return 2
 

@@ -77,30 +77,32 @@ class GramCheck:
         return self.self_adjoint and self.idempotent and self.unit_diagonal and self.rank_ok
 
 
-def _split_decided(P, n: int):
-    """Whether the self-adjoint part H of one k-by-k P splits into n
-    eigenvalues near 1 and k-n near 0, decided from one product: the
-    verdict `is_gram_point`'s ``eigh`` rule would give (gap >= RANK_GAP,
-    extreme eigenvalues within 1/4 of 1 and 0), or None when
-    delta = ||H^2 - H||_F and tr H cannot decide it.
+def _split(R, n: int):
+    """The split (l_1, gap, l_k) of the spectrum of the self-adjoint part H
+    of P = (n/k) R, for one k-by-k R and 0 < n < k, that `_split_refusal`
+    judges: bounds from one product where they decide it, else the
+    eigenvalues of `_eigh_frames`.
 
-    Every eigenvalue l of H has |l (l - 1)| <= ||H^2 - H||_2 <= delta.  For
-    delta < 1/4 each l therefore lies within e = (1 - sqrt(1 - 4 delta))/2
-    of 0 or 1 (the inner root; the outer deviation (sqrt(1 + 4 delta) - 1)/2
-    is smaller).  If m eigenvalues lie near 1, |tr H - m| <= k e, so for
-    k e < 1/4 m = n exactly when |tr H - n| < 1/2.  Then the gap is at
-    least 1 - 2 e > 1/2 and the extreme eigenvalues lie within e < 1/4 of
-    1 and 0: True.  Otherwise the two eigenvalues at the cut lie near the
-    same end and the gap is at most 2 e < 1/2: False.  An overflowing
-    product gives an infinite or NaN delta, which decides nothing.
+    Every eigenvalue l of H has |l (l - 1)| <= ||H^2 - H||_2 <= delta =
+    ||H^2 - H||_F.  For delta < 1/4 each l therefore lies within
+    e = (1 - sqrt(1 - 4 delta))/2 of 0 or 1 (the inner root; the outer
+    deviation (sqrt(1 + 4 delta) - 1)/2 is smaller).  If m eigenvalues lie
+    near 1, |tr H - m| <= k e, so for k e < 1/4 m = n exactly when
+    |tr H - n| < 1/2.  Then l_1 and l_k lie within e of 1 and 0 and the gap
+    is at least 1 - 2 e: the bounds (1 - e, 1 - 2 e, e), which pass the
+    rule as e < 1/4.  Any other input gets the ``eigh`` split, an
+    overflowing product among them (its delta is infinite or NaN).
     """
+    k = R.shape[0]
+    P = (n / k) * R
     H = (P + P.conj().T) / 2
     with np.errstate(over="ignore", invalid="ignore"):
         delta = float(np.linalg.norm(H @ H - H))
-    if not delta < 0.25:
-        return None
-    e = (1 - np.sqrt(1 - 4 * delta)) / 2
-    return bool(abs(np.trace(H).real - n) < 0.5) if H.shape[0] * e < 0.25 else None
+    if delta < 0.25:
+        e = (1 - math.sqrt(1 - 4 * delta)) / 2
+        if k * e < 0.25 and abs(np.trace(H).real - n) < 0.5:
+            return 1 - e, 1 - 2 * e, e
+    return _eigh_frames(R, n)[1]
 
 
 def gram(F: Frame, tol: float = DEFAULT_TOL) -> GramPoint:
@@ -125,14 +127,10 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     """Check the Gram-point invariants of a square matrix.
 
     Verifies M* = M, idempotency of P = (n/k) M, unit diagonal, and that
-    the spectrum of P splits into n eigenvalues near 1 and k-n near 0 with
-    a gap of at least RANK_GAP (``rank_ok``).  The split needs no
-    eigendecomposition near a projection: with H = (P + P*)/2 and
-    delta = ||H^2 - H||_F, every eigenvalue lies within
-    e = (1 - sqrt(1 - 4 delta))/2 of 0 or 1, and for k e < 1/4 the trace
-    counts those near 1 (`_split_decided`).  Only when delta or tr H
-    cannot decide does ``rank_ok`` come from an ``eigh`` of H, the gap and
-    both extreme eigenvalues within 0.25 of 1 and 0.
+    the spectrum of P splits into n eigenvalues near 1 and k-n near 0
+    (``rank_ok``): the split `_split` reports, which needs no
+    eigendecomposition near a projection, passes `_split_refusal`'s rule,
+    a gap of at least RANK_GAP and both extremes within 1/4 of 1 and 0.
     """
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     n = check_integer(n, "n")
@@ -142,9 +140,7 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     P = (n / k) * M
     idem = bool(np.max(np.abs(P @ P - P)) <= tol * scale)
     diag = bool(np.max(np.abs(np.diag(M) - 1.0)) <= tol)
-    rank_ok = _split_decided(P, n) if 0 < n < k else False
-    if rank_ok is None:
-        rank_ok = not _split_refusal(_eigh_frames(M, n)[1])
+    rank_ok = 0 < n < k and not _split_refusal(_split(M, n))
     return GramCheck(sa, idem, diag, rank_ok)
 
 
@@ -282,7 +278,7 @@ def _eigh_frames(R, n: int):
 
 
 def _split_refusal(split) -> str:
-    """Why the split (l_1, gap, l_k) of P breaks `is_gram_point`'s ``eigh``
+    """Why the split (l_1, gap, l_k) of P breaks the library's one split
     rule, gap >= RANK_GAP and l_1, l_k within 1/4 of 1 and 0, or ""."""
     top, gap, bottom = split
     if not gap >= RANK_GAP:

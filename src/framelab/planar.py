@@ -20,7 +20,6 @@ import numpy as np
 
 from .defaults import DEFAULT_MAX_STEP, check_integer, check_positive
 from .frames import DEFAULT_TOL, Frame, _as_array
-from .grassmann import GramPoint
 
 #: most samples one leg may take; a smaller max_step is refused, not sampled
 MAX_LEG_SAMPLES = 2 ** 16
@@ -173,6 +172,8 @@ def square_map(pf: PlanarFrame) -> Chain:
 
 def to_gram_loop(path: FramePath, tol: float = DEFAULT_TOL):
     """Project a planar path to Gram points (loop when endpoints share a Gram)."""
+    from .grassmann import GramPoint
+
     if path.kind != "planar":
         raise ValueError("need a planar path")
     z = _unit_tuple(path.points, 2, check_positive(tol, "tol"), "planar path", ndim=2)

@@ -21,8 +21,8 @@ from .closedform import _check_shape, _stratum_block_dim
 from .defaults import check_field, check_integer, check_positive
 from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, _Stalled, act_orthogonal,
                      act_permutation, act_phases)
-from .grassmann import (GramPoint, _eigh_frames, _split_decided, _split_refusal, complement,
-                        frame_from_gram, gram, torus_point)
+from .grassmann import (GramPoint, _split, _split_refusal, complement, frame_from_gram, gram,
+                        torus_point)
 
 @dataclass(frozen=True)
 class Partition:
@@ -112,19 +112,12 @@ def tangent_report(R: GramPoint, tol: float = DEFAULT_TOL) -> TangentReport:
     stratum_dim sums the closed-form dimensions of the blocks, each of
     rank n_b = k_b n / k; a block size that makes n_b fractional is refused.
     R must split into eigenvalues near 1 and 0 by ``frame_from_gram``'s
-    rule: the gap, and the extreme eigenvalues within 1/4 of 1 and 0.
-    Near a projection no eigendecomposition is needed: with
-    H = (P + P*)/2 and delta = ||H^2 - H||_F < 1/4, every eigenvalue lies
-    within e = (1 - sqrt(1 - 4 delta))/2 of 0 or 1, and when k e < 1/4 and
-    |tr H - n| < 1/2 exactly n lie near 1, so the gap is at least
-    1 - 2 e > RANK_GAP and the extremes lie within e < 1/4 of 1 and 0
-    (`_split_decided`).  Any other input runs the ``eigh`` check, which
-    reports the gap or the extremes it refuses.
+    rule (`_split_refusal`: the gap, and the extreme eigenvalues within 1/4
+    of 1 and 0), judged on `_split`, which needs no eigendecomposition near
+    a projection; a refusal reports the gap or the extremes it breaks.
     """
     k, n = R.k, R.n
-    P = R.projection()
-    refusal = "" if _split_decided(P, n) else _split_refusal(_eigh_frames(R.entries, n)[1])
-    if refusal:
+    if refusal := _split_refusal(_split(R.entries, n)):
         raise ValueError(refusal)
     sigma = commutant_partition(R.entries, tol)
     if not check_block_cardinalities(sigma, k, n):

@@ -170,6 +170,18 @@ def test_range_finder_recovers_the_eigh_frame(name, monkeypatch):
         assert miss(F.entries) <= miss(E.entries) + (n + k) * np.finfo(np.float64).eps
 
 
+@pytest.mark.parametrize("name", sorted(_RECOVERY_CORPUS))
+def test_split_checks_make_no_eigen_call_on_a_gram_point(name, monkeypatch):
+    """is_gram_point and tangent_report take the split of every point from
+    `_split`'s bounds: no eigendecomposition on a valid Gram point."""
+    points = _RECOVERY_CORPUS[name]()
+    calls = _count_eigen_calls(monkeypatch)
+    for R in points:
+        assert fl.is_gram_point(R.entries, R.n).ok
+        assert fl.tangent_report(R).rank >= 0
+    assert calls == []
+
+
 def test_range_finder_defers_to_eigh_off_a_projection():
     """A matrix that is no projection gets the eigh frame, bit for bit, and
     a narrow gap the eigh refusal with the eigh gap."""
@@ -860,12 +872,18 @@ def test_is_gram_point_eigen_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("k,n", [(4, 2), (9, 4), (48, 24)])
-def test_split_bound_decides_only_within_its_proof(k, n):
+def test_split_bound_decides_only_within_its_proof(k, n, monkeypatch):
     # one eigenvalue x near 0 and n at 1: delta = x (1 - x), whose inner root
-    # e = x is the deviation itself, so the bound decides exactly when k x < 1/4
-    for x, decided in ((0.99 / (4 * k), True), (1.01 / (4 * k), None)):
-        P = np.diag(np.r_[np.ones(n), x, np.zeros(k - n - 1)])
-        assert grassmann._split_decided(P, n) is decided
+    # e = x is the deviation itself, so the bounds decide exactly when k x < 1/4;
+    # otherwise the split is the eigh split (1, 1 - x, 0)
+    calls = _count_eigen_calls(monkeypatch)
+    for x, decided in ((0.99 / (4 * k), True), (1.01 / (4 * k), False)):
+        R = (k / n) * np.diag(np.r_[np.ones(n), x, np.zeros(k - n - 1)])
+        calls.clear()
+        split = grassmann._split(R, n)
+        assert calls == ([] if decided else ["eigh"])
+        expected = (1 - x, 1 - 2 * x, x) if decided else (1, 1 - x, 0)
+        assert_allclose(split, expected, rtol=0, atol=1e-12)
 
 
 def _eigh_split(P, n):
@@ -915,20 +933,28 @@ def _split_corpus():
 
 
 @pytest.mark.parametrize("family", sorted(_split_corpus()))
-def test_split_bound_agrees_with_eigh(family):
-    decided = collections.Counter()
+def test_split_bound_agrees_with_eigh(family, monkeypatch):
+    calls = _count_eigen_calls(monkeypatch)
+    producer = collections.Counter()
     for field, n, M in _split_corpus()[family]:
-        P = (n / M.shape[0]) * M
-        verdict = grassmann._split_decided(P, n)
-        decided[verdict] += 1
-        if verdict is not None:
-            assert verdict == _eigh_split(P, n)
-    # what the bound decides and what it leaves to the eigh: Gram points
-    # perturbed up to 1e-2 (k = 6) or 1e-3, rank n +- 1 up to 1e-3, and no
-    # spectrum with an eigenvalue in [1/4, 3/4]; a weaker bound shows here
-    expected = {"perturbed": {True: 49, None: 11}, "rank n +- 1": {False: 32, None: 8},
-                "self-adjoint": {None: 40}, "spectrum at 1/4, 1/2, 3/4": {None: 96}}
-    assert dict(decided) == expected[family]
+        calls.clear()
+        split = grassmann._split(M, n)
+        producer["eigh" if calls else "bounds"] += 1
+        if not calls:  # the bounds hold the rule, and bound the eigenvalues they stand for
+            assert grassmann._split_refusal(split) == ""
+            P = (n / M.shape[0]) * M
+            assert _eigh_split(P, n)
+            top, gap, bottom = split
+            ev = np.linalg.eigvalsh((P + P.conj().T) / 2)[::-1]
+            slack = 1e-12
+            assert abs(ev[0] - 1) <= 1 - top + slack and abs(ev[-1]) <= bottom + slack
+            assert ev[n - 1] - ev[n] >= gap - slack
+    # what the bounds decide and what they leave to the eigh: Gram points
+    # perturbed up to 1e-2 (k = 6) or 1e-3, and no rank n +- 1 projection
+    # nor spectrum with an eigenvalue in [1/4, 3/4]; a weaker bound shows here
+    expected = {"perturbed": {"bounds": 49, "eigh": 11}, "rank n +- 1": {"eigh": 40},
+                "self-adjoint": {"eigh": 40}, "spectrum at 1/4, 1/2, 3/4": {"eigh": 96}}
+    assert dict(producer) == expected[family]
 
 
 def _outcome(f, *args):
@@ -947,8 +973,8 @@ def test_split_bound_keeps_every_verdict_and_message(family, monkeypatch):
     for _ in range(2):
         runs.append([(_outcome(fl.is_gram_point, M, R.n), _outcome(fl.tangent_report, R))
                      for M, R in inputs])
-        monkeypatch.setattr(grassmann, "_split_decided", lambda P, n: None)
-        monkeypatch.setattr(stratification, "_split_decided", lambda P, n: None)
+        for module in (grassmann, stratification):
+            monkeypatch.setattr(module, "_split", lambda R, n: grassmann._eigh_frames(R, n)[1])
     assert runs[0] == runs[1]
 
 

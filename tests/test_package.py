@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import framelab as fl
+from framelab import jsonio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,3 +158,20 @@ def test_stratification_loads_planar_on_demand():
         "import framelab.stratification\n"
         "print(json.dumps('framelab.planar' in sys.modules))")
     assert doc is False
+
+
+def test_planar_stages_load_grassmann_on_demand(tmp_path):
+    """Only to_gram_loop builds Gram points, so planar-connect and lift
+    stages neither load nor compile grassmann."""
+    z = fl.random_planar_frame(5, np.random.default_rng(1))
+    frame, chain = str(tmp_path / "f.json"), str(tmp_path / "cp.json")
+    Path(frame).write_text(json.dumps(jsonio.frame_to_dict(fl.from_planar(z.z))))
+    Path(chain).write_text(json.dumps(jsonio.path_to_dict(fl.chain_straighten(fl.square_map(z)))))
+    doc = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from framelab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['planar-connect', {frame!r}]),\n"
+        f"             cli.main(['lift', {chain!r}, {frame!r}])]\n"
+        "print(json.dumps({'codes': codes, 'loaded': 'framelab.grassmann' in sys.modules}))")
+    assert doc == {"codes": [0, 0], "loaded": False}
