@@ -199,44 +199,83 @@ def simplex_frame(n: int) -> Frame:
 
 
 class _Stalled(ValueError):
-    """`_retract` met its step cap without converging."""
+    """`_retract` did not converge: it met its step or weight-spread cap, or
+    a factorization was singular."""
+
+
+#: the Newton steps `_retract` takes before it refuses
+_RETRACT_STEPS = 100
+#: the spread of log column weights past which `_retract` refuses: whitening
+#: scales a column's parts by up to e^{spread/2}, so past 2 ln(1/eps) a
+#: rounding error alone grows to the size of the data
+_WEIGHT_SPREAD = -2 * np.log(np.finfo(float).eps)
 
 
 def _retract(M) -> np.ndarray:
     """Retract an n x k frame, or an (m, n, k) stack of them, onto the
-    spherical tight frames: tighten by M -> sqrt(k/n) (M M*)^{-1/2} M and
-    normalize the columns (Tropp, Dhillon, Heath and Strohmer 2005) until
-    max|M M* - (k/n) I| < 1e-13 over the stack.  ValueError, before
-    dividing by its norm, for a zero or NaN column; `_Stalled` when 300
-    steps do not converge.
+    spherical tight frames, stopping once max|F F* - (k/n) I| < 1e-13 over
+    the stack.  ValueError, before dividing by its norm, for a zero or NaN
+    column; `_Stalled` after _RETRACT_STEPS Newton steps, once the log
+    column weights spread past _WEIGHT_SPREAD (about 72), or when a
+    factorization is singular or a step overflows.
 
-    The tightening is exact (one eigh of M M*) while the iterate is far
-    from tight. Near it, with E = (n/k) M M* - I, the map is
-    (I + E)^{-1/2} M, and once n max|M M* - (k/n) I| < 0.05 k/n, which
-    bounds ||E||_2 <= n max|E_ij| below 0.05, it takes the second-order
-    expansion (I - E/2 + 3E^2/8) M, whose error is O(||E||^3) < 1e-3 ||E||:
-    one n x n product per step instead of a factorization.  A stack takes
-    the step its worst error calls for.
+    The rule is Newton's method on the column weights W = e^t (the radial
+    isotropic position of Barthe 1998; Hamilton and Moitra 2021).  The
+    leverage scores tau of M W^{1/2} are the diagonal of
+    Q = W^{1/2} M* (M W M*)^{-1} M W^{1/2}, and the frame
+    sqrt(k/n) (M W M*)^{-1/2} M W^{1/2} is tight with unit columns exactly
+    when tau = n/k.  Newton minimizes the convex log det(M W M*) - (n/k)
+    sum t, whose gradient is tau - n/k and Hessian diag(tau) - |Q|^2.  The
+    step adds 1 1^T / k to the Hessian, fixing the scale of W (the null
+    vector 1), and 1e-12 I, so that it stays a descent step where the
+    Hessian is singular to rounding (a frame that all but splits into
+    orthogonal blocks, each with a scale of its own); it is cut to 1 in
+    max norm.  Before each step M is whitened by the Cholesky factor of
+    M M*, with the last step's weights folded in: a left factor moves no
+    leverage score, and every solve sees rows near orthonormal.  Once
+    max|1/tau - k/n| < 1e-13, which bounds max|F F* - (k/n) I| by the same,
+    the frame is formed (one ``eigh``) and checked.  An input with no tight
+    position, such as two parallel columns of three in R^2, drives the
+    weights apart without bound, and is refused at the spread cap, before
+    whitening can blow rounding errors up into a spurious tight frame.
+
+    The alternating projection M -> sqrt(k/n) (M M*)^{-1/2} M, then
+    normalize the columns (Tropp, Dhillon, Heath and Strohmer 2005), lands
+    on the same Gram point: each of its steps multiplies by an n x n matrix
+    on the left and a positive diagonal on the right, so its limit is
+    A M D as well; with W = D^2 its Gram matrix is
+    (k/n) W^{1/2} M* (M W M*)^{-1} M W^{1/2}, which depends on W alone, and
+    W is unique up to scale (Barthe).  The two frames differ only by an
+    orthogonal (unitary) map, within the fibre O_n.
     """
     n, k = M.shape[-2:]
-    c, eye = k / n, np.eye(n)
-    D = M @ M.conj().swapaxes(-1, -2) - c * eye
-    err = np.max(np.abs(D))
-    for _ in range(300):
-        if n * err < 0.05 * c:
-            T = eye - D / (2 * c) + (3 / (8 * c * c)) * (D @ D)
-        else:
-            w, V = np.linalg.eigh(D)
-            T = np.sqrt(c) * (V / np.sqrt(w + c)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-        M = T @ M
-        norms = np.linalg.norm(M, axis=-2, keepdims=True)
-        if not norms.min() > 0:  # a NaN fails too
-            raise ValueError("cannot retract: a frame column is zero or NaN")
-        M /= norms
-        D = M @ M.conj().swapaxes(-1, -2) - c * eye
-        err = np.max(np.abs(D))
-        if err < 1e-13:
-            return M
+    norms = np.linalg.norm(M, axis=-2, keepdims=True)
+    if not norms.min() > 0:  # a NaN fails too
+        raise ValueError("cannot retract: a frame column is zero or NaN")
+    M, c, diag, t = M / norms, k / n, np.arange(k), 0
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(_RETRACT_STEPS):
+                A = M @ M.conj().swapaxes(-1, -2)
+                B = np.linalg.solve(np.linalg.cholesky(A), M)
+                Q = B.conj().swapaxes(-1, -2) @ B
+                tau = Q.real[..., diag, diag]
+                if np.max(np.abs(1 / tau - c)) < 1e-13:
+                    w, V = np.linalg.eigh(A)
+                    F = (V / np.sqrt(w)[..., None, :]) @ (V.conj().swapaxes(-1, -2) @ M)
+                    F /= np.linalg.norm(F, axis=-2, keepdims=True)
+                    if np.max(np.abs(F @ F.conj().swapaxes(-1, -2) - c * np.eye(n))) < 1e-13:
+                        return F
+                hess = 1 / k - np.abs(Q) ** 2
+                hess[..., diag, diag] += tau + 1e-12
+                s = np.linalg.solve(hess, (1 / c - tau)[..., None])[..., 0]
+                s /= np.maximum(np.max(np.abs(s), axis=-1, keepdims=True), 1)
+                t = t + s
+                if np.max(np.ptp(t, axis=-1)) > _WEIGHT_SPREAD:
+                    break
+                M = B * np.exp(s / 2)[..., None, :]
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        raise _Stalled(f"retraction onto spherical tight frames failed: {err}") from None
     raise _Stalled("retraction onto spherical tight frames did not converge")
 
 
@@ -287,7 +326,8 @@ def act_phases(F: Frame, zetas, tol: float = DEFAULT_TOL) -> Frame:
     z = _as_array(zetas, ndim=1)
     if z.shape != (F.k,):
         raise ValueError(f"need {F.k} phases, got shape {z.shape}")
-    if np.max(np.abs(np.abs(z) - 1.0)) > check_positive(tol, "tol"):
+    tol = check_positive(tol, "tol")
+    if np.max(np.abs(np.abs(z) - 1.0)) > tol:
         raise ValueError("phases must be unimodular")
     if F.field == "R":
         if np.max(np.abs(z.imag)) > tol:

@@ -449,10 +449,12 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
 def nearest_gram_point(M, n: int) -> GramPoint:
     """Project a nearby matrix onto the Gram-point set: F*F, where F is the
     top-n ``eigh`` frame of M (`_eigh_frames`; M need not be a Gram point,
-    so no range finder is tried) retracted by `frames._retract`, which
-    stops once max|F F* - (k/n) I| < 1e-13.  ValueError unless 0 < n < k,
-    when the retraction does not stop within 300 steps, or when the top-n
-    frame has a zero column.
+    so no range finder is tried) retracted by `frames._retract`: Newton's
+    method on its column weights, stopping once max|F F* - (k/n) I| < 1e-13.
+    ValueError unless 0 < n < k, when the retraction does not converge
+    within 100 Newton steps and a column-weight spread of 2 ln(1/eps)
+    (a frame with no tight position does not), or when the top-n frame has
+    a zero column.
     """
     M, n = _as_array(M, square=True), check_integer(n, "n")
     if not 0 < n < M.shape[0]:
@@ -464,7 +466,8 @@ def nearest_gram_point(M, n: int) -> GramPoint:
 def refine_loop(loop, rounds: int = 1) -> list:
     """Insert `nearest_gram_point` of (R_i + R_{i+1})/2 between consecutive
     points, ``rounds`` times, mapping all midpoints of a round as one stack
-    (one stacked ``eigh``: a midpoint is no projection).
+    (one stacked ``eigh``: a midpoint is no projection), and retracting
+    them as one stack.
     ValueError for an empty loop, points that do not share (k, n) and
     field, and a negative ``rounds``.
     """

@@ -200,8 +200,10 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
     rank-1 enumeration) are sampled exactly through the planar
     parameterization; other shapes kick the synthesis matrix by a Gaussian
     of size ``spread`` and retract onto the spherical tight frames by
-    `frames._retract`, retrying with smaller kicks if it stalls near a
-    stratum boundary.
+    `frames._retract` (Newton's method on the column weights, stopping once
+    max|F F* - (k/n) I| < 1e-13), retrying with a kick 4 times smaller, up
+    to five times, when it does not converge within 100 Newton steps and a
+    column-weight spread of 2 ln(1/eps).
     """
     def dress(F):
         if field == "R":

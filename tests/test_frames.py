@@ -386,6 +386,18 @@ def test_integer_rule_accepts_numpy_integers():
             call()
 
 
+@pytest.mark.parametrize("tol", ["1e-9", np.float32(1e-9)], ids=repr)
+def test_positive_number_rule_compares_the_checked_tol(tol):
+    # a tol the rule accepts is compared as the float it checked, never raw
+    F = fl.simplex_frame(2)
+    assert np.array_equal(fl.act_phases(F, [1, -1, 1], tol).entries, F.entries * [1, -1, 1])
+    with pytest.raises(ValueError, match="real frames admit only"):
+        fl.act_phases(F, [1j, 1, 1], tol)
+    with pytest.raises(ValueError, match="phases must be unimodular"):
+        fl.act_phases(F, [1.1, 1, 1], tol)
+    assert fl.is_spherical(F, tol) and fl.is_tight(F, tol)[0]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1e-9, "abc", None, True])
 def test_one_positive_number_rule(value):
     F = fl.simplex_frame(2)

@@ -320,13 +320,100 @@ GRID_SHAPES = [("R", 6, 3), ("R", 12, 5), ("R", 24, 12), ("R", 48, 24), ("R", 64
                ("C", 9, 4), ("C", 16, 7), ("C", 30, 7), ("C", 40, 13)]
 
 
-def test_retraction_factors_only_far_from_tight(monkeypatch):
-    # near tightness the step is a second-order expansion, not an eigh; the
-    # all-eigh retraction of R(48,24) at spread 0.05 made about 190 calls
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    fl.random_tight_frame(48, 24, "R", np.random.default_rng(3), spread=0.05)
-    assert 0 < len(calls) <= 12
+@pytest.mark.parametrize("field,k,n", GRID_SHAPES)
+def test_retraction_takes_few_newton_steps_and_one_eigh(field, k, n, monkeypatch):
+    # Newton on the column weights, 3-4 steps from a kicked grid frame: one
+    # Cholesky factor per step and one for the last check, one eigh for the
+    # frame
+    calls, eigh, cholesky = [], np.linalg.eigh, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("chol") or cholesky(a))
+    fl.random_tight_frame(k, n, field, np.random.default_rng(3), spread=0.05)
+    assert calls.count("eigh") == 1 and 4 <= calls.count("chol") <= 5
+
+
+def _alternation(M):
+    """The retraction `frames._retract` ran before it took Newton steps on
+    the column weights: tighten by sqrt(k/n) (M M*)^{-1/2} M (by the
+    second-order expansion once near tight) and normalize the columns,
+    until max|M M* - (k/n) I| < 1e-13."""
+    n, k = M.shape[-2:]
+    c, eye = k / n, np.eye(n)
+    D = M @ M.conj().swapaxes(-1, -2) - c * eye
+    err = np.max(np.abs(D))
+    for _ in range(300):
+        if n * err < 0.05 * c:
+            T = eye - D / (2 * c) + (3 / (8 * c * c)) * (D @ D)
+        else:
+            w, V = np.linalg.eigh(D)
+            T = np.sqrt(c) * (V / np.sqrt(w + c)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        M = T @ M
+        M = M / np.linalg.norm(M, axis=-2, keepdims=True)
+        D = M @ M.conj().swapaxes(-1, -2) - c * eye
+        err = np.max(np.abs(D))
+        if err < 1e-13:
+            return M
+    raise AssertionError("the alternation did not converge")
+
+
+def _complex_loop_midpoints():
+    """The eigh frames of the midpoints `refine_loop` retracts on the
+    harmonic C(5,2) point conjugated by diag(exp(i t (0, ..., 4))), t once
+    round the circle."""
+    from framelab import grassmann
+
+    R = fl.gram(fl.harmonic_frame(5, 2, "C")).entries
+    loop = np.stack([np.diag(np.exp(-1j * t * np.arange(5))) @ R @ np.diag(np.exp(1j * t * np.arange(5)))
+                     for t in np.linspace(0, 2 * np.pi, 13)])
+    return grassmann._eigh_frames((loop[:-1] + loop[1:]) / 2, 2)[0]
+
+
+_INVARIANCE_CASES = ([(f, k, n, spread) for spread in (0.05, 0.3) for f, k, n in GRID_SHAPES]
+                     + [("R", 12, 5, 0.5), "refine_loop midpoints"])
+
+
+@pytest.mark.parametrize("case", _INVARIANCE_CASES, ids=str)
+def test_newton_retraction_lands_on_the_alternations_gram_point(case, monkeypatch):
+    """Both rules map M to A M D, A an n x n matrix and D a positive
+    diagonal, and the weights D^2 of a tight position are unique up to
+    scale: the Gram points agree, the frames differ by a unitary map."""
+    from framelab import frames, stratification
+
+    if case == "refine_loop midpoints":
+        inputs = [_complex_loop_midpoints()]
+    else:
+        field, k, n, spread = case
+        inputs = []
+        monkeypatch.setattr(stratification, "_retract",
+                            lambda M: inputs.append(M) or frames._retract(M))
+        fl.random_tight_frame(k, n, field, np.random.default_rng(5), spread)
+    assert len(inputs) == 1
+    M = inputs[0]
+    new, old = frames._retract(M), _alternation(M)
+
+    def H(A):
+        return A.conj().swapaxes(-1, -2)
+
+    assert np.max(np.abs(H(new) @ new - H(old) @ old)) < 1e-12
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 1, 1], [0, 0, 1]],       # two parallel columns of three in R^2
+    [[1.0, -1, 0.3], [0, 0, 1]],    # antiparallel ones
+    [[1.0, 1, 0], [0, 0, 1]],       # and orthogonal to the third: two blocks
+    [[1.0, 1, 1, 1], [0, 0, 0, 0]],  # all on one line: M M* is singular
+], ids=["parallel", "antiparallel", "blocks", "one line"])
+def test_retraction_refuses_a_frame_with_no_tight_position(M, monkeypatch):
+    # a tight position would give the columns on one line leverage above 1:
+    # the weights part without bound until the spread cap ends it (on one
+    # line, M M* is singular and has no Cholesky factor), warning-free
+    from framelab import frames
+
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    with pytest.raises(frames._Stalled, match="retraction onto spherical tight frames"):
+        frames._retract(np.array(M))
+    assert 0 < len(calls) <= frames._RETRACT_STEPS
 
 
 def test_retries_catch_only_a_stalled_retraction(monkeypatch):
