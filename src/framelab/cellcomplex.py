@@ -231,12 +231,7 @@ def build_g42() -> Complex2:
         "v11": (("3", "+", "-1"), ("4", "+", "-1")),
         "v12": (("3", "-", "-1"), ("4", "-", "-1")),
     }
-    where = {}
-    for label, members in classes.items():
-        for m in members:
-            if m in where:
-                raise ValueError(f"marked point {m} listed twice")
-            where[m] = label
+    where = {m: label for label, members in classes.items() for m in members}
     edges = {}
     for p in ("2", "3", "4"):
         for sign in ("+", "-"):

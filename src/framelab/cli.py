@@ -141,8 +141,9 @@ COMMANDS = {
     "lift": (_lift, ("chainpath", {}), ("start", {}), _TOL, _FORMAT),
     "holonomy": (_holonomy, ("loop", {}),
                  ("--max-step", {"type": float, "default": DEFAULT_LOOP_STEP,
-                                 "help": "largest Gram step between loop points: the sampling"
-                                         " density, which no Procrustes margin replaces"}),
+                                 "help": "largest Gram step between loop points, the caller's"
+                                         " claim about sampling density: the sign is the loop's"
+                                         " that joins them inside their Procrustes balls"}),
                  _TOL, _FORMAT),
     "complex": (lambda a: jsonio.complex_to_dict(getattr(fl, f"build_{a.which}")()),
                 ("which", {"choices": ("g42", "g52")}),

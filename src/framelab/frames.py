@@ -79,9 +79,6 @@ class Frame:
     def k(self) -> int:
         return self.entries.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
     def conj_transpose(self) -> np.ndarray:
         return self.entries.conj().T
 
@@ -108,9 +105,6 @@ class EllipsoidSpec:
     @property
     def n(self) -> int:
         return len(self.axes)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.axes)
 
 
 @dataclass(frozen=True)
@@ -214,10 +208,11 @@ _WEIGHT_SPREAD = -2 * np.log(np.finfo(float).eps)
 def _retract(M) -> np.ndarray:
     """Retract an n x k frame, or an (m, n, k) stack of them, onto the
     spherical tight frames, stopping once max|F F* - (k/n) I| < 1e-13 over
-    the stack.  ValueError, before dividing by its norm, for a zero or NaN
-    column; `_Stalled` after _RETRACT_STEPS Newton steps, once the log
-    column weights spread past _WEIGHT_SPREAD (about 72), or when a
-    factorization is singular or a step overflows.
+    the stack; the input, columns normalized, is returned when it passes
+    this rule before any Newton step.  ValueError, before dividing by its
+    norm, for a zero or NaN column; `_Stalled` after _RETRACT_STEPS Newton
+    steps, once the log column weights spread past _WEIGHT_SPREAD (about
+    72), or when a factorization is singular or a step overflows.
 
     The rule is Newton's method on the column weights W = e^t (the radial
     isotropic position of Barthe 1998; Hamilton and Moitra 2021).  The
@@ -253,6 +248,8 @@ def _retract(M) -> np.ndarray:
     if not norms.min() > 0:  # a NaN fails too
         raise ValueError("cannot retract: a frame column is zero or NaN")
     M, c, diag, t = M / norms, k / n, np.arange(k), 0
+    if np.max(np.abs(M @ M.conj().swapaxes(-1, -2) - c * np.eye(n))) < 1e-13:
+        return M
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(_RETRACT_STEPS):
@@ -279,19 +276,14 @@ def _retract(M) -> np.ndarray:
     raise _Stalled("retraction onto spherical tight frames did not converge")
 
 
-def _check_structure_matrix(U: np.ndarray, field: str, tol: float) -> np.ndarray:
-    U = _as_array(U, field, square=True)
-    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > check_positive(tol, "tol"):
-        raise ValueError("matrix is not orthogonal/unitary within tolerance")
-    return U
-
-
 def act_orthogonal(F: Frame, U, tol: float = DEFAULT_TOL) -> Frame:
     """Left action by an orthogonal (unitary) matrix: F -> U F.
 
     Preserves tightness and sphericity; the Gram matrix F*F is unchanged.
     """
-    U = _check_structure_matrix(U, F.field, tol)
+    U = _as_array(U, F.field, square=True)
+    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > check_positive(tol, "tol"):
+        raise ValueError("matrix is not orthogonal/unitary within tolerance")
     if U.shape[0] != F.n:
         raise ValueError(f"U is {U.shape[0]}x{U.shape[0]}, frame has n={F.n}")
     return Frame(F.field, U @ F.entries)

@@ -434,6 +434,9 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     `lift_gram_path`, so the closing step, index m, answers to the lift's
     three rules like every other step.  F[m] is the frame of R_0 turned
     by the product of all the fits: returns the sign of det(F[m] F[0]^T).
+    The sign belongs to the loop that joins consecutive samples inside
+    their Procrustes balls; ``max_step`` is the caller's claim that the
+    samples are that dense, which no rule checked on them can replace.
     Refuses (ValueError) fewer than two points, an open loop and every
     fault the lift refuses, ``tol`` >= 1 among them.
     """

@@ -31,8 +31,6 @@ _LEG_ATOL = 1e-12
 #: a chain step of m sqrt(4 - m^2) lifts to a planar step of m
 LIFT_SAFE_STEP = 0.5
 
-_OMEGA = np.exp(2j * np.pi / 3)
-
 
 def _closure(v, p: int):
     """|s| and lambda_max = (sum |v|^p + |s|) / 2 per row of v, s = sum v^p: for a planar
@@ -182,17 +180,10 @@ def to_gram_loop(path: FramePath, tol: float = DEFAULT_TOL):
 
 
 def standard_chain(k: int) -> Chain:
-    """The straightening target: (1,-1,1,-1,...) for even k; for odd k the
-    zero-sum triple (w, conj(w), 1) with w = exp(2*pi*i/3), followed by
-    (1,-1) pairs."""
-    k = check_integer(k, "k")
-    if k < 4:
-        raise ValueError("need k >= 4")
-    if k % 2 == 0:
-        w = [1.0, -1.0] * (k // 2)
-    else:
-        w = [_OMEGA, np.conj(_OMEGA), 1.0, 1.0, -1.0] + [1.0, -1.0] * ((k - 5) // 2)
-    return Chain(np.asarray(w, dtype=np.complex128))
+    """The straightening target, the square of canonical_planar(k):
+    (1,-1,1,-1,...) for even k; for odd k the zero-sum triple (w, conj(w), 1)
+    with w = exp(2*pi*i/3), followed by (1,-1) pairs."""
+    return Chain(canonical_planar(k).z ** 2)
 
 
 def canonical_planar(k: int) -> PlanarFrame:
@@ -234,9 +225,7 @@ def _sample_leg(fn, max_step: float):
 
 
 def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
-    for prev, leg in zip(legs, legs[1:]):
-        if np.max(np.abs(leg[0] - prev[-1])) > 1e-9:
-            raise ValueError("legs are not contiguous")
+    # every leg starts at the last row of the leg before it: keep that row once
     pts = np.concatenate([legs[0][:1]] + [leg[1:] for leg in legs])
     # drop a sample within _LEG_ATOL of the one before it (a snap repeats a
     # point up to rounding), but keep the exact end and drop its predecessor
@@ -249,17 +238,15 @@ def _concat_legs(legs, kind: str, max_step: float) -> FramePath:
     return FramePath(kind, np.linspace(0.0, 1.0, len(pts)), pts, max_step)
 
 
-def _rotation_leg(state: np.ndarray, idxs, angle, max_step: float):
-    """Rotate coordinates ``idxs`` by a phase growing linearly to ``angle``
-    (one angle for all, or one per index), in the fewest equal steps whose
-    chords stay within max_step less _LEG_ATOL, as _sample_leg's do.
+def _rotation_leg(state: np.ndarray, theta: np.ndarray, max_step: float):
+    """Rotate coordinate j by a phase growing linearly to theta[j], in the
+    fewest equal steps whose chords stay within max_step less _LEG_ATOL,
+    as _sample_leg's do.
 
     On a planar frame this is valid whenever the squares of the rotated
     coordinates sum to zero, which a common rotation then preserves.
     """
     state = np.asarray(state, dtype=np.complex128)
-    theta = np.zeros(state.size)
-    theta[list(idxs)] = angle
     moving = theta != 0
     # a coordinate of modulus r turning by phi moves by the chord 2 r sin(phi / 2)
     with np.errstate(divide="ignore"):
@@ -298,7 +285,7 @@ def _rotation_path(state: np.ndarray, stages, max_step: float):
             if start <= a < end:
                 # a stage alone in its interval turns by exactly its angle
                 theta[list(sub)] = angle if (a, b) == (start, end) else np.sign(angle) * (b - a)
-        legs.append(_rotation_leg(state, range(state.size), theta, max_step))
+        legs.append(_rotation_leg(state, theta, max_step))
         state = legs[-1][-1]
     return legs
 
@@ -400,7 +387,7 @@ def _collapse(state: np.ndarray, p, rho1, max_step: float):
     theta[p] = theta[p + 1] = np.where(np.abs(turn) > 1e-6, turn, 0.0)
     legs = []
     if np.any(theta):
-        legs.append(_rotation_leg(state, range(state.size), theta, max_step))
+        legs.append(_rotation_leg(state, theta, max_step))
         state = legs[-1][-1]
 
     def collapse(t):
@@ -450,8 +437,9 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
             # links 1-2 to zero while links 4-5, pair 1 of p, take up -w3
             legs += _collapse(state, p, np.roll(rho1, 1), max_step)
             state = legs[-1][-1]
-            legs.append(_rotation_leg(state, (0, 1), float(np.angle(1j * state[2] / state[0])),
-                                      max_step))
+            theta = np.zeros(k)
+            theta[:2] = np.angle(1j * state[2] / state[0])
+            legs.append(_rotation_leg(state, theta, max_step))
             state = legs[-1][-1]
     legs += _collapse(state, p, rho1, max_step)
     state = legs[-1][-1]
@@ -461,7 +449,7 @@ def chain_straighten(c: Chain, max_step: float = DEFAULT_MAX_STEP) -> FramePath:
     theta[pairs] = theta[pairs + 1] = -np.angle(state[pairs])
     if k % 2:
         theta[:3] = -np.angle(state[2])
-    legs.append(_rotation_leg(state, range(k), theta, max_step))
+    legs.append(_rotation_leg(state, theta, max_step))
 
     path = _concat_legs(legs, "chain", max_step)
     if np.max(np.abs(path.end - standard_chain(k).w)) > 1e-9:

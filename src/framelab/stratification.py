@@ -179,9 +179,7 @@ def construct_regular_point(k: int, n: int) -> GramPoint:
         return gram(harmonic_frame(k, n, "R"))
     kp, np_ = k // d, n // d
     Rp = gram(harmonic_frame(kp, np_, "R")).entries
-    R = np.zeros((k, k))
-    for b in range(d):
-        R[b * kp:(b + 1) * kp, b * kp:(b + 1) * kp] = Rp
+    R = np.kron(np.eye(d), Rp)
     V = np.eye(k)
     grid = np.arange(d) * kp
     V[np.ix_(grid, grid)] = _dct_orthogonal(d)

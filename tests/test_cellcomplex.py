@@ -461,6 +461,15 @@ def test_complex_validation():
         fl.Complex2({"a"}, {"E": ("a", "zz")}, {})
     with pytest.raises(ValueError):
         fl.Complex2({"a", "b"}, {"E": ("a", "b")}, {"F": (("E", 1),)})  # not closed
+    loop = {"E": ("a", "a")}
+    for message, faces in {"face 'F' uses undeclared edge 'X'": {"F": (("X", 1),)},
+                           "face 'F' has direction 2": {"F": (("E", 2),)},
+                           "face 'F' has an empty boundary": {"F": ()},
+                           "an edge appears more than twice in face boundaries":
+                               {"F": (("E", 1),), "G": (("E", 1),), "H": (("E", -1),)}}.items():
+        with pytest.raises(ValueError) as err:
+            fl.Complex2({"a"}, loop, faces)
+        assert str(err.value) == message
 
 
 def _numpy_components(adj):

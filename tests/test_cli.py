@@ -231,6 +231,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2 and "framelab:" in err
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+    code, out, err = run(capsys, "enumerate-1red", "--n", "0")
+    _one_line_error(code, out, err)
+    assert err == "framelab: need n >= 1\n"
 
 
 _ONES2 = '{"field":"R","n":1,"k":2,"entries":[[1,1],[1,1]]}'
@@ -242,6 +245,15 @@ _BIGON = '{"id":"F","walk":[{"edge":"x","dir":1},{"edge":"x","dir":-1}]}'
 def _complex_doc(vertices='["a","b","c"]', edges='[{"id":"x","ends":["a","b"]}]', faces="[]"):
     return f'{{"vertices":{vertices},"edges":{edges},"faces":{faces}}}'
 
+
+#: documents whose entries disagree with their declared n or k -> (the
+#: command that reads that kind of document, its refusal)
+_MISDECLARED = {
+    '{"field":"R","n":2,"k":2,"entries":[[1,1]]}':
+        ("gram", "frame entries do not match the declared n, k"),
+    '{"field":"R","n":1,"k":3,"entries":[[1,1],[1,1]]}':
+        ("complement", "gram entries do not match the declared k"),
+}
 
 #: complex documents with a repeated label or id, or vertices or edge ends not in a list
 _BAD_COMPLEXES = {
@@ -262,13 +274,15 @@ _BAD_COMPLEXES = {
                                  '{"field":"R","n":null,"k":2,"entries":[[1,2]]}',
                                  f'{{"points":[{_ONES2_C},{_ONES2_C}]}}',
                                  f'{{"points":[{_ONES2},{_ONES3},{_ONES2}]}}',
-                                 *_BAD_COMPLEXES.values()])
+                                 *_MISDECLARED, *_BAD_COMPLEXES.values()])
 def test_malformed_document_exits_2(capsys, monkeypatch, cmd, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = run(capsys, cmd, "-")
     assert code == 2 and out == ""
     assert err.startswith("framelab: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    reader, message = _MISDECLARED.get(doc, (None, None))
+    assert cmd != reader or err == f"framelab: {message}\n"
 
 
 def test_oversized_request_exits_2(capsys):

@@ -233,6 +233,8 @@ def test_frame_validation():
         fl.Frame("R", np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         fl.Frame("Q", np.eye(2))
+    with pytest.raises(ValueError, match=r"^U is 3x3, frame has n=2$"):
+        fl.act_orthogonal(fl.simplex_frame(2), np.eye(3))
     for field in ("Q", ["R"], None):  # one field rule, an unhashable field included
         for call in (lambda: fl.Frame(field, np.eye(2)),
                      lambda: fl.expected_dimensions(5, 2, field),

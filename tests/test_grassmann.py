@@ -46,6 +46,9 @@ def test_gram_rejects_with_diagnostic():
         fl.gram(fl.Frame("R", 2 * fl.simplex_frame(2).entries))
     with pytest.raises(ValueError, match="not tight"):
         fl.gram(fl.Frame("R", np.array([[1, 0, 1], [0, 1, 0]], dtype=float)))
+    with pytest.raises(ValueError,
+                       match=r"^not a spherical tight frame: k=2 <= n=2 \(no redundancy\)$"):
+        fl.gram(fl.Frame("R", np.eye(2)))
 
 
 def test_is_gram_point_checks():
@@ -403,7 +406,10 @@ def test_holonomy_rejects_open_or_coarse_loops():
         fl.holonomy_sign([loop[0], loop[63], loop[0]], max_step=10.0)
     assert _margin_in(str(err.value)) < _ROUNDED_ZERO_MARGIN
     # every fit of this thinned loop is unique (margins 0.797), yet at
-    # max_step=10 it lifts to +1: the step rule is the sampling density
+    # max_step=10 it lifts to +1, the sign of the loop joining its three
+    # samples inside their Procrustes balls: the step rule is the caller's
+    # claim about sampling density
+    assert fl.holonomy_sign([loop[0], loop[100], loop[126]], max_step=10.0) == 1
     with pytest.raises(ValueError, match="gram step 0.963 at index 1 exceeds 0.2"):
         fl.holonomy_sign([loop[0], loop[100], loop[126]])
 

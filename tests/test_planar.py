@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,8 +65,14 @@ def test_square_map_values():
                     [1, -1, 1, -1], atol=1e-15)
     assert_allclose(fl.square_map(fl.PlanarFrame([1, 1j, -1, -1j])).w,
                     [1, -1, 1, -1], atol=1e-15)
+    w = np.exp(2j * np.pi / 3)
     b5 = fl.canonical_planar(5)
-    assert_allclose(fl.square_map(b5).w, fl.standard_chain(5).w, atol=1e-15)
+    assert_allclose(fl.square_map(b5).w, [w, np.conj(w), 1, 1, -1], atol=1e-15)
+    # standard_chain, the square of canonical_planar, against the literal table
+    for k in range(4, 10):
+        table = ([w, np.conj(w), 1, 1, -1] + [1, -1] * ((k - 5) // 2) if k % 2
+                 else [1, -1] * (k // 2))
+        assert_allclose(fl.standard_chain(k).w, table, rtol=0, atol=2.3e-16)
 
 
 def test_lift_constant_chain():
@@ -420,6 +427,13 @@ def test_random_planar_frame_validity():
             z = fl.random_planar_frame(k, rng)
             assert abs(np.sum(z.z ** 2)) < 1e-12
             assert np.max(np.abs(np.abs(z.z) - 1)) < 1e-12
+    # phases 0 and a quarter turn square to a partial sum of 0: the last two
+    # squares are then the antipodal pair (u, -u) for u = exp(2 pi i / 8)
+    draws = iter([np.array([0.0, 0.25]), 0.125])
+    rng = SimpleNamespace(random=lambda size=None: next(draws),
+                          choice=lambda options, size: np.ones(size))
+    assert_allclose(fl.random_planar_frame(4, rng).z,
+                    [1, 1j, np.exp(1j * np.pi / 8), np.exp(-3j * np.pi / 8)], atol=1e-15)
 
 
 def test_frame_path_validation():
@@ -438,6 +452,34 @@ def test_frame_path_validation():
     path = FramePath("chain", ts, tuple(np.ones(3) for _ in ts), 0.05)
     assert path.points.shape == (3, 3) and not path.points.flags.writeable
     assert not path.ts.flags.writeable
+    z4, w4 = fl.canonical_planar(4), fl.standard_chain(4).w
+    # link 0 passes within 1e-14 of 0, where its two square roots are as near
+    chain_through_0 = FramePath("chain", np.linspace(0, 1, 5),
+                                [w4 * [s, 1, 1, 1] for s in (1, 0.5, 1e-14, 0.5, 1)], 0.5)
+    refusals = {
+        "planar frame must be nonempty": lambda: fl.PlanarFrame([]),
+        "kind must be 'planar' or 'chain', got 'loop'":
+            lambda: FramePath("loop", ts, tuple(np.ones(3) for _ in ts), 0.05),
+        "path needs matching ts/points with at least two samples":
+            lambda: FramePath("planar", ts, (np.ones(3), np.ones(3)), 0.05),
+        "path samples must be nonempty": lambda: FramePath("planar", ts, np.ones((3, 0)), 0.05),
+        "need a planar path": lambda: fl.to_gram_loop(path),
+        "need k >= 4": lambda: fl.canonical_planar(3),
+        "lift_path needs a chain path": lambda: fl.lift_path(fl.case1_explicit_path(), z4),
+        "start does not lie over the chain path's first point":
+            lambda: fl.lift_path(FramePath("chain", (0, 1), (-w4, -w4), 0.05), z4),
+        "ambiguous square root for coordinate 0 at t=0.5; refine the chain path":
+            lambda: fl.lift_path(chain_through_0, z4),
+        "chain straightening needs k >= 4": lambda: fl.chain_straighten(fl.Chain([1, -1])),
+        "need k >= 3": lambda: fl.random_planar_frame(2, np.random.default_rng(0)),
+        # every draw puts both phases at 0, a partial sum of modulus 2
+        "sampling failed to find a closable configuration":
+            lambda: fl.random_planar_frame(4, SimpleNamespace(random=np.zeros)),
+    }
+    for message, call in refusals.items():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_planar_types_take_a_tolerance():

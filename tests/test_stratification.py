@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import stratification
 
 BLOCK4 = fl.Frame("R", np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float))
 
@@ -228,11 +229,30 @@ def test_construct_regular_point_4_2():
     assert fl.tangent_report(S).regular
 
 
+def _block_loop_regular_point(k, n):
+    """construct_regular_point's matrix with its d-fold block diagonal
+    filled one block at a time, as the library did before np.kron."""
+    d = math.gcd(k, n)
+    kp = k // d
+    Rp = fl.gram(fl.harmonic_frame(kp, n // d, "R")).entries
+    R = np.zeros((k, k))
+    for b in range(d):
+        R[b * kp:(b + 1) * kp, b * kp:(b + 1) * kp] = Rp
+    V = np.eye(k)
+    grid = np.arange(d) * kp
+    V[np.ix_(grid, grid)] = stratification._dct_orthogonal(d)
+    return V.T @ R @ V
+
+
 def test_construct_regular_point_6_3():
     S = fl.construct_regular_point(6, 3)
     assert fl.is_gram_point(S.entries, 3).ok
     assert fl.commutant_partition(S.entries).trivial
     assert fl.tangent_report(S).regular
+    for k in range(3, 41):
+        for n in range(1, k):
+            assert np.array_equal(fl.construct_regular_point(k, n).entries,
+                                  _block_loop_regular_point(k, n)), (k, n)
 
 
 def test_construct_regular_point_coprime():
@@ -314,6 +334,8 @@ def test_partition_validation():
             fl.Partition(k, blocks)
     with pytest.raises(ValueError, match="need k >= 1 and nonempty blocks"):
         jsonio.partition_from_dict({"k": 2, "blocks": [[1], [2], []]})
+    with pytest.raises(ValueError, match="^partition is over 3 indices, expected 4$"):
+        fl.check_block_cardinalities(fl.Partition(3, ((1, 2, 3),)), 4, 2)
 
 
 GRID_SHAPES = [("R", 6, 3), ("R", 12, 5), ("R", 24, 12), ("R", 48, 24), ("R", 64, 24),
