@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .closedform import simplex_rows
-from .defaults import DEFAULT_TOL, check_field, check_positive
+from .defaults import DEFAULT_TOL, check_field, check_integer, check_positive
 
 #: the array dtype of each field
 _DTYPES = {"R": np.float64, "C": np.complex128}
@@ -135,7 +135,7 @@ def frame_bounds(F: Frame) -> FrameBounds:
 
 def _bounds(F: Frame, S: np.ndarray) -> FrameBounds:
     """`frame_bounds` of F from its frame operator S = F F*."""
-    if np.max(np.abs(F.entries)) == 0:
+    if abs(F.entries).max() == 0:
         raise ValueError("frame_bounds requires a nonzero frame")
     ev = np.linalg.eigvalsh(S)
     lo = float(max(ev[0], 0.0))
@@ -145,21 +145,34 @@ def _bounds(F: Frame, S: np.ndarray) -> FrameBounds:
 def is_tight(F: Frame, tol: float = DEFAULT_TOL):
     """Decide tightness and report the tight bound.
 
-    Returns ``(tight, B)`` where B = trace(F F*)/n, the common frame bound
-    when the frame is tight.  Tight means the optimal bounds agree to a
-    relative tolerance: lambda_max - lambda_min <= tol * lambda_max.  F F*
-    is formed once, for both.
+    Returns ``(tight, B)`` where B = c = trace(F F*)/n, the common frame
+    bound when the frame is tight.  Tight means the optimal bounds agree
+    to a relative tolerance: lambda_max - lambda_min <= tol * lambda_max.
+    F F* is formed once, for both.
+
+    With S = F F* and D = S - c I, every eigenvalue of S lies within
+    ||D||_2 <= ||D||_F of c, and lambda_max >= c, the mean eigenvalue.  So
+    2 ||D||_F <= tol * c proves lambda_max - lambda_min <= 2 ||D||_2 <=
+    tol * c <= tol * lambda_max, and a frame with c > 0 that passes this
+    bound is tight with no ``eigvalsh``.  Every other frame, the zero
+    frame (refused, as by `frame_bounds`) among them, is decided on the
+    eigenvalues of S.  The two rules can disagree only through rounding,
+    when lambda_max - lambda_min is within rounding of tol * lambda_max.
     """
     tol = check_positive(tol, "tol")
     S = frame_operator(F)
+    c = float(np.trace(S).real) / F.n
+    D = S - c * np.eye(F.n)
+    if c > 0 and 2 * np.vdot(D, D).real ** 0.5 <= tol * c:
+        return True, c
     b = _bounds(F, S)
-    return (b.upper - b.lower) <= tol * b.upper, float(np.trace(S).real) / F.n
+    return (b.upper - b.lower) <= tol * b.upper, c
 
 
 def is_spherical(F: Frame, tol: float = DEFAULT_TOL) -> bool:
     """True iff every column has unit Euclidean norm within tol."""
     norms = np.linalg.norm(F.entries, axis=0)
-    return bool(np.max(np.abs(norms - 1.0)) <= check_positive(tol, "tol"))
+    return bool(abs(norms - 1.0).max() <= check_positive(tol, "tol"))
 
 
 def is_on_ellipsoid(F: Frame, a: EllipsoidSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -171,11 +184,12 @@ def is_on_ellipsoid(F: Frame, a: EllipsoidSpec, tol: float = DEFAULT_TOL) -> boo
         raise ValueError(f"axis count {a.n} != ambient dimension {F.n}")
     w = np.asarray(a.axes)[:, None]
     vals = np.sum(w * np.abs(F.entries) ** 2, axis=0)
-    return bool(np.max(np.abs(vals - 1.0)) <= check_positive(tol, "tol"))
+    return bool(abs(vals - 1.0).max() <= check_positive(tol, "tol"))
 
 
 def expected_tight_bound(a: EllipsoidSpec, k: int) -> float:
     """Tight-frame bound forced by the ellipsoid: k / (a_1 + ... + a_n)."""
+    k = check_integer(k, "k")
     if k <= a.n:
         raise ValueError(f"need k > n, got k={k}, n={a.n}")
     return k / sum(a.axes)
@@ -248,7 +262,7 @@ def _retract(M) -> np.ndarray:
     if not norms.min() > 0:  # a NaN fails too
         raise ValueError("cannot retract: a frame column is zero or NaN")
     M, c, diag, t = M / norms, k / n, np.arange(k), 0
-    if np.max(np.abs(M @ M.conj().swapaxes(-1, -2) - c * np.eye(n))) < 1e-13:
+    if abs(M @ M.conj().swapaxes(-1, -2) - c * np.eye(n)).max() < 1e-13:
         return M
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -257,11 +271,11 @@ def _retract(M) -> np.ndarray:
                 B = np.linalg.solve(np.linalg.cholesky(A), M)
                 Q = B.conj().swapaxes(-1, -2) @ B
                 tau = Q.real[..., diag, diag]
-                if np.max(np.abs(1 / tau - c)) < 1e-13:
+                if abs(1 / tau - c).max() < 1e-13:
                     w, V = np.linalg.eigh(A)
                     F = (V / np.sqrt(w)[..., None, :]) @ (V.conj().swapaxes(-1, -2) @ M)
                     F /= np.linalg.norm(F, axis=-2, keepdims=True)
-                    if np.max(np.abs(F @ F.conj().swapaxes(-1, -2) - c * np.eye(n))) < 1e-13:
+                    if abs(F @ F.conj().swapaxes(-1, -2) - c * np.eye(n)).max() < 1e-13:
                         return F
                 hess = 1 / k - np.abs(Q) ** 2
                 hess[..., diag, diag] += tau + 1e-12
@@ -282,7 +296,7 @@ def act_orthogonal(F: Frame, U, tol: float = DEFAULT_TOL) -> Frame:
     Preserves tightness and sphericity; the Gram matrix F*F is unchanged.
     """
     U = _as_array(U, F.field, square=True)
-    if np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) > check_positive(tol, "tol"):
+    if abs(U.conj().T @ U - np.eye(len(U))).max() > check_positive(tol, "tol"):
         raise ValueError("matrix is not orthogonal/unitary within tolerance")
     if U.shape[0] != F.n:
         raise ValueError(f"U is {U.shape[0]}x{U.shape[0]}, frame has n={F.n}")
@@ -290,7 +304,9 @@ def act_orthogonal(F: Frame, U, tol: float = DEFAULT_TOL) -> Frame:
 
 
 def _permutation(perm, k: int) -> list:
-    perm = list(perm)
+    """``perm`` as a list of ints; ValueError unless each entry passes
+    `check_integer`'s rule and together they permute range(k)."""
+    perm = [check_integer(p, "perm entry") for p in perm]
     if sorted(perm) != list(range(k)):
         raise ValueError("perm is not a permutation of 0..k-1")
     return perm
@@ -319,10 +335,10 @@ def act_phases(F: Frame, zetas, tol: float = DEFAULT_TOL) -> Frame:
     if z.shape != (F.k,):
         raise ValueError(f"need {F.k} phases, got shape {z.shape}")
     tol = check_positive(tol, "tol")
-    if np.max(np.abs(np.abs(z) - 1.0)) > tol:
+    if abs(abs(z) - 1.0).max() > tol:
         raise ValueError("phases must be unimodular")
     if F.field == "R":
-        if np.max(np.abs(z.imag)) > tol:
+        if abs(z.imag).max() > tol:
             raise ValueError("real frames admit only +-1 phases")
         z = np.round(z.real)
     return Frame(F.field, F.entries * z[None, :])

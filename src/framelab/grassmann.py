@@ -97,7 +97,7 @@ def _split(R, n: int):
     P = (n / k) * R
     H = (P + P.conj().T) / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = float(np.linalg.norm(H @ H - H))
+        delta = _squared_norms(H @ H - H) ** 0.5
     if delta < 0.25:
         e = (1 - math.sqrt(1 - 4 * delta)) / 2
         if k * e < 0.25 and abs(np.trace(H).real - n) < 0.5:
@@ -135,11 +135,11 @@ def is_gram_point(M, n: int, tol: float = DEFAULT_TOL) -> GramCheck:
     M, tol = _as_array(M, square=True), check_positive(tol, "tol")
     n = check_integer(n, "n")
     k = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M))))
-    sa = bool(np.max(np.abs(M - M.conj().T)) <= tol * scale)
+    scale = max(1.0, float(abs(M).max()))
+    sa = bool(abs(M - M.conj().T).max() <= tol * scale)
     P = (n / k) * M
-    idem = bool(np.max(np.abs(P @ P - P)) <= tol * scale)
-    diag = bool(np.max(np.abs(np.diag(M) - 1.0)) <= tol)
+    idem = bool(abs(P @ P - P).max() <= tol * scale)
+    diag = bool(abs(M.diagonal() - 1.0).max() <= tol)
     rank_ok = 0 < n < k and not _split_refusal(_split(M, n))
     return GramCheck(sa, idem, diag, rank_ok)
 
@@ -257,7 +257,7 @@ def _recovered_frames(R, n: int):
             D *= -math.sqrt(k / n) / 2  # F = sqrt(k/n) (I - D/2) X H
             diagonal += math.sqrt(k / n)
             F = D @ XH
-            split = np.stack((1 - r, gap, s), -1)
+            split = np.array((1 - r, gap, s)).T
     if R.ndim == 2 or not ok.any():
         return (F, split) if ok.all() else _eigh_frames(R, n)
     if not ok.all():
@@ -280,7 +280,7 @@ def _eigh_frames(R, n: int):
 def _split_refusal(split) -> str:
     """Why the split (l_1, gap, l_k) of P breaks the library's one split
     rule, gap >= RANK_GAP and l_1, l_k within 1/4 of 1 and 0, or ""."""
-    top, gap, bottom = split
+    top, gap, bottom = map(float, split)
     if not gap >= RANK_GAP:
         return f"eigenvalues not clustered at 0 and 1 (gap {gap:.3g} < {RANK_GAP})"
     if not (abs(top - 1) <= 0.25 and abs(bottom) <= 0.25):
@@ -299,10 +299,10 @@ def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
         raise ValueError("frames have mismatched shape or field")
     RF = F.conj_transpose() @ F.entries
     RG = G.conj_transpose() @ G.entries
-    if np.max(np.abs(RF - RG)) > check_positive(tol, "tol"):
+    if abs(RF - RG).max() > check_positive(tol, "tol"):
         return None
     U = (F.n / F.k) * (G.entries @ F.conj_transpose())
-    residual = float(np.max(np.abs(U @ F.entries - G.entries)))
+    residual = float(abs(U @ F.entries - G.entries).max())
     return OrbitWitness(U, residual)
 
 
@@ -316,7 +316,7 @@ def torus_point(zetas) -> GramPoint:
     z = _as_array(zetas, "C", ndim=1)
     if z.size == 0:
         raise ValueError("need at least one phase")
-    if np.max(np.abs(np.abs(z) - 1.0)) > 1e-12:
+    if abs(abs(z) - 1.0).max() > 1e-12:
         raise ValueError("phases must be unimodular")
     v = np.concatenate(([1.0 + 0j], z))
     return GramPoint("C", 1, np.outer(v, v.conj()))
@@ -443,7 +443,7 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     pts, tol = list(loop), check_positive(tol, "tol")
     if len(pts) < 2:
         raise ValueError("loop needs at least two points")
-    if pts[0].k != pts[-1].k or np.max(np.abs(pts[0].entries - pts[-1].entries)) > tol:
+    if pts[0].k != pts[-1].k or abs(pts[0].entries - pts[-1].entries).max() > tol:
         raise ValueError("loop is not closed (first != last)")
     F = lift_gram_path(pts + pts[:1], tol, max_step)
     return 1 if np.linalg.det(F[-1] @ F[0].T) > 0 else -1

@@ -361,6 +361,11 @@ def test_integer_rule_accepts_numpy_integers():
     assert fl.simplex_frame(np.int64(2)).k == 3
     assert len(fl.enumerate_one_redundant(np.int8(3)).points) == 8
     assert fl.construct_regular_point(np.int64(6), np.int64(3)).k == 6
+    F = fl.simplex_frame(2)
+    for perm in (np.array([1, 0, 2]), np.array([1, 0, 2], np.uint8), [np.int64(1), np.int32(0), 2]):
+        assert np.array_equal(fl.act_permutation(F, perm).entries, F.entries[:, [1, 0, 2]])
+        assert np.array_equal(fl.permutation_matrix(perm), np.eye(3)[:, [1, 0, 2]])
+    assert fl.expected_tight_bound(fl.EllipsoidSpec((1, 1)), np.int64(5)) == 2.5
     dims = fl.expected_dimensions(np.int64(5), np.int64(2), "R")
     assert dims == {"dimG": 2, "dimF": 3, "dimN": 2, "dimM": 3}
     assert all(type(d) is int for d in dims.values())
@@ -383,9 +388,16 @@ def test_integer_rule_accepts_numpy_integers():
                        ("rounds", lambda: fl.refine_loop([R, R], 1.5)),
                        ("k", lambda: fl.random_planar_frame(5.0, np.random.default_rng(0))),
                        ("k", lambda: fl.canonical_planar(5.0)),
-                       ("k", lambda: fl.standard_chain(5.0))]:
+                       ("k", lambda: fl.standard_chain(5.0)),
+                       ("k", lambda: fl.expected_tight_bound(fl.EllipsoidSpec((1, 1)), 5.5)),
+                       ("k", lambda: fl.expected_tight_bound(fl.EllipsoidSpec((1, 1)), "5"))]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call()
+    for perm in ([1.0, 0.0, 2.0], [True, False, 2], np.array([1.0, 0.0, 2.0]),
+                 np.array([True, False, True])):
+        for call in (lambda: fl.act_permutation(F, perm), lambda: fl.permutation_matrix(perm)):
+            with pytest.raises(ValueError, match="perm entry must be an integer"):
+                call()
 
 
 @pytest.mark.parametrize("tol", ["1e-9", np.float32(1e-9)], ids=repr)

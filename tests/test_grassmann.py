@@ -868,10 +868,16 @@ def _count_eigen_calls(monkeypatch):
 
 def test_is_gram_point_eigen_calls(monkeypatch):
     # ||H^2 - H||_F and tr H decide the split of a Gram point; an eigh runs
-    # only on an input they cannot decide, here P = I/2 with delta = 1/2
+    # only on an input they cannot decide, here P = I/2 with delta = 1/2;
+    # one norm decides that a tight frame is tight, in gram and is_tight
     R = fl.construct_regular_point(48, 24)
+    frames = [random_stf(k, n, field, 1, spread=0.05)
+              for field, k, n in ((f, k, n) for f, shapes in (("R", ((6, 3), (12, 5), (64, 24))),
+                                                             ("C", ((9, 4), (40, 13))))
+                                  for k, n in shapes)]
     calls = _count_eigen_calls(monkeypatch)
     assert fl.is_gram_point(R.entries, 24).ok
+    assert all(fl.is_tight(F)[0] and fl.gram(F).n == F.n for F in frames)
     assert calls == []
     assert not fl.is_gram_point(np.eye(4), 2).rank_ok
     assert calls == ["eigh"]
@@ -890,6 +896,37 @@ def test_split_bound_decides_only_within_its_proof(k, n, monkeypatch):
         assert calls == ([] if decided else ["eigh"])
         expected = (1 - x, 1 - 2 * x, x) if decided else (1, 1 - x, 0)
         assert_allclose(split, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("n", [2, 3, 7, 24])
+def test_tight_bound_decides_only_within_its_proof(n, field, monkeypatch):
+    # F = diag(sqrt(lam)) V, V with orthonormal rows, so F F* = diag(lam):
+    # lam = 1 + a u for a zero-mean unit u puts 2 ||F F* - c I||_F at 2a,
+    # so the bound decides when 2a is below tol c and leaves the eigvalsh
+    # otherwise; either way the verdict is the definition on frame_bounds
+    rng = np.random.default_rng(n)
+    A = _noise(n + 3, field, rng)
+    V = np.linalg.qr(A)[0][:n]
+    u = rng.standard_normal(n)
+    u -= u.mean()
+    u /= np.linalg.norm(u)
+    calls, seen = _count_eigen_calls(monkeypatch), set()
+    for tol in (1e-9, 1e-3):
+        for ratio, decided in ((0.99, True), (1.01, False), (1.5, False), (3.0, False)):
+            F = fl.Frame(field, np.sqrt(1 + ratio * tol / 2 * u)[:, None] * V)
+            b = fl.frame_bounds(F)
+            calls.clear()
+            tight, bound = fl.is_tight(F, tol)
+            assert calls == ([] if decided else ["eigvalsh"])
+            assert tight == ((b.upper - b.lower) <= tol * b.upper)
+            assert bound == float(np.trace(F.entries @ F.entries.conj().T).real) / n
+            assert tight or not decided
+            seen.add((decided, tight))
+    assert seen == {(True, True), (False, True), (False, False)}  # the bound is one-sided
+    calls.clear()
+    fl.frame_bounds(F)
+    assert calls == ["eigvalsh"]
 
 
 def _eigh_split(P, n):
