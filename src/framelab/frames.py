@@ -127,17 +127,22 @@ def frame_operator(F: Frame) -> np.ndarray:
 def frame_bounds(F: Frame) -> FrameBounds:
     """Optimal frame bounds of F: the extreme eigenvalues of F F*.
 
-    Accepts any nonzero matrix; for k <= n the lower bound may be 0
-    (diagnostic use), in which case F is not a frame for the full space.
+    Accepts any matrix whose F F* is nonzero in floating point; for k <= n
+    the lower bound may be 0 (diagnostic use), in which case F is not a
+    frame for the full space.
     """
-    return _bounds(F, frame_operator(F))
+    return _bounds(frame_operator(F))
 
 
-def _bounds(F: Frame, S: np.ndarray) -> FrameBounds:
-    """`frame_bounds` of F from its frame operator S = F F*."""
-    if abs(F.entries).max() == 0:
-        raise ValueError("frame_bounds requires a nonzero frame")
+def _bounds(S: np.ndarray) -> FrameBounds:
+    """`frame_bounds` of a frame from its frame operator S = F F*.  ValueError
+    unless lambda_max > 0: one rule for the zero frame and for a nonzero
+    one whose F F* underflows to 0 (every entry below about 1e-162); an
+    F F* that overflows, with eigenvalues NaN, is refused too."""
     ev = np.linalg.eigvalsh(S)
+    if not ev[-1] > 0:
+        raise ValueError("frame_bounds requires a nonzero frame operator with finite "
+                         f"eigenvalues, got {ev[-1]:g}")
     lo = float(max(ev[0], 0.0))
     return FrameBounds(lo, float(ev[-1]))
 
@@ -154,10 +159,11 @@ def is_tight(F: Frame, tol: float = DEFAULT_TOL):
     ||D||_2 <= ||D||_F of c, and lambda_max >= c, the mean eigenvalue.  So
     2 ||D||_F <= tol * c proves lambda_max - lambda_min <= 2 ||D||_2 <=
     tol * c <= tol * lambda_max, and a frame with c > 0 that passes this
-    bound is tight with no ``eigvalsh``.  Every other frame, the zero
-    frame (refused, as by `frame_bounds`) among them, is decided on the
-    eigenvalues of S.  The two rules can disagree only through rounding,
-    when lambda_max - lambda_min is within rounding of tol * lambda_max.
+    bound is tight with no ``eigvalsh``.  Every other frame is decided on
+    the eigenvalues of S; one whose S is 0 (the zero frame, or one whose
+    F F* underflows) is refused there, as by `frame_bounds`.  The two
+    rules can disagree only through rounding, when lambda_max - lambda_min
+    is within rounding of tol * lambda_max.
     """
     tol = check_positive(tol, "tol")
     S = frame_operator(F)
@@ -165,7 +171,7 @@ def is_tight(F: Frame, tol: float = DEFAULT_TOL):
     D = S - c * np.eye(F.n)
     if c > 0 and 2 * np.vdot(D, D).real ** 0.5 <= tol * c:
         return True, c
-    b = _bounds(F, S)
+    b = _bounds(S)
     return (b.upper - b.lower) <= tol * b.upper, c
 
 
@@ -206,11 +212,6 @@ def simplex_frame(n: int) -> Frame:
     return Frame("R", np.array(simplex_rows(n)))
 
 
-class _Stalled(ValueError):
-    """`_retract` did not converge: it met its step or weight-spread cap, or
-    a factorization was singular."""
-
-
 #: the Newton steps `_retract` takes before it refuses
 _RETRACT_STEPS = 100
 #: the spread of log column weights past which `_retract` refuses: whitening
@@ -224,9 +225,10 @@ def _retract(M) -> np.ndarray:
     spherical tight frames, stopping once max|F F* - (k/n) I| < 1e-13 over
     the stack; the input, columns normalized, is returned when it passes
     this rule before any Newton step.  ValueError, before dividing by its
-    norm, for a zero or NaN column; `_Stalled` after _RETRACT_STEPS Newton
-    steps, once the log column weights spread past _WEIGHT_SPREAD (about
-    72), or when a factorization is singular or a step overflows.
+    norm, for a zero or NaN column; also ValueError ("... did not converge"
+    or "... failed") after _RETRACT_STEPS Newton steps, once the log column
+    weights spread past _WEIGHT_SPREAD (about 72), or when a factorization
+    is singular or a step overflows.
 
     The rule is Newton's method on the column weights W = e^t (the radial
     isotropic position of Barthe 1998; Hamilton and Moitra 2021).  The
@@ -286,8 +288,8 @@ def _retract(M) -> np.ndarray:
                     break
                 M = B * np.exp(s / 2)[..., None, :]
     except (np.linalg.LinAlgError, FloatingPointError) as err:
-        raise _Stalled(f"retraction onto spherical tight frames failed: {err}") from None
-    raise _Stalled("retraction onto spherical tight frames did not converge")
+        raise ValueError(f"retraction onto spherical tight frames failed: {err}") from None
+    raise ValueError("retraction onto spherical tight frames did not converge")
 
 
 def act_orthogonal(F: Frame, U, tol: float = DEFAULT_TOL) -> Frame:

@@ -19,10 +19,10 @@ import numpy as np
 from .cellcomplex import _components
 from .closedform import _check_shape, _stratum_block_dim
 from .defaults import check_field, check_integer, check_positive
-from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, _Stalled, act_orthogonal,
+from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, act_orthogonal,
                      act_permutation, act_phases)
-from .grassmann import (GramPoint, _split, _split_refusal, complement, frame_from_gram, gram,
-                        torus_point)
+from .grassmann import GramPoint, _split, _split_refusal, gram
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -193,15 +193,13 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
     (unitary) map, a random permutation, and random phases (one orbit's
     worth of randomness; the Gram point keeps the harmonic zero pattern).
     Any other spread must be a finite number > 0 (``check_positive``).
-    With spread > 0 the Gram point itself is randomized: real frames in
-    dimension 2 (or codimension 1 or 2, via the Naimark complement and the
-    rank-1 enumeration) are sampled exactly through the planar
-    parameterization; other shapes kick the synthesis matrix by a Gaussian
-    of size ``spread`` and retract onto the spherical tight frames by
-    `frames._retract` (Newton's method on the column weights, stopping once
-    max|F F* - (k/n) I| < 1e-13), retrying with a kick 4 times smaller, up
-    to five times, when it does not converge within 100 Newton steps and a
-    column-weight spread of 2 ln(1/eps).
+    Then, at every shape, that moved frame's synthesis matrix is kicked by
+    a Gaussian of size ``spread`` (in real and imaginary parts for "C") and
+    retracted onto the spherical tight frames once by `frames._retract`
+    (Newton's method on the column weights, stopping once
+    max|F F* - (k/n) I| < 1e-13).  Its ValueError, when it does not
+    converge within 100 Newton steps and a column-weight spread of
+    2 ln(1/eps), reaches the caller; no smaller kick is tried.
     """
     def dress(F):
         if field == "R":
@@ -218,26 +216,7 @@ def random_tight_frame(k: int, n: int, field: str, rng, spread: float = 0.0) -> 
     if type(spread) is not bool and spread == 0:
         return dress(harmonic_frame(k, n, field))
     spread = check_positive(spread, "spread")
-
-    if field == "R" and (n == 2 or n == k - 2 and k >= 5):
-        from .planar import from_planar, random_planar_frame
-        F = from_planar(random_planar_frame(k, rng).z)
-        return dress(F if n == 2 else frame_from_gram(complement(gram(F))))
-    if n == k - 1:
-        if field == "C":
-            R1 = torus_point(np.exp(2j * np.pi * rng.random(k - 1)))
-        else:
-            v = np.concatenate(([1.0], rng.choice([-1.0, 1.0], size=k - 1)))
-            R1 = GramPoint("R", 1, np.outer(v, v))
-        return dress(frame_from_gram(complement(R1)))
-
-    base = dress(harmonic_frame(k, n, field))
-    for kick in (spread / 4 ** i for i in range(6)):
-        M = base.entries + kick * rng.standard_normal((n, k))
-        if field == "C":
-            M = M + 1j * kick * rng.standard_normal((n, k))
-        try:
-            return Frame(field, _retract(M))
-        except _Stalled as err:
-            stalled = err
-    raise stalled
+    M = dress(harmonic_frame(k, n, field)).entries + spread * rng.standard_normal((n, k))
+    if field == "C":
+        M = M + 1j * spread * rng.standard_normal((n, k))
+    return Frame(field, _retract(M))

@@ -507,6 +507,15 @@ def test_coarse_max_step_connects(tmp_path, capsys):
     assert fl.validate_path(path, expect_start=z.z, expect_end=fl.canonical_planar(6).z).ok
 
 
+def test_underflowing_frame_exits_2(tmp_path, capsys):
+    fpath = write(tmp_path, "f.json", {"field": "R", "n": 2, "k": 3,
+                                       "entries": [[1e-200] * 3] * 2})
+    code, out, err = run(capsys, "verify", fpath)
+    _one_line_error(code, out, err)
+    assert err == ("framelab: frame_bounds requires a nonzero frame operator with finite "
+                   "eigenvalues, got 0\n")
+
+
 @pytest.mark.parametrize("axes", ["1,nan", "nan,1", "inf,1"])
 def test_non_finite_axes_exit_2(tmp_path, capsys, axes):
     fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.simplex_frame(2)))

@@ -60,7 +60,7 @@ def test_is_tight_orthonormal_basis():
 
 def test_is_tight_forms_the_frame_operator_once(monkeypatch):
     """(tight, B) are bit for bit what frame_bounds and trace(F F*)/n
-    give, from one F F*; a zero frame is still refused."""
+    give, from one F F*; a frame whose F F* is 0 is refused by both."""
     rng = np.random.default_rng(7)
     frames = [fl.simplex_frame(3), fl.Frame("R", np.array([[1, 0, 1], [0, 1, 0]], dtype=float)),
               fl.Frame("C", rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))),
@@ -75,8 +75,12 @@ def test_is_tight_forms_the_frame_operator_once(monkeypatch):
                         lambda F, _real=fl.frames.frame_operator: calls.append(1) or _real(F))
     assert [fl.is_tight(F) for F in frames] == expected
     assert len(calls) == len(frames)
-    with pytest.raises(ValueError, match="nonzero frame"):
-        fl.is_tight(fl.Frame("R", np.zeros((2, 3))))
+    # nonzero frames whose every square underflows have F F* = 0 exactly
+    for entries in [np.zeros((2, 3)), np.full((2, 3), 1e-200),
+                    [[1e-200, 0, 0], [0, 1e-170, 1e-170]]]:
+        for decide in (fl.is_tight, fl.frame_bounds):
+            with pytest.raises(ValueError, match="nonzero frame"):
+                decide(fl.Frame("R", entries))
 
 
 def test_on_ellipsoid_sphere_case():

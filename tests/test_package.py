@@ -151,11 +151,15 @@ def test_closed_form_stages_run_without_numpy():
 
 
 def test_stratification_loads_planar_on_demand():
-    """Only random_tight_frame's planar shapes need planar, so regular-point
-    and tangent stages do not load it."""
+    """stratification never needs planar: regular-point and tangent stages
+    do not load it, nor does random_tight_frame at the shapes n = 2, k - 2
+    and k - 1 that the planar parameterization also covers."""
     doc = _fresh_python(
         "import json, sys\n"
-        "import framelab.stratification\n"
+        "import numpy as np\n"
+        "from framelab import stratification\n"
+        "for k, n, field in [(5, 2, 'R'), (6, 4, 'R'), (5, 4, 'R'), (5, 4, 'C')]:\n"
+        "    stratification.random_tight_frame(k, n, field, np.random.default_rng(1), 0.05)\n"
         "print(json.dumps('framelab.planar' in sys.modules))")
     assert doc is False
 

@@ -433,26 +433,29 @@ def test_retraction_refuses_a_frame_with_no_tight_position(M, monkeypatch):
 
     calls, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
-    with pytest.raises(frames._Stalled, match="retraction onto spherical tight frames"):
+    with pytest.raises(ValueError, match="retraction onto spherical tight frames"):
         frames._retract(np.array(M))
     assert 0 < len(calls) <= frames._RETRACT_STEPS
 
 
-def test_retries_catch_only_a_stalled_retraction(monkeypatch):
-    from framelab import frames, stratification
+def test_a_failed_retraction_reaches_the_caller_after_one_call(monkeypatch):
+    """random_tight_frame retracts one kick and retries nothing: a stall
+    and a zero column alike reach its caller as they were raised."""
+    from framelab import stratification
 
-    for error, tries in [(frames._Stalled("did not converge"), 6),
-                         (ValueError("cannot retract: a frame column is zero"), 1)]:
+    for message in ["retraction onto spherical tight frames did not converge",
+                    "cannot retract: a frame column is zero or NaN"]:
         calls = []
 
-        def failing(M, _error=error):
+        def failing(M, _message=message):
             calls.append(M)
-            raise _error
+            raise ValueError(_message)
 
         monkeypatch.setattr(stratification, "_retract", failing)
-        with pytest.raises(ValueError, match=str(error)):
+        with pytest.raises(ValueError) as err:
             fl.random_tight_frame(12, 5, "R", np.random.default_rng(0), spread=0.5)
-        assert len(calls) == tries
+        assert str(err.value) == message
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field,k,n,spread", [(f, k, n, 0.05) for f, k, n in GRID_SHAPES]
@@ -464,3 +467,41 @@ def test_retraction_lands_on_the_manifold(field, k, n, spread):
     assert np.max(np.abs(M @ M.conj().T - (k / n) * np.eye(n))) < 1e-13
     assert np.max(np.abs(np.linalg.norm(M, axis=0) - 1)) < 1e-15
     assert M.tobytes() == G.entries.tobytes()
+
+
+def _chart_rank(F, rng):
+    """Rank of the chart E -> gram(_retract(F + eps E)) at F, eps = 1e-6,
+    counted from 3kn Gaussian directions E in one stacked `_retract` call:
+    the singular values of the Gram differences (F_eps* F_eps - F* F)/eps,
+    as real vectors, above the absolute cut 1e-2.  Returns (rank, smallest
+    value kept, largest value dropped), with inf and 0 for an empty side."""
+    from framelab import frames
+
+    n, k = F.n, F.k
+    E = rng.standard_normal((3 * k * n, n, k))
+    if F.field == "C":
+        E = E + 1j * rng.standard_normal(E.shape)
+    G = frames._retract(F.entries + 1e-6 * E)
+    D = (G.conj().swapaxes(-1, -2) @ G - F.conj_transpose() @ F.entries) / 1e-6
+    D = D.reshape(len(E), -1)
+    s = np.linalg.svd(np.hstack([D.real, D.imag]), compute_uv=False)
+    kept, dropped = s[s > 1e-2], s[s <= 1e-2]
+    return len(kept), kept.min(initial=np.inf), dropped.max(initial=0.0)
+
+
+def test_chart_rank_is_the_gram_dimension_at_every_small_shape():
+    """The retraction is a chart onto the frames near F, so the rank of its
+    Gram differences is dim G at a generic F: the closed form, and dim Gr
+    less the rank of the diagonal-extraction differential.  Every shape
+    3 <= k <= 10, 1 <= n < k of both fields, the one sampler's n = 2,
+    k - 2 and k - 1 included; the cut sits in a wide gap of the spectrum."""
+    rng = np.random.default_rng(33)
+    shapes = [(field, k, n) for field in "RC" for k in range(3, 11) for n in range(1, k)]
+    assert len(shapes) == 88
+    for field, k, n in shapes:
+        F = fl.random_tight_frame(k, n, field, rng, spread=0.05)
+        rank, kept, dropped = _chart_rank(F, rng)
+        T = fl.tangent_report(fl.gram(F))
+        expected = fl.expected_dimensions(k, n, field)["dimG"]
+        assert rank == expected == T.ambient_dim - T.rank, (field, k, n, rank)
+        assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
