@@ -25,6 +25,8 @@ from .frames import DEFAULT_TOL, Frame, _as_array
 MAX_LEG_SAMPLES = 2 ** 16
 #: legs are sampled to steps below max_step less this margin
 _LEG_ATOL = 1e-12
+#: intervals of the probe that measures a leg's arc length before sampling it
+_PROBE = 128
 #: largest chain step connect_to_standard straightens with; lift_path refuses
 #: chain steps of 1 or more, and a step of half that keeps the roots apart.
 #: For max_step m it straightens at min(m sqrt(4 - m^2), LIFT_SAFE_STEP):
@@ -204,20 +206,36 @@ def canonical_planar(k: int) -> PlanarFrame:
 # path assembly
 
 
+def _too_fine(max_step: float) -> ValueError:
+    """The refusal of a max_step that one leg cannot meet in MAX_LEG_SAMPLES."""
+    return ValueError(f"max_step {max_step:g} needs more than "
+                      f"{MAX_LEG_SAMPLES} samples on one leg")
+
+
 def _sample_leg(fn, max_step: float):
-    """Sample fn: [0,1] -> C^k adaptively until consecutive max-norm steps
-    are below max_step less _LEG_ATOL.  ``fn`` maps a vector of
-    parameters to the (len(t) x k) array of points; every interval whose
-    step is too long is bisected, all of them at once in each round."""
-    ts = np.array([0.0, 0.5, 1.0])
+    """Sample fn: [0,1] -> C^k until consecutive max-norm steps are at most
+    bound = max_step less _LEG_ATOL.  ``fn`` maps a vector of parameters to
+    the (len(t) x k) array of points.  A probe at _PROBE + 1 equally spaced
+    parameters measures the leg's max-norm length L as its chord sum, and
+    ceil(L / bound) equal spacings of that length place the samples, each
+    t interpolated against the probe's running length.  Where the leg turns
+    or speeds up between probe points a step can still be too long: every
+    such interval is bisected, all of them at once in each round."""
+    bound = max_step - _LEG_ATOL
+    probe = np.linspace(0.0, 1.0, _PROBE + 1)
+    arc = np.concatenate([[0.0], np.cumsum(np.max(np.abs(np.diff(fn(probe), axis=0)), axis=1))])
+    if not (bound > 0 and arc[-1] < bound * (MAX_LEG_SAMPLES - 1)):
+        raise _too_fine(max_step)
+    steps = max(1, math.ceil(arc[-1] / bound))
+    ts = np.interp(np.linspace(0.0, arc[-1], steps + 1), arc, probe)
+    ts[0], ts[-1] = 0.0, 1.0  # a flat stretch of ``arc`` (a still leg) interpolates to any t on it
     pts = fn(ts)
     for _ in range(np.finfo(float).nmant):  # down to the float resolution of t
-        long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > max_step - _LEG_ATOL)
+        long = np.flatnonzero(np.max(np.abs(np.diff(pts, axis=0)), axis=1) > bound)
         if long.size == 0:
             return pts
         if len(ts) + long.size > MAX_LEG_SAMPLES:
-            raise ValueError(f"max_step {max_step:g} needs more than "
-                             f"{MAX_LEG_SAMPLES} samples on one leg")
+            raise _too_fine(max_step)
         tm = (ts[long] + ts[long + 1]) / 2
         ts = np.insert(ts, long + 1, tm)
         pts = np.insert(pts, long + 1, fn(tm), axis=0)
@@ -253,8 +271,7 @@ def _rotation_leg(state: np.ndarray, theta: np.ndarray, max_step: float):
         reach = np.clip((max_step - _LEG_ATOL) / (2 * np.abs(state[moving])), 0.0, 1.0)
         need = np.max(np.abs(theta[moving]) / (2 * np.arcsin(reach)), initial=0.0)
     if not need < MAX_LEG_SAMPLES:
-        raise ValueError(f"max_step {max_step:g} needs more than "
-                         f"{MAX_LEG_SAMPLES} samples on one leg")
+        raise _too_fine(max_step)
     t = np.linspace(0.0, 1.0, max(1, int(np.ceil(need))) + 1)
     return state * np.exp(1j * np.outer(t, theta))
 
@@ -377,7 +394,8 @@ def _collapse(state: np.ndarray, p, rho1, max_step: float):
     link fixed.  A pair more than rounding off its track's start (an
     antipodal pair, or one whose segment passes within 1e-12 of zero) is
     first turned rigidly onto it, which moves its sum by about 1e-12 at
-    most; the sampled leg starts at the state itself."""
+    most; the sampled leg starts at the state itself.  _sample_leg places
+    its samples by the leg's arc length, about one per max_step of it."""
     rho0 = state[p] + state[p + 1]
     moving = np.abs(rho1 - rho0) >= 1e-14
     p = p[moving]
@@ -695,9 +713,10 @@ def connect_to_standard(z: PlanarFrame, max_step: float = DEFAULT_MAX_STEP) -> F
     subsets, concurrent where they share no coordinate, connecting the lift
     endpoint to the canonical frame in the fiber over the standard chain.
     A planar step a lifts a chain step of a sqrt(4 - a^2), which grows with
-    a up to sqrt(2), so the straightening samples min(m sqrt(4 - m^2),
-    LIFT_SAFE_STEP) apart for m = max_step: its lift keeps within m, and any
-    finite max_step > 0 lifts.  z's chain is checked at z.tol, as square_map does.
+    a up to sqrt(2), so the straightening's legs are sampled to their arc
+    length in steps of at most min(m sqrt(4 - m^2), LIFT_SAFE_STEP) for
+    m = max_step: its lift keeps within m, and any finite max_step > 0
+    lifts.  z's chain is checked at z.tol, as square_map does.
     """
     max_step = check_positive(max_step, "max_step")
     k = z.k

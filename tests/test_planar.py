@@ -294,17 +294,20 @@ def test_straightening_sample_counts():
     frames = {k: fl.random_planar_frame(k, np.random.default_rng(0))
               for k in (4, 5, 6, 7, 9, 17, 33)}
     counts = {k: len(fl.connect_to_standard(z).ts) for k, z in frames.items()}
-    # 3 fewer than before the snapped repeats were dropped
-    assert counts == {4: 129, 5: 132, 6: 111, 7: 108, 9: 117, 17: 133, 33: 157}
-    # the counts before the odd-k head took its least plan: none grew
-    old = {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}
-    assert all(counts[k] <= old[k] for k in counts)
+    assert counts == {4: 127, 5: 130, 6: 106, 7: 106, 9: 115, 17: 131, 33: 149}
+    # the counts before legs were sampled to their arc length, and before the
+    # odd-k head took its least plan: none grew
+    for old in ({4: 129, 5: 132, 6: 111, 7: 108, 9: 117, 17: 133, 33: 157},
+                {4: 132, 5: 178, 6: 114, 7: 185, 9: 194, 17: 178, 33: 256}):
+        assert all(counts[k] <= old[k] for k in counts)
     step = 0.05 * np.sqrt(4 - 0.05 ** 2)
     chain = {k: len(fl.chain_straighten(fl.square_map(z), step).ts) for k, z in frames.items()}
-    assert chain == {4: 33, 5: 47, 6: 48, 7: 23, 9: 32, 17: 47, 33: 93}
-    # the straightenings before links 1-2 chose the triple's side: none grew
-    before = {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 121}
-    assert all(chain[k] <= before[k] for k in chain)
+    assert chain == {4: 31, 5: 45, 6: 43, 7: 21, 9: 30, 17: 45, 33: 85}
+    # the straightenings before legs were sampled to their arc length, and
+    # before links 1-2 chose the triple's side: none grew
+    for before in ({4: 33, 5: 47, 6: 48, 7: 23, 9: 32, 17: 47, 33: 93},
+                   {4: 34, 5: 48, 6: 49, 7: 24, 9: 33, 17: 48, 33: 121}):
+        assert all(chain[k] <= before[k] for k in chain)
     assert len(planar.case1_explicit_path().ts) == 127
     assert len(planar.case3_explicit_path().ts) == 223
 
@@ -568,6 +571,40 @@ def test_tiny_max_step_is_refused_not_sampled():
         fl.connect_to_standard(z, 1e-300)
     with pytest.raises(ValueError, match="samples on one leg"):
         fl.case1_explicit_path(1e-9)
+
+
+def test_sample_leg_repairs_what_its_probe_misses():
+    """A leg that turns by 1 rad within 1e-4 of the middle of one probe
+    interval: the probe sees that turn as one chord, the samples placed by
+    arc length spread over the whole interval, and bisection repairs the
+    steps they leave too long.  A max_step needing more than MAX_LEG_SAMPLES
+    samples is refused after the probe alone when the probe's length shows
+    it, and by the bisection when only the repairs do."""
+    t0 = (planar._PROBE // 2 + 0.5) / planar._PROBE
+    sizes = []
+
+    def leg(t):
+        sizes.append(len(t))
+        phase = 0.5 * t + (1 + np.tanh((t - t0) / 1e-5)) / 2
+        return np.exp(1j * np.outer(phase, [1.0, -2.0]))
+
+    pts = planar._sample_leg(leg, 0.05)
+    steps = np.max(np.abs(np.diff(pts, axis=0)), axis=1)
+    assert sizes[0] == planar._PROBE + 1 and len(sizes) > 3  # probe, placement, repairs
+    assert steps.max() <= 0.05 - planar._LEG_ATOL
+    assert np.array_equal(pts[[0, -1]], leg(np.array([0.0, 1.0])))
+    # the second coordinate turns by 3 rad in all, the leg's max-norm arc length
+    assert 3 / 0.05 < len(pts) < 2 * 3 / 0.05
+    for max_step in (2 / planar.MAX_LEG_SAMPLES, planar._LEG_ATOL):
+        sizes.clear()
+        with pytest.raises(ValueError, match=f"more than {planar.MAX_LEG_SAMPLES} samples"):
+            planar._sample_leg(leg, max_step)
+        assert sizes == [planar._PROBE + 1]
+    # the probe measures 2.68 of the 3: placed by it the samples fit, repaired they do not
+    sizes.clear()
+    with pytest.raises(ValueError, match=f"more than {planar.MAX_LEG_SAMPLES} samples"):
+        planar._sample_leg(leg, 3 / planar.MAX_LEG_SAMPLES)
+    assert len(sizes) == 2
 
 
 def _apply_stages(state, stages):

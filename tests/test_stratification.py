@@ -469,18 +469,25 @@ def test_retraction_lands_on_the_manifold(field, k, n, spread):
     assert M.tobytes() == G.entries.tobytes()
 
 
-def _chart_rank(F, rng):
+def _chart_rank(F, rng, blocks=()):
     """Rank of the chart E -> gram(_retract(F + eps E)) at F, eps = 1e-6,
     counted from 3kn Gaussian directions E in one stacked `_retract` call:
     the singular values of the Gram differences (F_eps* F_eps - F* F)/eps,
-    as real vectors, above the absolute cut 1e-2.  Returns (rank, smallest
-    value kept, largest value dropped), with inf and 0 for an empty side."""
+    as real vectors, above the absolute cut 1e-2.  For each block (of
+    1-based column indices) in ``blocks``, E moves those columns only within
+    the span of theirs, so the chart stays on F's stratum.  Returns (rank,
+    smallest value kept, largest value dropped), with inf and 0 for an
+    empty side."""
     from framelab import frames
 
     n, k = F.n, F.k
     E = rng.standard_normal((3 * k * n, n, k))
     if F.field == "C":
         E = E + 1j * rng.standard_normal(E.shape)
+    for block in blocks:
+        cols = np.asarray(block) - 1
+        span = F.entries[:, cols] @ np.linalg.pinv(F.entries[:, cols])
+        E[:, :, cols] = span @ E[:, :, cols]
     G = frames._retract(F.entries + 1e-6 * E)
     D = (G.conj().swapaxes(-1, -2) @ G - F.conj_transpose() @ F.entries) / 1e-6
     D = D.reshape(len(E), -1)
@@ -505,3 +512,44 @@ def test_chart_rank_is_the_gram_dimension_at_every_small_shape():
         expected = fl.expected_dimensions(k, n, field)["dimG"]
         assert rank == expected == T.ambient_dim - T.rank, (field, k, n, rank)
         assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
+
+
+def _direct_sum(*parts):
+    """The frame whose columns are each part's, in its own coordinates."""
+    M = np.zeros((sum(F.n for F in parts), sum(F.k for F in parts)), dtype=parts[0].entries.dtype)
+    i = j = 0
+    for F in parts:
+        M[i:i + F.n, j:j + F.k] = F.entries
+        i, j = i + F.n, j + F.k
+    return fl.Frame(parts[0].field, M)
+
+
+@pytest.mark.parametrize("field,parts", [
+    ("R", [(3, 1), (3, 1)]), ("R", [(2, 1), (2, 1)]), ("R", [(3, 2), (3, 2)]),
+    ("R", [(4, 2), (4, 2)]), ("C", [(3, 1), (3, 1)]), ("R", [(6, 3), (6, 3)]),
+    ("R", [(5, 2), (5, 2)]), ("C", [(5, 2), (10, 4)]), ("R", [(7, 3), (7, 3)])],
+    ids=["R(3,1)^2", "R(2,1)^2", "R(3,2)^2", "R(4,2)^2", "C(3,1)^2", "R(6,3)^2",
+         "R(5,2)^2", "C(5,2)+C(10,4)", "R(7,3)^2"])
+def test_chart_rank_at_singular_block_points(field, parts):
+    """At the direct sum of two generic frames of one frame bound, the
+    commutant partition has the two summands as blocks, and the chart sees
+    what the closed forms say of it: its rank is dim Gr less the
+    diagonal-extraction rank, which is dim G + 1, so the manifold condition
+    fails without the partition being asked; held to the blocks it is
+    stratum_dim; and it is the same at the frame_from_gram frame of the
+    Naimark complement.  The cut sits in a wide gap."""
+    rng = np.random.default_rng(34)
+    F = _direct_sum(*(fl.random_tight_frame(k, n, field, rng, spread=0.05) for k, n in parts))
+    R = fl.gram(F)
+    T = fl.tangent_report(R)
+    blocks = fl.commutant_partition(R.entries).blocks
+    dimG = fl.expected_dimensions(F.k, F.n, field)["dimG"]
+    full = _chart_rank(F, rng)
+    held = _chart_rank(F, rng, blocks)
+    naimark = _chart_rank(fl.frame_from_gram(fl.complement(R)), rng)
+    assert len(blocks) == 2
+    assert full[0] == T.ambient_dim - T.rank == dimG + 1
+    assert held[0] == T.stratum_dim
+    assert naimark[0] == full[0]
+    for rank, kept, dropped in (full, held, naimark):
+        assert kept >= 1 and dropped <= 1e-2, (rank, kept, dropped)
