@@ -11,6 +11,9 @@ frontier search over Python-int bitmasks: connectivity on the 1-skeleton,
 vertex links on the corner graph of the edge ends, and orientability on
 the orientation double cover of the faces.
 
+``Complex2`` and ``SurfaceReport`` derive from ``defaults._Record``, the
+one base of every framelab value type, which loads no numpy.
+
 The two built-in data sets are transcriptions: each gluing direction is
 forced by the vertex classes of the identified edge pair, and an endpoint
 class mismatch aborts construction (a transcription error, not a runtime
@@ -25,17 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-
-class _Record:
-    """Equality and repr by the fields, in the order __init__ sets them
-    (defining __eq__ leaves the type unhashable unless it sets __hash__)."""
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
+from .defaults import _Record
 
 
 class Complex2(_Record):
@@ -45,7 +38,10 @@ class Complex2(_Record):
     edges: {label: (tail, head)} giving each edge a reference direction.
     faces: {label: ((edge, +1|-1), ...)} closed boundary walks; dir +1
     traverses the edge tail -> head.
+    Unlike the other records its fields can be rebound, so it is unhashable.
     """
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, vertices: set, edges: dict, faces: dict):
         self.vertices, self.edges, self.faces = vertices, edges, faces
@@ -77,16 +73,8 @@ class SurfaceReport(_Record):
     def __init__(self, v: int, e: int, f: int, euler: int, closed_surface: bool,
                  orientable: bool, connected: bool, genus):
         # genus: int when closed, orientable and connected, else None
-        self.__dict__.update(v=v, e=e, f=f, euler=euler, closed_surface=closed_surface,
-                             orientable=orientable, connected=connected, genus=genus)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"SurfaceReport is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        vars(self).update(v=v, e=e, f=f, euler=euler, closed_surface=closed_surface,
+                          orientable=orientable, connected=connected, genus=genus)
 
 
 def _edge_traversals(C: Complex2):

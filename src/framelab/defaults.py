@@ -1,5 +1,5 @@
-"""Default tolerance and step sizes, and the checks of scalar arguments
-and of the field.
+"""Default tolerance and step sizes, the checks of scalar arguments and
+of the field, and `_Record`, the read-only base of every stored type.
 
 They live in a module that loads no numpy, so the command line can build
 its parser and read --tol without it; `frames`, `planar` and `grassmann`
@@ -38,3 +38,26 @@ def check_integer(value, source: str) -> int:
     if type(value) is int or type(value) is not bool and hasattr(value, "__index__"):
         return operator.index(value)
     raise ValueError(f"{source} must be an integer, got {value!r}")
+
+
+class _Record:
+    """Read-only fields, set once by a subclass's __init__ through
+    ``vars(self).update(...)`` in its parameter order; equality, hash and
+    repr go by those fields in that order (hashing a record that holds an
+    array or a set raises TypeError)."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"

@@ -9,17 +9,17 @@ on a fixed axis-aligned ellipsoid.
 
 Every array the library takes from a caller goes through `_as_array`,
 the one place that checks it holds finite numbers of the expected shape
-and field; the stored types keep a read-only copy of their own.
+and field.  The stored types derive from `defaults._Record`: each
+__init__ checks its arguments, then sets its read-only fields once, and
+an array field is a read-only copy of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .closedform import simplex_rows
-from .defaults import DEFAULT_TOL, check_field, check_integer, check_positive
+from .defaults import DEFAULT_TOL, _Record, check_field, check_integer, check_positive
 
 #: the array dtype of each field
 _DTYPES = {"R": np.float64, "C": np.complex128}
@@ -52,8 +52,7 @@ def _as_array(values, field=None, ndim: int = 2, square: bool = False,
     return a
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """An ordered frame of k vectors in R^n or C^n.
 
     Attributes
@@ -64,12 +63,9 @@ class Frame:
         The n-by-k synthesis matrix; column j is the frame vector f_j.
     """
 
-    field: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        check_field(self.field)
-        object.__setattr__(self, "entries", _as_array(self.entries, self.field, copy=True))
+    def __init__(self, field: str, entries: np.ndarray):
+        check_field(field)
+        vars(self).update(field=field, entries=_as_array(entries, field, copy=True))
 
     @property
     def n(self) -> int:
@@ -83,40 +79,34 @@ class Frame:
         return self.entries.conj().T
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
+class EllipsoidSpec(_Record):
     """Axis lengths a_1 >= a_2 >= ... >= a_n > 0 of an axis-aligned ellipsoid.
 
     The ellipsoid is {v : sum_j a_j |v_j|^2 = 1}.
     """
 
-    axes: tuple = dc_field(default=())
-
-    def __post_init__(self):
-        axes = tuple(_as_array(self.axes, "R", ndim=1).tolist())
+    def __init__(self, axes: tuple = ()):
+        axes = tuple(_as_array(axes, "R", ndim=1).tolist())
         if len(axes) == 0:
             raise ValueError("axes must be nonempty")
         if any(a <= 0 for a in axes):
             raise ValueError("axes must be strictly positive")
         if any(axes[i] < axes[i + 1] for i in range(len(axes) - 1)):
             raise ValueError("axes must be sorted in descending order")
-        object.__setattr__(self, "axes", axes)
+        vars(self).update(axes=axes)
 
     @property
     def n(self) -> int:
         return len(self.axes)
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(_Record):
     """Optimal constants A <= B with A |v|^2 <= sum |<v,f_i>|^2 <= B |v|^2."""
 
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper + 1e-15):
-            raise ValueError(f"invalid bounds ({self.lower}, {self.upper})")
+    def __init__(self, lower: float, upper: float):
+        if not (0 <= lower <= upper + 1e-15):
+            raise ValueError(f"invalid bounds ({lower}, {upper})")
+        vars(self).update(lower=lower, upper=upper)
 
 
 def frame_operator(F: Frame) -> np.ndarray:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import one_redundant_counts
-from .defaults import DEFAULT_LOOP_STEP, check_field, check_integer, check_positive
+from .defaults import DEFAULT_LOOP_STEP, _Record, check_field, check_integer, check_positive
 from .frames import DEFAULT_TOL, Frame, _as_array, _retract, is_spherical, is_tight
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
@@ -28,23 +27,17 @@ RANK_GAP = 0.5
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class GramPoint:
+class GramPoint(_Record):
     """A k-by-k self-adjoint matrix R = (k/n) P, P a rank-n projection
     with unit diagonal (equivalently P_ii = n/k)."""
 
-    field: str
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        check_field(self.field)
-        a = _as_array(self.entries, self.field, square=True, copy=True)
-        n = check_integer(self.n, "n")
+    def __init__(self, field: str, n: int, entries: np.ndarray):
+        check_field(field)
+        a = _as_array(entries, field, square=True, copy=True)
+        n = check_integer(n, "n")
         if not (0 < n < a.shape[0]):
             raise ValueError(f"need 0 < n < k, got n={n}, k={a.shape[0]}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", a)
+        vars(self).update(field=field, n=n, entries=a)
 
     @property
     def k(self) -> int:
@@ -55,22 +48,19 @@ class GramPoint:
         return (self.n / self.k) * self.entries
 
 
-@dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(_Record):
     """An orthogonal/unitary U with G = U F, plus the achieved residual."""
 
-    U: np.ndarray
-    residual: float
+    def __init__(self, U: np.ndarray, residual: float):
+        vars(self).update(U=U, residual=residual)
 
 
-@dataclass(frozen=True)
-class GramCheck:
+class GramCheck(_Record):
     """Per-invariant diagnostics for a Gram-point candidate."""
 
-    self_adjoint: bool
-    idempotent: bool
-    unit_diagonal: bool
-    rank_ok: bool
+    def __init__(self, self_adjoint: bool, idempotent: bool, unit_diagonal: bool, rank_ok: bool):
+        vars(self).update(self_adjoint=self_adjoint, idempotent=idempotent,
+                          unit_diagonal=unit_diagonal, rank_ok=rank_ok)
 
     @property
     def ok(self) -> bool:
@@ -293,7 +283,7 @@ def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
     """Witness that F and G differ by an orthogonal (unitary) map, or None.
 
     If the Gram matrices agree entrywise within tol, returns an
-    OrbitWitness with U = (n/k) G F*, which satisfies G = U F.
+    OrbitWitness with U = (n/k) G F*, read-only, which satisfies G = U F.
     """
     if (F.n, F.k, F.field) != (G.n, G.k, G.field):
         raise ValueError("frames have mismatched shape or field")
@@ -302,6 +292,7 @@ def same_orbit(F: Frame, G: Frame, tol: float = DEFAULT_TOL):
     if abs(RF - RG).max() > check_positive(tol, "tol"):
         return None
     U = (F.n / F.k) * (G.entries @ F.conj_transpose())
+    U.flags.writeable = False
     residual = float(abs(U @ F.entries - G.entries).max())
     return OrbitWitness(U, residual)
 
@@ -322,15 +313,14 @@ def torus_point(zetas) -> GramPoint:
     return GramPoint("C", 1, np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
-class OneRedundantEnumeration:
+class OneRedundantEnumeration(_Record):
     """The finite set of rank-1 real Gram points on n+1 coordinates, as one
     read-only (2^n, n+1, n+1) float64 stack of their entries, with orbit
     counts under vector permutation and sign flips."""
 
-    points: np.ndarray
-    permutation_orbits: int
-    sign_orbits: int
+    def __init__(self, points: np.ndarray, permutation_orbits: int, sign_orbits: int):
+        vars(self).update(points=points, permutation_orbits=permutation_orbits,
+                          sign_orbits=sign_orbits)
 
 
 def enumerate_one_redundant(n: int) -> OneRedundantEnumeration:

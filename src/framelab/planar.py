@@ -14,11 +14,10 @@ coordinate subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_MAX_STEP, check_integer, check_positive
+from .defaults import DEFAULT_MAX_STEP, _Record, check_integer, check_positive
 from .frames import DEFAULT_TOL, Frame, _as_array
 
 #: most samples one leg may take; a smaller max_step is refused, not sampled
@@ -53,42 +52,33 @@ def _unit_tuple(values, p: int, tol: float, what: str, ndim: int = 1):
     return z
 
 
-@dataclass(frozen=True)
-class PlanarFrame:
+class PlanarFrame(_Record):
     """k unit complex numbers with sum of squares zero, both within ``tol``
     (the tolerance checked at) by the rules of is_spherical and is_tight."""
 
-    z: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
-        object.__setattr__(self, "z", _unit_tuple(self.z, 2, self.tol, "planar frame"))
+    def __init__(self, z: np.ndarray, tol: float = DEFAULT_TOL):
+        tol = check_positive(tol, "tol")
+        vars(self).update(z=_unit_tuple(z, 2, tol, "planar frame"), tol=tol)
 
     @property
     def k(self) -> int:
         return self.z.size
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """k unit complex numbers summing to zero (a closed unit-link chain),
     both within ``tol``, the tolerance the chain was checked at."""
 
-    w: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
-        object.__setattr__(self, "w", _unit_tuple(self.w, 1, self.tol, "chain"))
+    def __init__(self, w: np.ndarray, tol: float = DEFAULT_TOL):
+        tol = check_positive(tol, "tol")
+        vars(self).update(w=_unit_tuple(w, 1, tol, "chain"), tol=tol)
 
     @property
     def k(self) -> int:
         return self.w.size
 
 
-@dataclass(frozen=True)
-class FramePath:
+class FramePath(_Record):
     """A sampled path of planar frames or chains.
 
     ``points`` is a read-only (samples x k) complex array whose row i is
@@ -97,16 +87,11 @@ class FramePath:
     norm.  Every sample must be finite.
     """
 
-    kind: str
-    ts: np.ndarray
-    points: np.ndarray
-    max_step: float
-
-    def __post_init__(self):
-        if self.kind not in ("planar", "chain"):
-            raise ValueError(f"kind must be 'planar' or 'chain', got {self.kind!r}")
-        ts = _as_array(self.ts, "R", ndim=1, copy=True)
-        pts = _as_array(self.points, "C", copy=True)
+    def __init__(self, kind: str, ts: np.ndarray, points: np.ndarray, max_step: float):
+        if kind not in ("planar", "chain"):
+            raise ValueError(f"kind must be 'planar' or 'chain', got {kind!r}")
+        ts = _as_array(ts, "R", ndim=1, copy=True)
+        pts = _as_array(points, "C", copy=True)
         if len(ts) != len(pts) or len(ts) < 2:
             raise ValueError("path needs matching ts/points with at least two samples")
         if pts.shape[1] < 1:
@@ -115,9 +100,8 @@ class FramePath:
             raise ValueError("path parameter must run from 0 to 1")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("path parameter must be strictly increasing")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "max_step", check_positive(self.max_step, "max_step"))
+        max_step = check_positive(max_step, "max_step")
+        vars(self).update(kind=kind, ts=ts, points=pts, max_step=max_step)
 
     @property
     def k(self) -> int:
@@ -132,20 +116,17 @@ class FramePath:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class PathReport:
+class PathReport(_Record):
     """validate_path outcome with the worst violation and its location."""
 
-    ok: bool
-    max_modulus_error: float
-    max_constraint_error: float
-    max_step_seen: float
-    step_bound: float
-    start_error: float
-    end_error: float
-    worst_violation: float
-    worst_t: float
-    worst_index: int
+    def __init__(self, ok: bool, max_modulus_error: float, max_constraint_error: float,
+                 max_step_seen: float, step_bound: float, start_error: float, end_error: float,
+                 worst_violation: float, worst_t: float, worst_index: int):
+        vars(self).update(ok=ok, max_modulus_error=max_modulus_error,
+                          max_constraint_error=max_constraint_error, max_step_seen=max_step_seen,
+                          step_bound=step_bound, start_error=start_error, end_error=end_error,
+                          worst_violation=worst_violation, worst_t=worst_t,
+                          worst_index=worst_index)
 
 
 def to_planar(F: Frame, tol: float = DEFAULT_TOL) -> PlanarFrame:

@@ -12,35 +12,29 @@ closed-form per-block terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cellcomplex import _components
 from .closedform import _check_shape, _stratum_block_dim
-from .defaults import check_field, check_integer, check_positive
+from .defaults import _Record, check_field, check_integer, check_positive
 from .frames import (DEFAULT_TOL, Frame, _as_array, _retract, act_orthogonal,
                      act_permutation, act_phases)
 from .grassmann import GramPoint, _split, _split_refusal, gram
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A partition of {1..k}, blocks sorted by minimum element (1-based)."""
 
-    k: int
-    blocks: tuple
-
-    def __post_init__(self):
-        k = check_integer(self.k, "k")
-        blocks = [tuple(sorted(check_integer(i, "block entry") for i in b)) for b in self.blocks]
+    def __init__(self, k: int, blocks: tuple):
+        k = check_integer(k, "k")
+        blocks = [tuple(sorted(check_integer(i, "block entry") for i in b)) for b in blocks]
         if k < 1 or not all(blocks):
             raise ValueError(f"need k >= 1 and nonempty blocks, got k={k}, blocks={blocks}")
         blocks = tuple(sorted(blocks))
         if sorted(i for b in blocks for i in b) != list(range(1, k + 1)):
             raise ValueError("blocks must partition 1..k")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", blocks)
+        vars(self).update(k=k, blocks=blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -50,16 +44,14 @@ class Partition:
         return len(self.blocks) == 1
 
 
-@dataclass(frozen=True)
-class TangentReport:
+class TangentReport(_Record):
     """Rank k - |sigma| of the diagonal-extraction differential at a Gram point,
     regular iff sigma is trivial, and the dimension of sigma's stratum, all
     from one commutant partition sigma."""
 
-    rank: int
-    regular: bool
-    stratum_dim: int
-    ambient_dim: int
+    def __init__(self, rank: int, regular: bool, stratum_dim: int, ambient_dim: int):
+        vars(self).update(rank=rank, regular=regular, stratum_dim=stratum_dim,
+                          ambient_dim=ambient_dim)
 
 
 def commutant_partition(M, tol: float = DEFAULT_TOL) -> Partition:

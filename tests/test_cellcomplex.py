@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import inspect
 import itertools
+import pickle
 import random
 from collections import defaultdict, deque
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
-from framelab import cellcomplex, cli
+from framelab import cellcomplex, cli, defaults
 
 
 def torus() -> fl.Complex2:
@@ -426,25 +429,82 @@ def test_complex_stdout_is_pinned(capsys, which, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_record_types_keep_fields_equality_and_repr():
+#: one value of every framelab value type: a builder of it, and a field and a
+#: value that differ from it (arrays are shared, so built values compare)
+_U, _POINTS = np.eye(2), fl.enumerate_one_redundant(2).points
+RECORDS = {
+    "Frame": (lambda: fl.Frame("R", fl.simplex_frame(2).entries), "field", "C"),
+    "EllipsoidSpec": (lambda: fl.EllipsoidSpec((2.0, 1.0)), "axes", (3.0, 1.0)),
+    "FrameBounds": (lambda: fl.FrameBounds(1.0, 2.0), "upper", 3.0),
+    "GramPoint": (lambda: fl.gram(fl.simplex_frame(2)), "n", 1),
+    "OrbitWitness": (lambda: fl.OrbitWitness(_U, 0.0), "residual", 1e-3),
+    "GramCheck": (lambda: fl.GramCheck(True, True, True, False), "rank_ok", True),
+    "OneRedundantEnumeration": (lambda: fl.OneRedundantEnumeration(_POINTS, 2, 1),
+                                "sign_orbits", 2),
+    "Partition": (lambda: fl.Partition(3, [(3, 1), (2,)]), "blocks", ((1, 2, 3),)),
+    "TangentReport": (lambda: fl.TangentReport(1, False, 0, 3), "regular", True),
+    "PlanarFrame": (lambda: fl.PlanarFrame([1, 1j, 1, 1j]), "tol", 1e-6),
+    "Chain": (lambda: fl.Chain([1, -1, 1, -1]), "tol", 1e-6),
+    "FramePath": (lambda: fl.FramePath("chain", [0, 1], [[1, -1, 1, -1]] * 2, 0.1),
+                  "kind", "planar"),
+    "PathReport": (lambda: fl.planar.PathReport(True, 0.0, 0.0, 0.1, 0.1, 0.0, 0.0, 0.0,
+                                                0.0, 0), "worst_index", 1),
+    "Complex2": (torus, "faces", klein_bottle().faces),
+    "SurfaceReport": (lambda: fl.surface_report(torus()), "orientable", False),
+}
+#: the records with no array, set or dict field, which hash by their fields
+HASHABLE = {"EllipsoidSpec", "FrameBounds", "GramCheck", "Partition", "TangentReport",
+            "PathReport", "SurfaceReport"}
+
+
+def _same_fields(x, y) -> bool:
+    return type(x) is type(y) and list(vars(x)) == list(vars(y)) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(vars(x).values(), vars(y).values()))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_types_keep_fields_equality_and_repr(name):
+    """Every value type is a read-only `_Record` (Complex2 aside, whose fields
+    rebind) with equality, hash and repr by its fields in constructor order."""
+    build, field, value = RECORDS[name]
+    x = build()
+    assert type(x).__name__ == name and isinstance(x, defaults._Record)
+    assert list(vars(x)) == list(inspect.signature(type(x)).parameters)
+    assert repr(x) == f"{name}({', '.join(f'{k}={v!r}' for k, v in vars(x).items())})"
+    assert x == x and x == copy.copy(x) and x != tuple(vars(x).values())
+    changed = copy.copy(x)
+    vars(changed)[field] = value
+    assert changed != x and x != changed
+    if name in HASHABLE:
+        assert x == build() and hash(x) == hash(build()) == hash(tuple(vars(x).values()))
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    fields = dict(vars(x))
+    if name == "Complex2":
+        x.vertices |= {"x"}
+        del x.faces
+        assert list(vars(x)) == ["vertices", "edges"] and "x" in x.vertices
+    else:
+        for attempt in (lambda: setattr(x, field, value), lambda: setattr(x, "extra", 1),
+                        lambda: delattr(x, field)):
+            with pytest.raises(AttributeError, match=f"^{name} is read-only"):
+                attempt()
+        assert vars(x) == fields
+    x = build()
+    assert _same_fields(pickle.loads(pickle.dumps(x)), x)
+    assert _same_fields(copy.deepcopy(x), x)
+
+
+def test_surface_records_repr_literally():
     C = torus()
-    assert list(vars(C)) == ["vertices", "edges", "faces"]
-    assert C == torus() and C != klein_bottle() and C != (C.vertices, C.edges, C.faces)
+    assert C == torus() and C != klein_bottle()
     assert repr(C) == f"Complex2(vertices={C.vertices!r}, edges={C.edges!r}, faces={C.faces!r})"
-    with pytest.raises(TypeError):
-        hash(C)
     r = fl.surface_report(C)
-    assert list(vars(r)) == ["v", "e", "f", "euler", "closed_surface", "orientable",
-                             "connected", "genus"]
     assert repr(r) == ("SurfaceReport(v=1, e=2, f=1, euler=0, closed_surface=True, "
                        "orientable=True, connected=True, genus=1)")
     assert r == fl.surface_report(torus()) and r != fl.surface_report(klein_bottle())
-    assert hash(r) == hash(fl.surface_report(torus()))
-    with pytest.raises(AttributeError):
-        r.genus = 2
-    with pytest.raises(AttributeError):
-        del r.v
-    assert r.genus == 1
 
 
 def test_g52_transcription_check_fires(monkeypatch):

@@ -253,6 +253,15 @@ def test_same_orbit_witness_accuracy():
             fl.same_orbit(F, other)
 
 
+def test_same_orbit_witness_is_read_only():
+    """OrbitWitness.U is a read-only array, as every array a value holds."""
+    F = random_stf(6, 3, "C", 1)
+    U = fl.same_orbit(F, fl.act_phases(F, [1j] * 6)).U
+    assert not U.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        U[0, 0] = 0.0
+
+
 def test_same_orbit_absent_when_grams_differ():
     F = fl.simplex_frame(2)
     G = fl.act_phases(F, [-1, 1, 1])

@@ -150,6 +150,32 @@ def test_closed_form_stages_run_without_numpy():
     assert points[1]["points"][7]["entries"][0] == [1.0, -1.0, -1.0, -1.0]
 
 
+def test_numpy_stages_load_no_dataclasses(tmp_path):
+    """regular-point | tangent, frame-from-gram and planar-connect through
+    cli.main build every value on defaults._Record and never load dataclasses."""
+    z = fl.random_planar_frame(5, np.random.default_rng(1))
+    frame = str(tmp_path / "f.json")
+    Path(frame).write_text(json.dumps(jsonio.frame_to_dict(fl.from_planar(z.z))))
+    doc = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from framelab import cli\n"
+        "def run(argv, stdin=''):\n"
+        "    sys.stdin, out = io.StringIO(stdin), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(argv)\n"
+        "    return code, out.getvalue()\n"
+        "point, gram = run(['regular-point', '--k', '6', '--n', '3']), run(['gram', '-'],\n"
+        "    run(['simplex', '--n', '2'])[1])\n"
+        "runs = [point, run(['tangent', '-'], point[1]), run(['frame-from-gram', '-'], gram[1]),\n"
+        f"        run(['planar-connect', {frame!r}])]\n"
+        "print(json.dumps({'codes': [code for code, _ in runs],\n"
+        "                  'tangent': json.loads(runs[1][1]),\n"
+        "                  'loaded': 'dataclasses' in sys.modules}))")
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["tangent"]["regular"] is True
+    assert doc["loaded"] is False
+
+
 def test_stratification_loads_planar_on_demand():
     """stratification never needs planar: regular-point and tangent stages
     do not load it, nor does random_tight_frame at the shapes n = 2, k - 2
