@@ -6,10 +6,11 @@ marked points are merged in pairs; ``build_g52`` glues sixteen labeled
 surface of five planar unit vectors.  ``surface_report`` answers the
 closed/orientable/connected/genus questions for any complex.
 
-Every graph question here goes through one routine, ``_components``, a
-frontier search over Python-int bitmasks: connectivity on the 1-skeleton,
-vertex links on the corner graph of the edge ends, and orientability on
-the orientation double cover of the faces.
+Every graph question here goes through one routine, ``_masks``, a
+frontier search over Python-int bitmasks with one mask per component, and
+is read off those masks: vertex links on the corner graph of the edge ends,
+orientability on the orientation double cover of the faces, and
+connectivity on that cover for a closed surface, else on the 1-skeleton.
 
 ``Complex2`` and ``SurfaceReport`` derive from ``defaults._Record``, the
 one base of every framelab value type, which loads no numpy.
@@ -17,16 +18,17 @@ one base of every framelab value type, which loads no numpy.
 The two built-in data sets are transcriptions: each gluing direction is
 forced by the vertex classes of the identified edge pair, and an endpoint
 class mismatch aborts construction (a transcription error, not a runtime
-condition).  ``build_g52`` encodes each sign vector in {+-1}^4 as a 4-bit
-mask, so a sign twist (an entrywise product) is an XOR of masks and the
-``|+-+-`` suffix of a label is one entry of a 16-string table; each face's
-twenty vertex labels are formed once and shared by its edges' ends.
+condition).  ``build_g52`` glues once per transcription, encoding each sign
+vector in {+-1}^4 as a 4-bit mask, so a sign twist (an entrywise product)
+is an XOR of masks and the ``|+-+-`` suffix of a label is one entry of a
+16-string table; each face's twenty vertex labels are formed once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from .defaults import _Record
 
@@ -48,22 +50,19 @@ class Complex2(_Record):
         for e, (a, b) in edges.items():
             if a not in vertices or b not in vertices:
                 raise ValueError(f"edge {e!r} has undeclared endpoint")
-        use = {}  # edge -> its number of traversals
         for f, walk in faces.items():
-            steps = []  # the (tail, head) of each step, as walked
+            ends = []  # the tail and head of each step, as walked
             for e, d in walk:
                 if e not in edges:
                     raise ValueError(f"face {f!r} uses undeclared edge {e!r}")
-                if d not in (1, -1):
+                if type(d) is not int or d not in (1, -1):  # the codec's rule: not True, not 1.0
                     raise ValueError(f"face {f!r} has direction {d!r}")
-                steps.append(edges[e] if d == 1 else edges[e][::-1])
-                use[e] = use.get(e, 0) + 1
-            if not steps:
+                ends += edges[e] if d == 1 else edges[e][::-1]
+            if not ends:
                 raise ValueError(f"face {f!r} has an empty boundary")
-            tails, heads = zip(*steps)
-            if heads != tails[1:] + tails[:1]:
+            if ends[1::2] != ends[2::2] + ends[:1]:  # each head is the next step's tail
                 raise ValueError(f"face {f!r} boundary is not a closed walk")
-        if any(c > 2 for c in use.values()):
+        if any(c > 2 for c in Counter(e for walk in faces.values() for e, _ in walk).values()):
             raise ValueError("an edge appears more than twice in face boundaries")
 
 
@@ -95,10 +94,10 @@ def _bits(x: int) -> list:
     return out
 
 
-def _components(k: int, neighbours) -> list:
+def _masks(k: int, neighbours) -> list:
     """Connected components of the graph on 0..k-1 in which neighbours(i) is
-    the bitmask of i's neighbours (bit j set iff i ~ j; symmetric), as lists
-    of indices ordered by their smallest index.  neighbours is called at
+    the bitmask of i's neighbours (bit j set iff i ~ j; symmetric), as one
+    bitmask each, ordered by their smallest index.  neighbours is called at
     most once per index, so it can build the masks on demand."""
     unseen = (1 << k) - 1
     comps = []
@@ -113,18 +112,23 @@ def _components(k: int, neighbours) -> list:
                 frontier ^= low
             frontier = reach & ~member
             member |= frontier
-        unseen &= ~member
-        comps.append(_bits(member))
+        unseen ^= member
+        comps.append(member)
     return comps
 
 
+def _components(k: int, neighbours) -> list:
+    """_masks as lists of indices."""
+    return [_bits(m) for m in _masks(k, neighbours)]
+
+
 def _linked(k: int, pairs) -> list:
-    """_components of the graph on 0..k-1 with an edge i ~ j per pair (i, j)."""
+    """_masks of the graph on 0..k-1 with an edge i ~ j per pair (i, j)."""
     rows = [0] * k
     for i, j in pairs:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return _components(k, rows.__getitem__)
+    return _masks(k, rows.__getitem__)
 
 
 def _vertex_components(C: Complex2):
@@ -133,34 +137,30 @@ def _vertex_components(C: Complex2):
     labels = sorted(C.vertices, key=str)
     index = {v: i for i, v in enumerate(labels)}
     comps = _linked(len(labels), ((index[a], index[b]) for a, b in C.edges.values()))
-    return [{labels[i] for i in comp} for comp in comps]
+    return [{labels[i] for i in _bits(m)} for m in comps]
 
 
 def _links_are_circles(C: Complex2) -> bool:
     """Whether every vertex link is one circle, given that every edge has two
     traversals.  Node 2i + s is end s (0 tail, 1 head) of the i-th edge; a
-    corner of a face joins the end it enters a vertex by to the one it
-    leaves by, so every end lies on two corners and the corners at v form
-    cycles, one per component.  The link at v is a circle iff it is one."""
+    corner joins the end a face enters a vertex by to the one it leaves by,
+    so the corners at v form cycles, one per component, and the link at v
+    is a circle iff one component's lowest end, and only one, lies at v."""
     index = {eid: 2 * i for i, eid in enumerate(C.edges)}
     at = list(itertools.chain.from_iterable(C.edges.values()))  # the vertex of each end
     corners = ((index[e1] + (d1 > 0), index[e2] + (d2 < 0))
                for walk in C.faces.values()
                for (e1, d1), (e2, d2) in zip(walk, walk[1:] + walk[:1]))
-    hubs = [at[comp[0]] for comp in _linked(len(at), corners)]
+    hubs = [at[(m & -m).bit_length() - 1] for m in _linked(len(at), corners)]
     return len(hubs) == len(set(hubs)) == len(C.vertices)
 
 
-def _orientable(C: Complex2, tr) -> bool:
-    """Whether the faces can be oriented so that the two traversals of every
-    edge disagree.  Node 2i + s is the i-th face kept (s = 0) or reversed
-    (s = 1); the traversals (f1, d1), (f2, d2) join (f1, s) to (f2, s) when
-    d1 != d2 and to (f2, 1 - s) when d1 == d2.  An orientation exists iff no
-    component of this double cover holds both copies of a face."""
-    index = {f: i for i, f in enumerate(C.faces)}
-    glue = [(2 * index[f1], 2 * index[f2] + (d1 == d2)) for (f1, d1), (f2, d2) in tr.values()]
-    comps = _linked(2 * len(index), glue + [(a ^ 1, b ^ 1) for a, b in glue])
-    return all(len({i >> 1 for i in comp}) == len(comp) for comp in comps)
+def _double_cover(C: Complex2, tr) -> list:
+    """_masks of the orientation double cover: node 2i + s is the i-th face kept (s = 0) or
+    reversed (s = 1), and traversals (f1, d1), (f2, d2) join (f1, s) to (f2, s ^ (d1 == d2))."""
+    index = {f: 2 * i for i, f in enumerate(C.faces)}
+    glue = {(index[f1], index[f2] + (d1 == d2)) for (f1, d1), (f2, d2) in tr.values()}
+    return _linked(len(index) * 2, glue | {(a ^ 1, b ^ 1) for a, b in glue})
 
 
 def surface_report(C: Complex2) -> SurfaceReport:
@@ -169,17 +169,22 @@ def surface_report(C: Complex2) -> SurfaceReport:
     closed means every edge lies in exactly two face-boundary traversals
     and every vertex link is a single cycle; orientable means the faces
     can be oriented so that the two traversals of every edge disagree;
-    genus = (2 - euler)/2 when closed, orientable and connected.  Links and
-    orientations are both read off ``_components``: of the corner graph on
-    the edge ends, and of the orientation double cover of the faces.
+    genus = (2 - euler)/2 when closed, orientable and connected.  Links are
+    read off the ``_masks`` of the corner graph on the edge ends.  A closed
+    surface's faces reach every cell and meet at each vertex through its
+    link, so the double cover decides orientable and connected there.
     """
     v, e, f = len(C.vertices), len(C.edges), len(C.faces)
     euler = v - e + f
     tr = _edge_traversals(C)
     closed = (f > 0 and all(len(tr[eid]) == 2 for eid in C.edges)
               and _links_are_circles(C))
-    orientable = closed and _orientable(C, tr)
-    connected = len(_vertex_components(C)) <= 1
+    if closed:
+        cover, kept = _double_cover(C, tr), (4 ** f - 1) // 3  # kept: bits 0, 2, 4, ...
+        orientable = not any(m & (m >> 1) & kept for m in cover)  # no face in both copies
+        connected = (cover[0] | cover[0] >> 1) & kept == kept  # face 0's copies reach every face
+    else:
+        orientable, connected = False, len(_vertex_components(C)) <= 1
     genus = (2 - euler) // 2 if closed and orientable and connected else None
     return SurfaceReport(v, e, f, euler, closed, orientable, connected, genus)
 
@@ -282,12 +287,20 @@ def build_g52() -> Complex2:
     A..T pair up into 160 classes under the listed sign twists, and raw
     vertices merge into 96 classes of sizes (2,4,4,4,4,2) per sign vector.
     The gluing direction of every identified edge pair is derived from the
-    vertex classes of its endpoints; a mismatch raises ValueError.
+    vertex classes of its endpoints; a mismatch raises ValueError.  Glued
+    once per transcription, each call checks a new complex on copies.
     """
+    vertices, edges, faces = _glue(tuple(_VERTEX_CLASS.items()), tuple(_EDGE_CLASS.items()))
+    return Complex2(set(vertices), dict(edges), dict(faces))
+
+
+@functools.lru_cache(maxsize=1)
+def _glue(vtable: tuple, etable: tuple):
+    """build_g52's vertices, edges and faces for the items of the two tables."""
     signs = ["".join(s) for s in itertools.product("+-", repeat=4)]
     mask = {s: m for m, s in enumerate(signs)}  # sign string -> 4-bit mask
-    vclass = [(name, mask[_sgn(tw)]) for name, tw in map(_VERTEX_CLASS.__getitem__, _VSEQ)]
-    eclass = [(name, mask[_sgn(tw)]) for name, tw in map(_EDGE_CLASS.__getitem__, _ESEQ)]
+    vclass = [(name, mask[_sgn(tw)]) for name, tw in map(dict(vtable).__getitem__, _VSEQ)]
+    eclass = [(name, mask[_sgn(tw)]) for name, tw in map(dict(etable).__getitem__, _ESEQ)]
     vertices, edges, faces = set(), {}, {}
     for m, sign in enumerate(signs):
         ring = [f"{name}|{signs[m ^ tw]}" for name, tw in vclass]  # raw vertices a..t
@@ -302,4 +315,4 @@ def build_g52() -> Complex2:
                     f"classes {step} but its partner was recorded with {ends}")
             walk.append((ec, 1 if ends == step else -1))
         faces[f"B|{sign}"] = tuple(walk)
-    return Complex2(vertices, edges, faces)
+    return vertices, edges, faces

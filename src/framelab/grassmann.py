@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 
 import numpy as np
 
@@ -166,9 +167,10 @@ def frame_from_gram(R: GramPoint) -> Frame:
 
 @functools.lru_cache(maxsize=64)
 def _probe(k: int, n: int) -> np.ndarray:
-    """The range finder's fixed probe: a read-only k-by-n standard
-    Gaussian seeded by (k, n), so it never reads a global random state."""
-    omega = np.random.default_rng((k, n)).standard_normal((k, n))
+    """The range finder's fixed probe: a read-only k-by-n standard Gaussian
+    from the standard library's generator seeded by (k, n): no global state."""
+    gauss = random.Random(f"{k},{n}").gauss
+    omega = np.array([gauss(0.0, 1.0) for _ in range(k * n)]).reshape(k, n)
     omega.flags.writeable = False
     return omega
 

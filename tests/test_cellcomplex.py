@@ -507,6 +507,30 @@ def test_surface_records_repr_literally():
     assert r == fl.surface_report(torus()) and r != fl.surface_report(klein_bottle())
 
 
+def test_g52_builds_share_no_container():
+    """build_g52 glues once, and every call returns its own containers."""
+    first, second = fl.build_g52(), fl.build_g52()
+    assert first == second
+    for field in ("vertices", "edges", "faces"):
+        assert getattr(first, field) is not getattr(second, field)
+    first.vertices.add("x")
+    first.edges["X|++++"] = ("x", "x")
+    first.faces.clear()
+    assert fl.build_g52() == second == fl.Complex2(*_letter_by_letter_g52())
+
+
+def test_g52_transcription_check_fires_after_a_build(monkeypatch):
+    """A changed table is glued again, so its check fires even after a good build."""
+    assert fl.surface_report(fl.build_g52()).closed_surface
+    bad = dict(cellcomplex._VERTEX_CLASS)
+    bad["k"] = ("b", cellcomplex._VERTEX_CLASS["k"][1])
+    monkeypatch.setattr(cellcomplex, "_VERTEX_CLASS", bad)
+    with pytest.raises(ValueError, match="transcription"):
+        fl.build_g52()
+    monkeypatch.undo()
+    assert fl.build_g52() == fl.Complex2(*_letter_by_letter_g52())
+
+
 def test_g52_transcription_check_fires(monkeypatch):
     # corrupt one vertex-class entry: the forced endpoint matching must abort
     bad = dict(cellcomplex._VERTEX_CLASS)
@@ -524,11 +548,27 @@ def test_complex_validation():
     loop = {"E": ("a", "a")}
     for message, faces in {"face 'F' uses undeclared edge 'X'": {"F": (("X", 1),)},
                            "face 'F' has direction 2": {"F": (("E", 2),)},
+                           # the codec's rule: True, 1.0 and numpy ints are no JSON dir
+                           "face 'F' has direction True": {"F": (("E", True), ("E", -1))},
+                           "face 'F' has direction 1.0": {"F": (("E", 1.0), ("E", -1))},
+                           "face 'F' has direction np.int64(-1)":
+                               {"F": (("E", 1), ("E", np.int64(-1)))},
                            "face 'F' has an empty boundary": {"F": ()},
                            "an edge appears more than twice in face boundaries":
                                {"F": (("E", 1),), "G": (("E", 1),), "H": (("E", -1),)}}.items():
         with pytest.raises(ValueError) as err:
             fl.Complex2({"a"}, loop, faces)
+        assert str(err.value) == message
+    ab = {"E": ("a", "b")}
+    for message, vertices, edges, faces in [
+            # the first bad step in walk order: the direction before the unknown edge
+            ("face 'F' has direction 2", {"a"}, loop, {"F": (("E", 2), ("X", 1))}),
+            ("face 'F' boundary is not a closed walk", {"a", "b"}, ab, {"F": (("E", 1),)}),
+            # twice in one face and once in another
+            ("an edge appears more than twice in face boundaries", {"a"}, loop,
+             {"F": (("E", 1), ("E", -1)), "G": (("E", 1),)})]:
+        with pytest.raises(ValueError) as err:
+            fl.Complex2(vertices, edges, faces)
         assert str(err.value) == message
 
 

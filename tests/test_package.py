@@ -176,6 +176,27 @@ def test_numpy_stages_load_no_dataclasses(tmp_path):
     assert doc["loaded"] is False
 
 
+def test_frame_recovery_stages_load_no_numpy_random(tmp_path):
+    """frame-from-gram and holonomy through cli.main recover frames with the
+    range finder, whose probe comes from the standard library's generator:
+    neither stage loads numpy.random."""
+    gram, loop = str(tmp_path / "gram.json"), str(tmp_path / "loop.json")
+    Path(gram).write_text(json.dumps(jsonio.gram_to_dict(fl.gram(fl.simplex_frame(7)))))
+    case1 = fl.to_gram_loop(fl.case1_explicit_path())
+    Path(loop).write_text(json.dumps(jsonio.loop_to_dict(case1)))
+    doc = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from framelab import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    codes = [cli.main(['frame-from-gram', {gram!r}]),\n"
+        f"             cli.main(['holonomy', {loop!r}])]\n"
+        "frame, sign = map(json.loads, out.getvalue().splitlines())\n"
+        "print(json.dumps({'codes': codes, 'k': frame['k'], 'sign': sign,\n"
+        "                  'loaded': 'numpy.random' in sys.modules}))")
+    assert doc == {"codes": [0, 0], "k": 8, "sign": {"sign": -1}, "loaded": False}
+
+
 def test_stratification_loads_planar_on_demand():
     """stratification never needs planar: regular-point and tangent stages
     do not load it, nor does random_tight_frame at the shapes n = 2, k - 2
