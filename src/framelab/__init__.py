@@ -42,8 +42,6 @@ _EXPORTS = {
         "holonomy_sign",
         "is_gram_point",
         "lift_gram_path",
-        "nearest_gram_point",
-        "refine_loop",
         "same_orbit",
         "torus_point",
     ),

@@ -192,13 +192,14 @@ def surface_report(C: Complex2) -> SurfaceReport:
 def connected_components(C: Complex2):
     """Split a complex into its connected sub-complexes, ordered by their
     smallest vertex label (labels compared as strings)."""
-    out = []
-    for verts in _vertex_components(C):
-        edges = {e: ab for e, ab in C.edges.items() if ab[0] in verts}
-        faces = {f: walk for f, walk in C.faces.items()
-                 if C.edges[walk[0][0]][0] in verts}
-        out.append(Complex2(verts, edges, faces))
-    return out
+    comps = _vertex_components(C)
+    where = {v: i for i, verts in enumerate(comps) for v in verts}
+    edges, faces = [{} for _ in comps], [{} for _ in comps]
+    for e, ab in C.edges.items():  # an edge goes with its tail
+        edges[where[ab[0]]][e] = ab
+    for f, walk in C.faces.items():  # a face with the tail of its first edge
+        faces[where[C.edges[walk[0][0]][0]]][f] = walk
+    return [Complex2(*part) for part in zip(comps, edges, faces)]
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,11 @@ _WEIGHT_SPREAD = -2 * np.log(np.finfo(float).eps)
 def _retract(M) -> np.ndarray:
     """Retract an n x k frame, or an (m, n, k) stack of them, onto the
     spherical tight frames, stopping once max|F F* - (k/n) I| < 1e-13 over
-    the stack; the input, columns normalized, is returned when it passes
-    this rule before any Newton step.  ValueError, before dividing by its
-    norm, for a zero or NaN column; also ValueError ("... did not converge"
-    or "... failed") after _RETRACT_STEPS Newton steps, once the log column
-    weights spread past _WEIGHT_SPREAD (about 72), or when a factorization
-    is singular or a step overflows.
+    the stack.  ValueError, before dividing by its norm, for a zero or NaN
+    column; also ValueError ("... did not converge" or "... failed") after
+    _RETRACT_STEPS Newton steps, once the log column weights spread past
+    _WEIGHT_SPREAD (about 72), or when a factorization is singular or a
+    step overflows.
 
     The rule is Newton's method on the column weights W = e^t (the radial
     isotropic position of Barthe 1998; Hamilton and Moitra 2021).  The
@@ -254,8 +253,6 @@ def _retract(M) -> np.ndarray:
     if not norms.min() > 0:  # a NaN fails too
         raise ValueError("cannot retract: a frame column is zero or NaN")
     M, c, diag, t = M / norms, k / n, np.arange(k), 0
-    if abs(M @ M.conj().swapaxes(-1, -2) - c * np.eye(n)).max() < 1e-13:
-        return M
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(_RETRACT_STEPS):

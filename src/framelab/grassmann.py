@@ -20,7 +20,7 @@ import numpy as np
 
 from .closedform import one_redundant_counts
 from .defaults import DEFAULT_LOOP_STEP, _Record, check_field, check_integer, check_positive
-from .frames import DEFAULT_TOL, Frame, _as_array, _retract, is_spherical, is_tight
+from .frames import DEFAULT_TOL, Frame, _as_array, is_spherical, is_tight
 
 #: required spectral gap between the n-th and (n+1)-th eigenvalue of P
 RANK_GAP = 0.5
@@ -439,42 +439,3 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
         raise ValueError("loop is not closed (first != last)")
     F = lift_gram_path(pts + pts[:1], tol, max_step)
     return 1 if np.linalg.det(F[-1] @ F[0].T) > 0 else -1
-
-
-def nearest_gram_point(M, n: int) -> GramPoint:
-    """Project a nearby matrix onto the Gram-point set: F*F, where F is the
-    top-n ``eigh`` frame of M (`_eigh_frames`; M need not be a Gram point,
-    so no range finder is tried) retracted by `frames._retract`: Newton's
-    method on its column weights, stopping once max|F F* - (k/n) I| < 1e-13.
-    ValueError unless 0 < n < k, when the retraction does not converge
-    within 100 Newton steps and a column-weight spread of 2 ln(1/eps)
-    (a frame with no tight position does not), or when the top-n frame has
-    a zero column.
-    """
-    M, n = _as_array(M, square=True), check_integer(n, "n")
-    if not 0 < n < M.shape[0]:
-        raise ValueError(f"need 0 < n < k, got n={n}, k={M.shape[0]}")
-    F = _retract(_eigh_frames(M, n)[0])
-    return GramPoint("C" if M.dtype.kind == "c" else "R", n, F.conj().T @ F)
-
-
-def refine_loop(loop, rounds: int = 1) -> list:
-    """Insert `nearest_gram_point` of (R_i + R_{i+1})/2 between consecutive
-    points, ``rounds`` times, mapping all midpoints of a round as one stack
-    (one stacked ``eigh``: a midpoint is no projection), and retracting
-    them as one stack.
-    ValueError for an empty loop, points that do not share (k, n) and
-    field, and a negative ``rounds``.
-    """
-    pts, rounds = list(loop), check_integer(rounds, "rounds")
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    if not pts or any((p.field, p.k, p.n) != (pts[0].field, pts[0].k, pts[0].n) for p in pts):
-        raise ValueError("need a nonempty loop of Gram points sharing (k, n) and field")
-    field, n = pts[0].field, pts[0].n
-    for _ in range(rounds if len(pts) > 1 else 0):
-        R = np.stack([p.entries for p in pts])
-        F = _retract(_eigh_frames((R[:-1] + R[1:]) / 2, n)[0])
-        mids = [GramPoint(field, n, m) for m in F.conj().swapaxes(-1, -2) @ F]
-        pts = [p for pair in zip(pts, mids) for p in pair] + pts[-1:]
-    return pts

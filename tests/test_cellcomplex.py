@@ -92,6 +92,22 @@ def test_components_partition_the_complex():
     assert not fl.surface_report(C).connected
 
 
+def test_many_tori_split_into_tori():
+    """A disjoint union of 300 one-vertex tori splits into 300 tori, each
+    with its own edges and face, ordered by smallest label (as strings)."""
+    ids = range(300)
+    C = fl.Complex2({f"v{i}" for i in ids},
+                    {f"{x}{i}": (f"v{i}", f"v{i}") for i in ids for x in "AB"},
+                    {f"F{i}": ((f"A{i}", 1), (f"B{i}", 1), (f"A{i}", -1), (f"B{i}", -1))
+                     for i in ids})
+    comps = fl.connected_components(C)
+    assert [comp.vertices for comp in comps] == [{v} for v in sorted(C.vertices)]
+    for comp in comps:
+        i = next(iter(comp.vertices))[1:]
+        assert (set(comp.edges), set(comp.faces)) == ({f"A{i}", f"B{i}"}, {f"F{i}"})
+        assert fl.surface_report(comp).genus == 1
+
+
 def two_gon(d) -> fl.Complex2:
     """One 2-gon whose two sides are the same edge a, traversed (a,+1), (a,d)."""
     return fl.Complex2({"p", "q"} if d == -1 else {"p"},

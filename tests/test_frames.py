@@ -260,7 +260,6 @@ _ENTRY_POINTS = {
     "act_phases": (lambda a: fl.act_phases(fl.simplex_frame(2), a),
                    np.array([1.0, -1.0, 1.0]), False),
     "is_gram_point": (lambda a: fl.is_gram_point(a, 1), np.ones((3, 3)), True),
-    "nearest_gram_point": (lambda a: fl.nearest_gram_point(a, 1), np.ones((3, 3)), True),
     "commutant_partition": (fl.commutant_partition, np.eye(3), True),
     "torus_point": (fl.torus_point, np.array([1j, -1.0]), False),
     "PlanarFrame": (fl.PlanarFrame, np.array([1, 1j, 1, 1j]), False),
@@ -375,8 +374,6 @@ def test_integer_rule_accepts_numpy_integers():
     assert all(type(d) is int for d in dims.values())
     R = fl.gram(fl.simplex_frame(2))
     assert fl.is_gram_point(R.entries, np.int64(2)).ok
-    assert fl.nearest_gram_point(R.entries, np.int64(2)).n == 2
-    assert len(fl.refine_loop([R, R], np.int64(2))) == 5
     assert fl.random_planar_frame(np.int64(5), np.random.default_rng(0)).k == 5
     assert fl.canonical_planar(np.int64(5)).k == fl.standard_chain(np.int64(5)).k == 5
     for name, call in [("k", lambda: fl.harmonic_frame(5.0, 2)),
@@ -388,8 +385,6 @@ def test_integer_rule_accepts_numpy_integers():
                        ("n", lambda: fl.expected_dimensions(5, "2", "R")),
                        ("n", lambda: fl.is_gram_point(R.entries, 2.0)),
                        ("n", lambda: fl.is_gram_point(R.entries, True)),
-                       ("n", lambda: fl.nearest_gram_point(R.entries, 2.0)),
-                       ("rounds", lambda: fl.refine_loop([R, R], 1.5)),
                        ("k", lambda: fl.random_planar_frame(5.0, np.random.default_rng(0))),
                        ("k", lambda: fl.canonical_planar(5.0)),
                        ("k", lambda: fl.standard_chain(5.0)),

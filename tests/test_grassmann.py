@@ -394,9 +394,20 @@ def test_holonomy_doubled_loop():
     assert fl.holonomy_sign(loop + loop[1:]) == 1
 
 
+def _refined(loop):
+    """The loop with a Gram point between each pair of neighbours: F*F for
+    the eigh frame F of their mean, columns normalized (tight within 1e-13
+    on the case-1 and case-3 loops)."""
+    R = np.stack([p.entries for p in loop])
+    F = _eigh_frame((R[:-1] + R[1:]) / 2, loop[0].n)
+    F = F / np.linalg.norm(F, axis=-2, keepdims=True)
+    mids = [fl.GramPoint("R", loop[0].n, m) for m in F.swapaxes(-1, -2) @ F]
+    return [p for pair in zip(loop, mids) for p in pair] + loop[-1:]
+
+
 def test_holonomy_refinement_invariance():
     loop = case1_gram_loop()
-    assert fl.holonomy_sign(fl.refine_loop(loop)) == -1
+    assert fl.holonomy_sign(_refined(loop)) == -1
     assert fl.holonomy_sign(case1_gram_loop(max_step=0.02)) == -1
 
 
@@ -421,115 +432,6 @@ def test_holonomy_rejects_open_or_coarse_loops():
     assert fl.holonomy_sign([loop[0], loop[100], loop[126]], max_step=10.0) == 1
     with pytest.raises(ValueError, match="gram step 0.963 at index 1 exceeds 0.2"):
         fl.holonomy_sign([loop[0], loop[100], loop[126]])
-
-
-def test_nearest_gram_point_projects():
-    R = fl.gram(random_stf(5, 2, "R", 9))
-    noisy = R.entries + 1e-3 * np.random.default_rng(1).standard_normal((5, 5))
-    proj = fl.nearest_gram_point(noisy, 2)
-    chk = fl.is_gram_point(proj.entries, 2, tol=1e-9)
-    assert chk.ok
-    assert np.max(np.abs(proj.entries - R.entries)) < 0.05
-
-
-@pytest.mark.parametrize("k,n", [(5, 2), (9, 4)])
-def test_nearest_gram_point_projects_complex(k, n):
-    R = fl.gram(random_stf(k, n, "C", 9, spread=0.05))
-    rng = np.random.default_rng(1)
-    noisy = R.entries + 1e-3 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    proj = fl.nearest_gram_point(noisy, n)
-    assert proj.field == "C" and proj.entries.dtype == np.complex128
-    assert fl.is_gram_point(proj.entries, n, tol=1e-9).ok
-    assert np.max(np.abs(proj.entries - R.entries)) < 0.05
-
-
-def test_nearest_gram_point_takes_the_eigh_frame(monkeypatch):
-    """A matrix near a Gram point is no Gram point: its frame is the eigh
-    frame, and the range finder never runs."""
-    R = fl.gram(random_stf(9, 4, "R", 3)).entries
-    M = R + 1e-4 * np.random.default_rng(3).standard_normal((9, 9))
-    want = fl.frames._retract(_eigh_frame(M, 4))
-    monkeypatch.setattr(grassmann, "_recovered_frames", None)
-    assert np.array_equal(fl.nearest_gram_point(M, 4).entries, want.T @ want)
-
-
-def test_nearest_gram_point_refuses_what_it_cannot_retract():
-    # the top-2 frame of these has zero columns: refused before dividing by their norms
-    for M in (np.diag([2.0, 2, 0, 0]), np.zeros((4, 4))):
-        with pytest.raises(ValueError, match="column is zero or NaN"):
-            fl.nearest_gram_point(M, 2)
-    R = fl.gram(fl.simplex_frame(2)).entries
-    assert np.max(np.abs(fl.nearest_gram_point(R, 2).entries - R)) < 1e-13
-    for n in (0, 3):
-        with pytest.raises(ValueError, match=f"need 0 < n < k, got n={n}, k=3"):
-            fl.nearest_gram_point(R, n)
-
-
-def _alternating_projection(M, n, max_iter=200, tol=1e-13):
-    """The Gram-side alternation `nearest_gram_point` ran before it took the
-    Gram point of a retracted frame: the nearest rank-n projection, then the
-    unit-diagonal fix, until both the diagonal and idempotency errors are
-    within tol."""
-    k = M.shape[0]
-    R = (M + M.conj().T) / 2
-    for _ in range(max_iter):
-        P = (n / k) * R
-        V = np.linalg.eigh((P + P.conj().T) / 2)[1][:, ::-1][:, :n]
-        R = (k / n) * (V @ V.conj().T)
-        d = np.real(np.diag(R)) - 1.0
-        R = R - np.diag(d.astype(R.dtype))
-        PP = (n / k) * R
-        if np.max(np.abs(d)) <= tol and np.max(np.abs(PP @ PP - PP)) <= tol:
-            return R
-    raise ValueError("projection onto the Gram-point set did not converge")
-
-
-@pytest.mark.parametrize("name", ["case-1", "case-3"])
-def test_refine_loop_matches_the_alternation(name, monkeypatch):
-    loop = _LOOPS[name][0]()
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    refined = fl.refine_loop(loop)
-    # one stacked recovery of the midpoint frames, however long the loop
-    assert 0 < len(calls) <= 2
-    monkeypatch.undo()
-    assert len(refined) == 2 * len(loop) - 1
-    assert all(a is b for a, b in zip(refined[::2], loop))
-    mids = np.stack([p.entries for p in refined[1::2]])
-    pairs = list(zip(loop, loop[1:]))
-    old = np.stack([_alternating_projection((a.entries + b.entries) / 2, a.n) for a, b in pairs])
-    one = np.stack([fl.nearest_gram_point((a.entries + b.entries) / 2, a.n).entries
-                    for a, b in pairs])
-    assert np.max(np.abs(mids - old)) < 1e-13
-    assert np.max(np.abs(mids - one)) < 1e-13
-
-
-def test_refine_loop_keeps_a_complex_loop_complex():
-    # the harmonic C(5,2) point conjugated by diag(exp(i t (0, 1, 2, 3, 4))),
-    # t once round the circle: a closed loop of complex Gram points
-    R = fl.gram(fl.harmonic_frame(5, 2, "C")).entries
-    loop = []
-    for t in np.linspace(0, 2 * np.pi, 13):
-        z = np.exp(1j * t * np.arange(5))
-        loop.append(fl.GramPoint("C", 2, np.diag(z.conj()) @ R @ np.diag(z)))
-    refined = fl.refine_loop(loop, 2)
-    assert len(refined) == 49
-    for p in refined:
-        assert p.field == "C" and p.entries.dtype == np.complex128
-        assert fl.is_gram_point(p.entries, 2, tol=1e-9).ok
-
-
-def test_refine_loop_refuses_malformed_loops():
-    g2, g3 = (fl.gram(fl.harmonic_frame(6, n)) for n in (2, 3))
-    mixed = {"empty": [], "mixed rank": [g2, g3, g2],
-             "mixed k": [g2, fl.gram(fl.harmonic_frame(5, 2)), g2],
-             "mixed field": [g2, fl.gram(fl.harmonic_frame(6, 2, "C")), g2]}
-    for loop in mixed.values():
-        with pytest.raises(ValueError, match="nonempty loop of Gram points sharing"):
-            fl.refine_loop(loop)
-    with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
-        fl.refine_loop([g2, g2], -1)
-    assert len(fl.refine_loop([g2], 3)) == 1 and len(fl.refine_loop([g2, g2], 0)) == 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -645,28 +547,11 @@ _LOOPS = {
     "case-1": (lambda: case1_gram_loop(), -1),
     "case-3": (lambda: fl.to_gram_loop(fl.case3_explicit_path()), -1),
     "doubled case-1": (lambda: case1_gram_loop() + case1_gram_loop()[1:], 1),
-    "refined case-1": (lambda: fl.refine_loop(case1_gram_loop()), -1),
-    "refined case-3": (lambda: fl.refine_loop(fl.to_gram_loop(fl.case3_explicit_path())), -1),
+    "refined case-1": (lambda: _refined(case1_gram_loop()), -1),
+    "refined case-3": (lambda: _refined(fl.to_gram_loop(fl.case3_explicit_path())), -1),
     **{f"conjugation k={k} seed={seed}": (functools.partial(_conjugation_loop, k, seed), -1)
        for k in range(5, 10) for seed in range(2)},
 }
-
-
-@pytest.mark.parametrize("name", sorted(_LOOPS))
-def test_refine_loop_midpoints_take_the_eigh_path(name, monkeypatch):
-    """The midpoints of a refined loop are no projections: they take one
-    stacked eigh and never the range finder, and the refined loop is what
-    the eigh frames give, bit for bit."""
-    loop = _LOOPS[name][0]()
-    R = np.stack([p.entries for p in loop])
-    F = fl.frames._retract(_eigh_frame((R[:-1] + R[1:]) / 2, loop[0].n))
-    calls = collections.Counter()
-    monkeypatch.setattr(grassmann, "_eigh_frames", lambda R, n, _real=grassmann._eigh_frames:
-                        calls.update([len(R)]) or _real(R, n))
-    monkeypatch.setattr(grassmann, "_recovered_frames", lambda R, n: calls.update(["range"]))
-    refined = fl.refine_loop(loop)
-    assert calls == {len(loop) - 1: 1}
-    assert np.array_equal(np.stack([p.entries for p in refined[1::2]]), F.swapaxes(-1, -2) @ F)
 
 
 @pytest.mark.parametrize("name", sorted(_LOOPS))
@@ -674,6 +559,37 @@ def test_holonomy_matches_the_per_step_loop(name):
     make, sign = _LOOPS[name]
     loop = make()
     assert fl.holonomy_sign(loop) == _per_step_holonomy_sign(loop) == sign
+
+
+@pytest.mark.parametrize("field,k,n", [("R", 5, 2), ("C", 5, 2), ("C", 9, 4)])
+def test_retracted_eigh_frame_projects_onto_the_gram_points(field, k, n):
+    """F*F for the retracted eigh frame F of a matrix 1e-3 off a Gram point
+    is a Gram point of the same field, near the one it came from."""
+    R = fl.gram(random_stf(k, n, field, 9, spread=0.05))
+    rng = np.random.default_rng(1)
+    noise = rng.standard_normal((k, k))
+    if field == "C":
+        noise = noise + 1j * rng.standard_normal((k, k))
+    F = fl.frames._retract(_eigh_frame(R.entries + 1e-3 * noise, n))
+    proj = F.conj().T @ F
+    assert proj.dtype == R.entries.dtype
+    assert fl.is_gram_point(proj, n, tol=1e-9).ok
+    assert np.max(np.abs(proj - R.entries)) < 0.05
+
+
+@pytest.mark.parametrize("name", sorted(_LOOPS))
+def test_holonomy_survives_refinement(name):
+    """A Gram point between each pair of neighbours, F*F for the retracted
+    eigh frame F of their mean (all midpoints as one stack), leaves the sign
+    unchanged, by the library lift and by the per-step one."""
+    make, sign = _LOOPS[name]
+    loop = make()
+    R = np.stack([p.entries for p in loop])
+    F = fl.frames._retract(_eigh_frame((R[:-1] + R[1:]) / 2, loop[0].n))
+    mids = [fl.GramPoint(loop[0].field, loop[0].n, m) for m in F.conj().swapaxes(-1, -2) @ F]
+    refined = [p for pair in zip(loop, mids) for p in pair] + loop[-1:]
+    assert len(refined) == 2 * len(loop) - 1
+    assert fl.holonomy_sign(refined) == _per_step_holonomy_sign(refined) == sign
 
 
 def _spread_points(k=16, n=9, turn=0.02):

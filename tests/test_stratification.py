@@ -379,9 +379,9 @@ def _alternation(M):
 
 
 def _complex_loop_midpoints():
-    """The eigh frames of the midpoints `refine_loop` retracts on the
+    """The eigh frames of the midpoints of neighbouring points on the
     harmonic C(5,2) point conjugated by diag(exp(i t (0, ..., 4))), t once
-    round the circle."""
+    round the circle: tight, their columns up to 3% off unit length."""
     from framelab import grassmann
 
     R = fl.gram(fl.harmonic_frame(5, 2, "C")).entries
@@ -391,7 +391,7 @@ def _complex_loop_midpoints():
 
 
 _INVARIANCE_CASES = ([(f, k, n, spread) for spread in (0.05, 0.3) for f, k, n in GRID_SHAPES]
-                     + [("R", 12, 5, 0.5), "refine_loop midpoints"])
+                     + [("R", 12, 5, 0.5), "complex loop midpoints"])
 
 
 @pytest.mark.parametrize("case", _INVARIANCE_CASES, ids=str)
@@ -401,7 +401,7 @@ def test_newton_retraction_lands_on_the_alternations_gram_point(case, monkeypatc
     scale: the Gram points agree, the frames differ by a unitary map."""
     from framelab import frames, stratification
 
-    if case == "refine_loop midpoints":
+    if case == "complex loop midpoints":
         inputs = [_complex_loop_midpoints()]
     else:
         field, k, n, spread = case
@@ -458,6 +458,59 @@ def test_a_failed_retraction_reaches_the_caller_after_one_call(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("column", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "in a stack"])
+def test_retraction_refuses_a_zero_or_nan_column(column, stacked):
+    # refused before the columns are divided by their norms; in a stack, one
+    # such column refuses the whole stack
+    from framelab import frames
+
+    M = np.array([[1.0, 0.5, column], [0.0, 1.0, column]])
+    if stacked:
+        M = np.stack([fl.simplex_frame(2).entries, M])
+    with pytest.raises(ValueError, match="^cannot retract: a frame column is zero or NaN$"):
+        frames._retract(M)
+
+
+def _normalized_loop_midpoints(path):
+    """The eigh frames of the midpoints of neighbouring points on the Gram
+    loop of a planar path, columns normalized: tight to rounding."""
+    from framelab import grassmann
+
+    R = np.stack([p.entries for p in fl.to_gram_loop(path)])
+    F = grassmann._eigh_frames((R[:-1] + R[1:]) / 2, 2)[0]
+    return F / np.linalg.norm(F, axis=-2, keepdims=True)
+
+
+@pytest.mark.parametrize("case", GRID_SHAPES + ["case-1 midpoints", "case-3 midpoints"], ids=str)
+def test_retraction_moves_a_tight_frame_by_rounding_only(case, monkeypatch):
+    """A frame already tight within 1e-13, alone or as a stack, passes the
+    stopping rule before any Newton step: one Cholesky factor and one eigh,
+    and the frame and its Gram point move by rounding only."""
+    from framelab import frames
+
+    if case == "case-1 midpoints":
+        M = _normalized_loop_midpoints(fl.case1_explicit_path())
+    elif case == "case-3 midpoints":
+        M = _normalized_loop_midpoints(fl.case3_explicit_path())
+    else:
+        field, k, n = case
+        M = fl.random_tight_frame(k, n, field, np.random.default_rng(7), spread=0.05).entries
+    n, k = M.shape[-2:]
+
+    def H(A):
+        return A.conj().swapaxes(-1, -2)
+
+    assert np.max(np.abs(M @ H(M) - (k / n) * np.eye(n))) < 1e-13
+    calls, eigh, cholesky = [], np.linalg.eigh, np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("chol") or cholesky(a))
+    G = frames._retract(M)
+    assert sorted(calls) == ["chol", "eigh"]
+    assert np.max(np.abs(G - M)) < 1e-13
+    assert np.max(np.abs(H(G) @ G - H(M) @ M)) < 1e-13
+
+
 @pytest.mark.parametrize("field,k,n,spread", [(f, k, n, 0.05) for f, k, n in GRID_SHAPES]
                          + [("C", 9, 4, 0.3), ("R", 12, 5, 0.5)])
 def test_retraction_lands_on_the_manifold(field, k, n, spread):
@@ -469,15 +522,13 @@ def test_retraction_lands_on_the_manifold(field, k, n, spread):
     assert M.tobytes() == G.entries.tobytes()
 
 
-def _chart_rank(F, rng, blocks=()):
-    """Rank of the chart E -> gram(_retract(F + eps E)) at F, eps = 1e-6,
-    counted from 3kn Gaussian directions E in one stacked `_retract` call:
-    the singular values of the Gram differences (F_eps* F_eps - F* F)/eps,
-    as real vectors, above the absolute cut 1e-2.  For each block (of
-    1-based column indices) in ``blocks``, E moves those columns only within
-    the span of theirs, so the chart stays on F's stratum.  Returns (rank,
-    smallest value kept, largest value dropped), with inf and 0 for an
-    empty side."""
+def _chart(F, rng, blocks=()):
+    """The chart E -> _retract(F + eps E) at F, eps = 1e-6, differenced
+    along 3kn Gaussian directions E in one stacked `_retract` call: returns
+    the Gram differences (F_eps* F_eps - F* F)/eps and the frame differences
+    (F_eps - F)/eps, each flattened to one row per direction.  For each
+    block (of 1-based column indices) in ``blocks``, E moves those columns
+    only within the span of theirs, so the chart stays on F's stratum."""
     from framelab import frames
 
     n, k = F.n, F.k
@@ -490,27 +541,43 @@ def _chart_rank(F, rng, blocks=()):
         E[:, :, cols] = span @ E[:, :, cols]
     G = frames._retract(F.entries + 1e-6 * E)
     D = (G.conj().swapaxes(-1, -2) @ G - F.conj_transpose() @ F.entries) / 1e-6
-    D = D.reshape(len(E), -1)
+    return D.reshape(len(E), -1), ((G - F.entries) / 1e-6).reshape(len(E), -1)
+
+
+def _rank(D):
+    """The singular values of the rows of D, as real vectors, above the
+    absolute cut 1e-2: (rank, smallest value kept, largest value dropped),
+    with inf and 0 for an empty side."""
     s = np.linalg.svd(np.hstack([D.real, D.imag]), compute_uv=False)
     kept, dropped = s[s > 1e-2], s[s <= 1e-2]
     return len(kept), kept.min(initial=np.inf), dropped.max(initial=0.0)
 
 
+def _chart_rank(F, rng, blocks=()):
+    """`_rank` of the chart's Gram differences at F."""
+    return _rank(_chart(F, rng, blocks)[0])
+
+
 def test_chart_rank_is_the_gram_dimension_at_every_small_shape():
     """The retraction is a chart onto the frames near F, so the rank of its
     Gram differences is dim G at a generic F: the closed form, and dim Gr
-    less the rank of the diagonal-extraction differential.  Every shape
+    less the rank of the diagonal-extraction differential; the rank of its
+    frame differences, along the same directions, is dim F.  Every shape
     3 <= k <= 10, 1 <= n < k of both fields, the one sampler's n = 2,
-    k - 2 and k - 1 included; the cut sits in a wide gap of the spectrum."""
+    k - 2 and k - 1 included; the cut sits in a wide gap of each spectrum."""
     rng = np.random.default_rng(33)
     shapes = [(field, k, n) for field in "RC" for k in range(3, 11) for n in range(1, k)]
     assert len(shapes) == 88
     for field, k, n in shapes:
         F = fl.random_tight_frame(k, n, field, rng, spread=0.05)
-        rank, kept, dropped = _chart_rank(F, rng)
+        gram_side, frame_side = map(_rank, _chart(F, rng))
         T = fl.tangent_report(fl.gram(F))
-        expected = fl.expected_dimensions(k, n, field)["dimG"]
-        assert rank == expected == T.ambient_dim - T.rank, (field, k, n, rank)
+        dims = fl.expected_dimensions(k, n, field)
+        rank, kept, dropped = gram_side
+        assert rank == dims["dimG"] == T.ambient_dim - T.rank, (field, k, n, rank)
+        assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
+        rank, kept, dropped = frame_side
+        assert rank == dims["dimF"], (field, k, n, rank)
         assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
 
 
