@@ -40,13 +40,9 @@ class Complex2(_Record):
     edges: {label: (tail, head)} giving each edge a reference direction.
     faces: {label: ((edge, +1|-1), ...)} closed boundary walks; dir +1
     traverses the edge tail -> head.
-    Unlike the other records its fields can be rebound, so it is unhashable.
     """
 
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
     def __init__(self, vertices: set, edges: dict, faces: dict):
-        self.vertices, self.edges, self.faces = vertices, edges, faces
         for e, (a, b) in edges.items():
             if a not in vertices or b not in vertices:
                 raise ValueError(f"edge {e!r} has undeclared endpoint")
@@ -64,6 +60,7 @@ class Complex2(_Record):
                 raise ValueError(f"face {f!r} boundary is not a closed walk")
         if any(c > 2 for c in Counter(e for walk in faces.values() for e, _ in walk).values()):
             raise ValueError("an edge appears more than twice in face boundaries")
+        vars(self).update(vertices=vertices, edges=edges, faces=faces)
 
 
 class SurfaceReport(_Record):

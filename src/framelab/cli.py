@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands read JSON from file arguments ('-' means stdin), write JSON to
-stdout, and compose through pipes.  Exit codes: 0 success / verification
-passed, 1 verification failed, 2 malformed input or usage error, an
-input whose arithmetic overflows included (numpy's warning is then its one
-stderr line).  The environment variable FRAMELAB_TOL overrides the default
-tolerance.  A reader that closes the pipe early is not an error: the rest
-of the output is dropped, nothing is printed on stderr, and the exit code
-is the command's own.
+Subcommands read JSON from file arguments ('-' means stdin), write one line
+of compact JSON to stdout, and compose through pipes.  Exit codes: 0
+success / verification passed, 1 verification failed, 2 malformed input or
+usage error, an input whose arithmetic overflows included (numpy's warning
+is then its one stderr line).  The environment variable FRAMELAB_TOL
+overrides the default tolerance.  A reader that closes the pipe early is
+not an error: the rest of the output is dropped, nothing is printed on
+stderr, and the exit code is the command's own.
 
 A handler reaches the library through the lazy ``framelab`` package, so a
 subcommand loads only the modules it calls: ``complex`` and
@@ -28,7 +28,7 @@ import warnings
 import framelab as fl
 
 from . import closedform, jsonio
-from .defaults import DEFAULT_LOOP_STEP, DEFAULT_MAX_STEP, DEFAULT_TOL, check_positive
+from .defaults import DEFAULT_MAX_STEP, DEFAULT_TOL, check_positive
 
 
 def _frame_in(path: str) -> fl.Frame:
@@ -94,7 +94,7 @@ def _lift(args):
 
 def _holonomy(args):
     loop = jsonio.loop_from_dict(jsonio.read_json(args.loop))
-    return {"sign": fl.holonomy_sign(loop, args.tol, args.max_step)}
+    return {"sign": fl.holonomy_sign(loop, args.tol)}
 
 
 def _surface_report(args):
@@ -107,48 +107,33 @@ _K = ("--k", {"type": int, "required": True})
 _N = ("--n", {"type": int, "required": True})
 _FIELD = ("--field", {"choices": ("R", "C"), "default": "R"})
 _TOL = ("--tol", {})  # default: FRAMELAB_TOL, else DEFAULT_TOL
-_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
 
 #: subcommand -> (handler, *argument specs); a handler returns a doc or (doc, exit code)
 COMMANDS = {
     "verify": (_verify, ("frame", {}),
-               ("--axes", {"help": "comma-separated ellipsoid axes (descending)"}),
-               _TOL, _FORMAT),
-    "gram": (lambda a: jsonio.gram_to_dict(fl.gram(_frame_in(a.input), a.tol)),
-             _INPUT, _TOL, _FORMAT),
-    "complement": (lambda a: jsonio.gram_to_dict(fl.complement(_gram_in(a))),
-                   _INPUT, _TOL, _FORMAT),
+               ("--axes", {"help": "comma-separated ellipsoid axes (descending)"}), _TOL),
+    "gram": (lambda a: jsonio.gram_to_dict(fl.gram(_frame_in(a.input), a.tol)), _INPUT, _TOL),
+    "complement": (lambda a: jsonio.gram_to_dict(fl.complement(_gram_in(a))), _INPUT, _TOL),
     "frame-from-gram": (lambda a: jsonio.frame_to_dict(fl.frame_from_gram(_gram_in(a))),
-                        _INPUT, _TOL, _FORMAT),
-    "partition": (_partition, _INPUT, _TOL, _FORMAT),
-    "tangent": (
-        lambda a: jsonio.tangent_to_dict(fl.tangent_report(_gram_in(a), a.tol)),
-        _INPUT, _TOL, _FORMAT),
-    "simplex": (_simplex, _N, _FORMAT),
+                        _INPUT, _TOL),
+    "partition": (_partition, _INPUT, _TOL),
+    "tangent": (lambda a: vars(fl.tangent_report(_gram_in(a), a.tol)), _INPUT, _TOL),
+    "simplex": (_simplex, _N),
     "harmonic": (lambda a: jsonio.frame_to_dict(fl.harmonic_frame(a.k, a.n, a.field)),
-                 _K, _N, _FIELD, _FORMAT),
-    "dims": (lambda a: closedform.expected_dimensions(a.k, a.n, a.field),
-             _K, _N, _FIELD, _FORMAT),
-    "regular-point": (
-        lambda a: jsonio.gram_to_dict(fl.construct_regular_point(a.k, a.n)),
-        _K, _N, _FORMAT),
+                 _K, _N, _FIELD),
+    "dims": (lambda a: closedform.expected_dimensions(a.k, a.n, a.field), _K, _N, _FIELD),
+    "regular-point": (lambda a: jsonio.gram_to_dict(fl.construct_regular_point(a.k, a.n)),
+                      _K, _N),
     "enumerate-1red": (
         _enumerate_one_redundant, _N,
-        ("--points", {"action": "store_true", "help": "include the Gram matrices"}), _FORMAT),
+        ("--points", {"action": "store_true", "help": "include the Gram matrices"})),
     "planar-connect": (_planar_connect, ("frame", {}),
-                       ("--max-step", {"type": float, "default": DEFAULT_MAX_STEP}),
-                       _TOL, _FORMAT),
-    "lift": (_lift, ("chainpath", {}), ("start", {}), _TOL, _FORMAT),
-    "holonomy": (_holonomy, ("loop", {}),
-                 ("--max-step", {"type": float, "default": DEFAULT_LOOP_STEP,
-                                 "help": "largest Gram step between loop points, the caller's"
-                                         " claim about sampling density: the sign is the loop's"
-                                         " that joins them inside their Procrustes balls"}),
-                 _TOL, _FORMAT),
+                       ("--max-step", {"type": float, "default": DEFAULT_MAX_STEP}), _TOL),
+    "lift": (_lift, ("chainpath", {}), ("start", {}), _TOL),
+    "holonomy": (_holonomy, ("loop", {}), _TOL),
     "complex": (lambda a: jsonio.complex_to_dict(getattr(fl, f"build_{a.which}")()),
-                ("which", {"choices": ("g42", "g52")}),
-                ("--export", {"metavar": "PATH", "help": "write the JSON to PATH"})),
-    "surface-report": (_surface_report, _INPUT, _FORMAT),
+                ("which", {"choices": ("g42", "g52")})),
+    "surface-report": (_surface_report, _INPUT),
 }
 
 
@@ -182,11 +167,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("error", RuntimeWarning)
             doc = args.handler(args)
         doc, code = doc if isinstance(doc, tuple) else (doc, 0)
-        if vars(args).get("format") == "text":
-            for key, val in doc.items():
-                print(f"{key}: {val}")
-        else:
-            jsonio.write_json(doc, vars(args).get("export") or "-")
+        jsonio.write_json(doc)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except BrokenPipeError:

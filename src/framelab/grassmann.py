@@ -363,8 +363,7 @@ def _procrustes(A: np.ndarray, B: np.ndarray):
     return U @ Wt, s[..., -1]
 
 
-def lift_gram_path(path, tol: float = DEFAULT_TOL,
-                   max_step: float = DEFAULT_LOOP_STEP) -> np.ndarray:
+def lift_gram_path(path, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Frames over a path of real Gram points, each aligned to its predecessor.
 
     Returns a read-only (m, n, k) float64 array F with F[i]^T F[i] = R_i.
@@ -376,16 +375,16 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
 
     Three rules decide each index i, in this order, and the first index
     that breaks one is refused (ValueError naming it): the Gram step
-    |R_i - R_{i-1}| is at most ``max_step`` in max norm (sampling density);
-    the frame of R_i reproduces R_i within ``tol`` (else R_i is no Gram
-    point); and the Procrustes margin (n/k) sigma_min(F[i-1] F[i]^T) =
-    sqrt(1 - ||P_i - P_{i-1}||_2^2), P = (n/k) R, read off the fit's SVD,
-    is above ``tol``, so the fit is unique (Kato 1966, I 4.6) and the step
-    stays in one local trivialization of F -> G.  The margin is at most 1,
-    so a path of two or more points refuses ``tol`` >= 1 before any step.
+    |R_i - R_{i-1}| is at most DEFAULT_LOOP_STEP = 0.2 in max norm
+    (sampling density); the frame of R_i reproduces R_i within ``tol``
+    (else R_i is no Gram point); and the Procrustes margin
+    (n/k) sigma_min(F[i-1] F[i]^T) = sqrt(1 - ||P_i - P_{i-1}||_2^2),
+    P = (n/k) R, read off the fit's SVD, is above ``tol``, so the fit is
+    unique (Kato 1966, I 4.6) and the step stays in one local
+    trivialization of F -> G.  The margin is at most 1, so a path of two
+    or more points refuses ``tol`` >= 1 before any step.
     """
-    tol, max_step = check_positive(tol, "tol"), check_positive(max_step, "max_step")
-    pts = list(path)
+    tol, pts = check_positive(tol, "tol"), list(path)
     if not pts or any(p.field != "R" or (p.k, p.n) != (pts[0].k, pts[0].n) for p in pts):
         raise ValueError("need a nonempty path of real Gram points sharing (k, n)")
     if len(pts) > 1 and tol >= 1:
@@ -397,11 +396,11 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     steps = np.max(np.abs(np.diff(R, axis=0, prepend=R[:1])), axis=(1, 2))
     misses = np.max(np.abs(raw.swapaxes(-1, -2) @ raw - R), axis=(1, 2))
     margins = np.concatenate(([np.inf], (n / k) * smin))
-    bad = (steps > max_step) | (misses > tol) | ~(margins > tol)
+    bad = (steps > DEFAULT_LOOP_STEP) | (misses > tol) | ~(margins > tol)
     if bad.any():
         i = int(np.argmax(bad))
-        if steps[i] > max_step:
-            raise ValueError(f"gram step {steps[i]:.3g} at index {i} exceeds {max_step}")
+        if steps[i] > DEFAULT_LOOP_STEP:
+            raise ValueError(f"gram step {steps[i]:.3g} at index {i} exceeds {DEFAULT_LOOP_STEP}")
         if misses[i] > tol:
             raise ValueError(f"frame at index {i} misses its Gram point by {misses[i]:.3g}"
                              f" > tol {tol:g}: not a Gram point")
@@ -417,8 +416,7 @@ def lift_gram_path(path, tol: float = DEFAULT_TOL,
     return frames
 
 
-def holonomy_sign(loop, tol: float = DEFAULT_TOL,
-                  max_step: float = DEFAULT_LOOP_STEP) -> int:
+def holonomy_sign(loop, tol: float = DEFAULT_TOL) -> int:
     """Sign of the orthogonal transformation picked up around a Gram loop.
 
     The loop R_0, ..., R_{m-1} (first point == last point within ``tol``)
@@ -427,8 +425,8 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
     three rules like every other step.  F[m] is the frame of R_0 turned
     by the product of all the fits: returns the sign of det(F[m] F[0]^T).
     The sign belongs to the loop that joins consecutive samples inside
-    their Procrustes balls; ``max_step`` is the caller's claim that the
-    samples are that dense, which no rule checked on them can replace.
+    their Procrustes balls; the fixed step bound holds the samples that
+    dense, which no rule checked on them can replace.
     Refuses (ValueError) fewer than two points, an open loop and every
     fault the lift refuses, ``tol`` >= 1 among them.
     """
@@ -437,5 +435,5 @@ def holonomy_sign(loop, tol: float = DEFAULT_TOL,
         raise ValueError("loop needs at least two points")
     if pts[0].k != pts[-1].k or abs(pts[0].entries - pts[-1].entries).max() > tol:
         raise ValueError("loop is not closed (first != last)")
-    F = lift_gram_path(pts + pts[:1], tol, max_step)
+    F = lift_gram_path(pts + pts[:1], tol)
     return 1 if np.linalg.det(F[-1] @ F[0].T) > 0 else -1

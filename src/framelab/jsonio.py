@@ -156,11 +156,6 @@ def partition_from_dict(d: dict) -> Partition:
         tuple(_number(i, "'blocks' entry", integer=True) for i in b) for b in d["blocks"]))
 
 
-def tangent_to_dict(r: TangentReport) -> dict:
-    return {"rank": r.rank, "regular": r.regular,
-            "stratum_dim": r.stratum_dim, "ambient_dim": r.ambient_dim}
-
-
 def path_to_dict(p: FramePath) -> dict:
     z = _matrix_out(p.points, "C")
     return {"kind": p.kind, "k": p.k, "max_step": p.max_step,
@@ -235,11 +230,6 @@ def read_json(path: str) -> dict:
         raise ValueError("JSON document nested too deeply") from None
 
 
-def write_json(doc, path: str = "-") -> None:
-    """One line of compact JSON to stdout ('-') or a file, by json.dumps's C encoder."""
-    text = json.dumps(doc, separators=(",", ":")) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def write_json(doc) -> None:
+    """One line of compact JSON to stdout, by json.dumps's C encoder."""
+    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")

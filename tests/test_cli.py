@@ -121,13 +121,6 @@ def test_enumerated_points_encode_point_by_point(capsys):
     assert code == 0 and out == json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def test_export_writes_what_stdout_prints(tmp_path, capsys):
-    code, out, _ = run(capsys, "complex", "g52")
-    path = tmp_path / "g52.json"
-    assert run(capsys, "complex", "g52", "--export", str(path)) == (0, "", "")
-    assert code == 0 and path.read_text(encoding="utf-8") == out
-
-
 def test_partition_and_tangent(tmp_path, capsys):
     F = fl.Frame("R", np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float))
     gpath = write(tmp_path, "g.json", jsonio.gram_to_dict(fl.gram(F)))
@@ -371,12 +364,6 @@ def test_complex_entries_must_be_pairs(entries):
         jsonio.frame_from_dict({"field": "C", "n": 1, "k": 1, "entries": entries})
 
 
-def test_text_format(capsys):
-    code, out, _ = run(capsys, "dims", "--k", "5", "--n", "2", "--field", "C",
-                       "--format", "text")
-    assert code == 0 and "dimG: 8" in out
-
-
 def test_env_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FRAMELAB_TOL", "0.5")
     F = fl.Frame("R", np.array([[1, 0, 1], [0, 1, 0]], dtype=float))
@@ -492,9 +479,6 @@ def test_bad_max_step_exits_2(tmp_path, capsys, step):
     z = fl.random_planar_frame(6, np.random.default_rng(9))
     fpath = write(tmp_path, "f.json", jsonio.frame_to_dict(fl.from_planar(z.z)))
     _one_line_error(*run(capsys, "planar-connect", fpath, "--max-step", step))
-    loop = fl.to_gram_loop(fl.case1_explicit_path())
-    lpath = write(tmp_path, "loop.json", jsonio.loop_to_dict(loop))
-    _one_line_error(*run(capsys, "holonomy", lpath, "--max-step", step))
 
 
 def test_coarse_max_step_connects(tmp_path, capsys):
@@ -554,7 +538,7 @@ def _seed_documents():
         "frame": jsonio.frame_to_dict(fl.simplex_frame(2)),
         "planar": jsonio.frame_to_dict(fl.from_planar(z4.z)),
         "gram": jsonio.gram_to_dict(fl.gram(fl.simplex_frame(2))),
-        "loop": jsonio.loop_to_dict(fl.to_gram_loop(fl.case1_explicit_path(0.5))),
+        "loop": jsonio.loop_to_dict(fl.to_gram_loop(fl.case1_explicit_path(0.1))),
         "chainpath": jsonio.path_to_dict(fl.chain_straighten(fl.square_map(z4), 0.5)),
         "complex": jsonio.complex_to_dict(fl.build_g42()),
     }
@@ -613,7 +597,7 @@ def _fuzz_argv(data, cmd, tmpdir):
         "regular-point": [("--k", small), ("--n", small)],
         "complex": [(None, st.sampled_from(["g42", "g52"]))],
         "verify": [("--axes", st.sampled_from(["1,1", "2,1", "1", "a,b", ""]))],
-        "planar-connect": [("--max-step", step)], "holonomy": [("--max-step", step)],
+        "planar-connect": [("--max-step", step)],
     }.get(cmd, [])
     for flag, values in flags:
         if flag is None:
@@ -622,8 +606,6 @@ def _fuzz_argv(data, cmd, tmpdir):
             argv += [flag, data.draw(values)]
     if _DOC_ARGS[cmd] and data.draw(st.booleans()):
         argv += ["--tol", data.draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan"]))]
-    if cmd != "complex" and data.draw(st.booleans()):
-        argv += ["--format", "text"]
     return argv
 
 
@@ -737,21 +719,20 @@ def test_lift_refuses_non_number_fields(tmp_path, capsys, path, value):
     assert "must be a JSON number" in err
 
 
-@pytest.mark.parametrize("cmd,kinds,path,flags", [
-    ("verify", ("frame",), ("entries", 0, 1), ()),
-    ("complement", ("gram",), ("entries", 0, 1), ()),
-    ("holonomy", ("loop",), ("points", 1, "entries", 0, 1), ("--max-step", "1")),
-    ("lift", ("chainpath", "planar"), ("samples", 1, "z", 0, 0), ()),
+@pytest.mark.parametrize("cmd,kinds,path", [
+    ("verify", ("frame",), ("entries", 0, 1)),
+    ("complement", ("gram",), ("entries", 0, 1)),
+    ("holonomy", ("loop",), ("points", 1, "entries", 0, 1)),
+    ("lift", ("chainpath", "planar"), ("samples", 1, "z", 0, 0)),
 ])
 @pytest.mark.parametrize("value", ["1", True, None])
-def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, cmd, kinds, path, flags,
-                                               value):
+def test_matrix_entries_take_json_numbers_only(tmp_path, capsys, cmd, kinds, path, value):
     """A string, bool or null matrix entry is refused, not read as a number."""
     docs = [_SEEDS[kind] for kind in kinds]
     paths = [write(tmp_path, f"{kind}.json", doc) for kind, doc in zip(kinds, docs)]
-    assert run(capsys, cmd, *paths, *flags)[0] == 0
+    assert run(capsys, cmd, *paths)[0] == 0
     paths[0] = write(tmp_path, "bad.json", _replaced(docs[0], path, value))
-    code, out, err = run(capsys, cmd, *paths, *flags)
+    code, out, err = run(capsys, cmd, *paths)
     _one_line_error(code, out, err)
     assert f"matrix entry must be a JSON number, got {value!r}" in err
 
@@ -779,7 +760,6 @@ def test_non_integer_fields_exit_2(capsys, monkeypatch, cmd, doc, changes):
 
 
 _TOL = ("--tol", 1e-9, False, None)
-_FMT = ("--format", "json", False, ("json", "text"))
 _K = ("--k", None, True, None)
 _N = ("--n", None, True, None)
 _FIELD = ("--field", "R", False, ("R", "C"))
@@ -787,23 +767,22 @@ _FIELD = ("--field", "R", False, ("R", "C"))
 #: every subcommand's arguments in order: (positional name or option string,
 #: default, required, choices), with FRAMELAB_TOL unset
 _SURFACE = {
-    "verify": [("frame", None, True, None), ("--axes", None, False, None), _TOL, _FMT],
-    "gram": [("input", None, True, None), _TOL, _FMT],
-    "complement": [("input", None, True, None), _TOL, _FMT],
-    "frame-from-gram": [("input", None, True, None), _TOL, _FMT],
-    "partition": [("input", None, True, None), _TOL, _FMT],
-    "tangent": [("input", None, True, None), _TOL, _FMT],
-    "simplex": [_N, _FMT],
-    "harmonic": [_K, _N, _FIELD, _FMT],
-    "dims": [_K, _N, _FIELD, _FMT],
-    "regular-point": [_K, _N, _FMT],
-    "enumerate-1red": [_N, ("--points", False, False, None), _FMT],
-    "planar-connect": [("frame", None, True, None), ("--max-step", 0.05, False, None),
-                       _TOL, _FMT],
-    "lift": [("chainpath", None, True, None), ("start", None, True, None), _TOL, _FMT],
-    "holonomy": [("loop", None, True, None), ("--max-step", 0.2, False, None), _TOL, _FMT],
-    "complex": [("which", None, True, ("g42", "g52")), ("--export", None, False, None)],
-    "surface-report": [("input", None, True, None), _FMT],
+    "verify": [("frame", None, True, None), ("--axes", None, False, None), _TOL],
+    "gram": [("input", None, True, None), _TOL],
+    "complement": [("input", None, True, None), _TOL],
+    "frame-from-gram": [("input", None, True, None), _TOL],
+    "partition": [("input", None, True, None), _TOL],
+    "tangent": [("input", None, True, None), _TOL],
+    "simplex": [_N],
+    "harmonic": [_K, _N, _FIELD],
+    "dims": [_K, _N, _FIELD],
+    "regular-point": [_K, _N],
+    "enumerate-1red": [_N, ("--points", False, False, None)],
+    "planar-connect": [("frame", None, True, None), ("--max-step", 0.05, False, None), _TOL],
+    "lift": [("chainpath", None, True, None), ("start", None, True, None), _TOL],
+    "holonomy": [("loop", None, True, None), _TOL],
+    "complex": [("which", None, True, ("g42", "g52"))],
+    "surface-report": [("input", None, True, None)],
 }
 
 
@@ -816,6 +795,34 @@ def test_subcommand_surface(monkeypatch):
                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
            for name, p in sub.choices.items()}
     assert list(got.items()) == list(_SURFACE.items())
+
+
+#: the flags of a valid run of each subcommand that takes no document
+_VALID_FLAGS = {"simplex": ("--n", "3"), "harmonic": ("--k", "5", "--n", "2", "--field", "C"),
+                "dims": ("--k", "5", "--n", "2"), "regular-point": ("--k", "6", "--n", "3"),
+                "enumerate-1red": ("--n", "3", "--points"), "complex": ("g42",)}
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS)
+def test_every_subcommand_prints_one_compact_json_line(tmp_path, capsys, cmd):
+    """On a valid input every subcommand exits 0 and prints its document as
+    one line of compact JSON, keys in the order the document holds them."""
+    paths = [write(tmp_path, f"doc{i}.json", _SEEDS[kind])
+             for i, kind in enumerate(_DOC_ARGS[cmd])]
+    code, out, err = run(capsys, cmd, *paths, *_VALID_FLAGS.get(cmd, ()))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("argv", [("holonomy", "loop.json", "--max-step", "1"),
+                                  ("dims", "--k", "5", "--n", "2", "--format", "text"),
+                                  ("complex", "g52", "--export", "p")])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exit.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_one_subcommand_parser_prints_as_the_full_one(monkeypatch):
@@ -848,8 +855,7 @@ def _closed_reader_run(*argv):
     return proc.returncode, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [("complex", "g52"), ("simplex", "--n", "3"),
-                                  ("dims", "--k", "5", "--n", "2", "--format", "text")])
+@pytest.mark.parametrize("argv", [("complex", "g52"), ("simplex", "--n", "3")])
 def test_closed_reader_is_not_an_error(argv):
     """A large write (complex) and a small one flushed at the end (simplex)
     both meet the closed pipe: no stderr line, exit 0."""

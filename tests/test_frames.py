@@ -438,8 +438,7 @@ def test_one_positive_number_rule(value):
                  lambda: fl.act_phases(F, np.ones(3), value)):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             call()
-    for call in (lambda: fl.lift_gram_path([R, R], max_step=value),
-                 lambda: fl.FramePath("chain", _PATH_TS, _PATH_POINTS, value),
+    for call in (lambda: fl.FramePath("chain", _PATH_TS, _PATH_POINTS, value),
                  lambda: fl.case1_explicit_path(value)):
         with pytest.raises(ValueError, match="max_step must be a finite number > 0"):
             call()

@@ -420,16 +420,15 @@ def test_holonomy_rejects_open_or_coarse_loops():
     for pts in ([], loop[:1]):
         with pytest.raises(ValueError, match="loop needs at least two points"):
             fl.holonomy_sign(pts)
-    # ||P_63 - P_0||_2 = 1: the fit of the frame at 63 onto the one at 0 is
-    # not unique, and no max_step hides that; the margin is 0 up to rounding
+    # two points one Gram step of 2/11 apart, yet ||P_1 - P_0||_2 = 1: the
+    # fit is not unique inside the step bound; the margin is 0 up to rounding
+    a, b = _swapped_points()
     with pytest.raises(ValueError, match="Procrustes margin .* at index 1 <= tol") as err:
-        fl.holonomy_sign([loop[0], loop[63], loop[0]], max_step=10.0)
+        fl.holonomy_sign([a, b, a])
     assert _margin_in(str(err.value)) < _ROUNDED_ZERO_MARGIN
-    # every fit of this thinned loop is unique (margins 0.797), yet at
-    # max_step=10 it lifts to +1, the sign of the loop joining its three
-    # samples inside their Procrustes balls: the step rule is the caller's
-    # claim about sampling density
-    assert fl.holonomy_sign([loop[0], loop[100], loop[126]], max_step=10.0) == 1
+    # every fit of this thinned loop is unique (margins 0.797), yet the loop
+    # joining its three samples inside their Procrustes balls has sign +1,
+    # not the case-1 loop's -1: only the step bound refuses it
     with pytest.raises(ValueError, match="gram step 0.963 at index 1 exceeds 0.2"):
         fl.holonomy_sign([loop[0], loop[100], loop[126]])
 
@@ -474,8 +473,8 @@ def test_gram_constant_on_orbits():
     assert np.max(np.abs(fl.gram(F).entries - fl.gram(G).entries)) < 1e-10
 
 
-#: a Procrustes margin that is 0 in exact arithmetic, as computed for the
-#: k = 4 case-1 loop: below 4 eps, a rounding error of the recovered frames
+#: a Procrustes margin that is 0 in exact arithmetic, as computed for
+#: `_swapped_points`: below 4 eps, a rounding error of the recovered frames
 _ROUNDED_ZERO_MARGIN = 4 * np.finfo(np.float64).eps
 
 
@@ -504,8 +503,7 @@ def _per_step_lift(pts):
     return trace, 1 if np.linalg.det(frames[-1] @ frames[0].T) > 0 else -1
 
 
-def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, max_step=grassmann.DEFAULT_LOOP_STEP,
-                            lifted=None):
+def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, lifted=None):
     """`_per_step_lift` of the loop (or ``lifted``, that lift computed
     before) under the lift's three rules, in order, per index: the first
     index whose Gram step, frame miss or Procrustes margin breaks its rule
@@ -522,8 +520,8 @@ def _per_step_holonomy_sign(loop, tol=fl.DEFAULT_TOL, max_step=grassmann.DEFAULT
         raise ValueError("loop is not closed (first != last)")
     trace, sign = lifted or _per_step_lift(pts)
     for i, (step, miss, margin) in enumerate(trace):
-        if step > max_step:
-            raise ValueError(f"gram step {step:.3g} at index {i} exceeds {max_step}")
+        if step > 0.2:
+            raise ValueError(f"gram step {step:.3g} at index {i} exceeds 0.2")
         if miss > tol:
             raise ValueError(f"frame at index {i} misses its Gram point by {miss:.3g}"
                              f" > tol {tol:g}: not a Gram point")
@@ -592,15 +590,30 @@ def test_holonomy_survives_refinement(name):
     assert fl.holonomy_sign(refined) == _per_step_holonomy_sign(refined) == sign
 
 
+def _hadamard(k):
+    """The orthogonal k x k Hadamard matrix of Sylvester, k a power of 2."""
+    H = np.array([[1.0]])
+    while len(H) < k:
+        H = np.block([[H, H], [H, -H]])
+    return H / np.sqrt(k)
+
+
+def _swapped_points(k=16, n=11):
+    """Two Gram points (k/n) P whose projections P onto n Hadamard columns
+    differ by one column swapped for another: ||P_1 - P_0||_2 = 1, so the
+    Procrustes fit between their frames is not unique, while the Gram step
+    is only 2/n."""
+    H = _hadamard(k)
+    return [fl.GramPoint("R", n, (k / n) * H[:, cols] @ H[:, cols].T)
+            for cols in (slice(0, n), slice(1, n + 1))]
+
+
 def _spread_points(k=16, n=9, turn=0.02):
     """Two matrices (k/n) P whose top-n spectrum sits just 0.51 above the
     rest; turning one top eigenvector a little moves the frame by about
     three times the Gram step.  P is no projection, so the frame recovered
     from it misses the first point."""
-    H = np.array([[1.0]])
-    while len(H) < k:
-        H = np.block([[H, H], [H, -H]])
-    H = H / np.sqrt(k)
+    H = _hadamard(k)
     P = H @ np.diag(np.r_[0.51, np.linspace(0.8, 1.0, n - 1), np.zeros(k - n)]) @ H.T
     turned = P + turn * (np.outer(H[:, 0], H[:, n]) + np.outer(H[:, n], H[:, 0]))
     return [fl.GramPoint("R", n, (k / n) * M) for M in (P, turned)]
@@ -610,23 +623,24 @@ def _faulty_loops():
     """name -> (loop, keyword arguments) for loops the lift refuses."""
     c1, c3 = case1_gram_loop(), fl.to_gram_loop(fl.case3_explicit_path())
     eye = fl.GramPoint("R", 2, np.eye(5))
+    off = fl.GramPoint("R", 2, c3[40].entries * (1 + 1e-6))
     a, b = _spread_points()
-    step = float(np.max(np.abs(b.entries - a.entries)))
+    swapped = _swapped_points()
     return {
         "open": (c1[:-5], {}),
         "coarse": ([c1[0], c1[len(c1) // 2], c1[0]], {}),
         "identity inserted": (c3[:40] + [eye] + c3[40:], {}),
-        "identity inserted, wide step": (c3[:40] + [eye] + c3[40:], {"max_step": 10.0}),
+        "off point inserted": (c3[:40] + [off] + c3[40:], {}),
         "identity first": ([eye, eye], {}),
         "identity, then a cut": (c3[:40] + [eye] + c3[40:100] + c3[140:], {}),
         "a cut, then identity": (c3[:60] + c3[100:150] + [eye] + c3[150:], {}),
-        "identity wide, then a cut": (c3[:40] + [eye] + c3[40:100] + c3[200:],
-                                      {"max_step": 1.5}),
-        "alignment residual": ([a, b, a], {"max_step": step * 1.0001}),
-        "non-unique fit": ([c1[0], c1[63], c1[0]], {"max_step": 10.0}),
+        "off point, then a cut": (c3[:40] + [off] + c3[40:100] + c3[200:], {}),
+        "alignment residual": ([a, b, a], {}),
+        "non-unique fit": (swapped + swapped[:1], {}),
         # the closing step, index 32: 0.716 in the max norm and in margin
-        "non-unique closing fit": (c1[48:80], {"tol": 0.72}),
-        "non-unique closing fit, wide step": (c1[48:80], {"tol": 0.72, "max_step": 1.0}),
+        "wide closing step": (c1[48:80], {"tol": 0.72}),
+        # the closing step, index 7: 0.149 in the max norm, margin 0.989
+        "non-unique closing fit": (c1[60:67], {"tol": 0.99}),
     }
 
 
@@ -656,51 +670,50 @@ def test_holonomy_refusals_match_the_per_step_loop(name):
 
 def test_holonomy_closing_step_answers_to_the_lift_rules():
     """The closing step of a loop of m points is the lift's step m, refused
-    by the step rule or the margin rule like any other."""
+    by the step rule or the margin rule like any other: each loop below
+    closes within its tol, and only its closing step breaks a rule."""
     c1 = case1_gram_loop()
     with pytest.raises(ValueError, match="^gram step 0.716 at index 32 exceeds 0.2$"):
         fl.holonomy_sign(c1[48:80], tol=0.72)
-    with pytest.raises(ValueError, match="^Procrustes margin 0.716 at index 32 <= tol 0.72: the"
+    with pytest.raises(ValueError, match="^Procrustes margin 0.989 at index 7 <= tol 0.99: the"
                                          " fit onto the previous frame is not unique$"):
-        fl.holonomy_sign(c1[48:80], tol=0.72, max_step=1.0)
+        fl.holonomy_sign(c1[60:67], tol=0.99)
 
 
 def test_holonomy_grid_matches_the_per_step_loop():
     """Every _LOOPS loop thinned to every stride-th point (closed by its
-    last), at max_steps from 0.05 to 10 and tols 1e-9, 1e-6 and 0.5: the
-    lift's sign or refusal is the per-step reference's.  The reference
-    lifts each thinned loop once for all its max_steps and tols."""
+    last), at tols 1e-9, 1e-6 and 0.5: the lift's sign or refusal is the
+    per-step reference's.  The reference lifts each thinned loop once for
+    all its tols."""
     outcomes = collections.Counter()
     for full in (make() for make, _ in _LOOPS.values()):
         for stride in (1, 2, 4, 8, 16, 32):
             loop = full[:-1:stride] + full[-1:]
             lifted = _per_step_lift(loop)
-            for max_step, tol in itertools.product((0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 10.0),
-                                                   (1e-9, 1e-6, 0.5)):
-                got = _holonomy_outcome(fl.holonomy_sign, loop, tol=tol, max_step=max_step)
+            for tol in (1e-9, 1e-6, 0.5):
+                got = _holonomy_outcome(fl.holonomy_sign, loop, tol=tol)
                 assert got == _holonomy_outcome(_per_step_holonomy_sign, loop, tol=tol,
-                                                max_step=max_step, lifted=lifted)
+                                                lifted=lifted)
                 outcomes[type(got)] += 1
-    assert outcomes == {int: 1082, str: 808}
+    assert outcomes == {int: 111, str: 159}
 
 
 @pytest.mark.parametrize("name", ["case-1", "case-3", "doubled case-1",
                                   "conjugation k=5 seed=0", "conjugation k=9 seed=1"])
-@pytest.mark.parametrize("max_step", [0.2, 0.1])
-def test_lift_gram_path_invariants(name, max_step):
+def test_lift_gram_path_invariants(name):
     make, _ = _LOOPS[name]
     loop = make()
     k, n = loop[0].k, loop[0].n
-    F = fl.lift_gram_path(loop, max_step=max_step)
+    F = fl.lift_gram_path(loop)
     assert F.shape == (len(loop), n, k) and F.dtype == np.float64
     assert not F.flags.writeable
     assert max(np.max(np.abs(f.T @ f - R.entries)) for f, R in zip(F, loop)) <= fl.DEFAULT_TOL
-    assert np.max(np.abs(np.diff(F, axis=0))) <= 2.5 * max_step + 1e-6
+    assert np.max(np.abs(np.diff(F, axis=0))) <= 2.5 * grassmann.DEFAULT_LOOP_STEP + 1e-6
     assert np.array_equal(F[0], fl.frame_from_gram(loop[0]).entries)
     det = np.linalg.det((n / k) * F[-1] @ F[0].T)
-    assert np.sign(det) == fl.holonomy_sign(loop, max_step=max_step)
+    assert np.sign(det) == fl.holonomy_sign(loop)
     # an open piece of the path lifts to the same frames
-    assert np.max(np.abs(fl.lift_gram_path(loop[:50], max_step=max_step) - F[:50])) < 1e-12
+    assert np.max(np.abs(fl.lift_gram_path(loop[:50]) - F[:50])) < 1e-12
 
 
 def test_lift_gram_path_refuses_what_is_no_gram_path():
@@ -715,8 +728,6 @@ def test_lift_gram_path_refuses_what_is_no_gram_path():
     for path in ([], [fl.torus_point([1j])], [R, fl.gram(fl.simplex_frame(3))]):
         with pytest.raises(ValueError, match="nonempty path of real Gram points"):
             fl.lift_gram_path(path)
-    with pytest.raises(ValueError, match="max_step"):
-        fl.lift_gram_path([R, R], max_step=0)
 
 
 def test_holonomy_tol_reaches_the_closing_fit():

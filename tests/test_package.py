@@ -42,14 +42,14 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 #: parameter names of functions that take no option they could read from their
-#: inputs, of the Gram lift, whose steps tol and max_step decide alone, and of
-#: the Gram-point recovery and loop functions, so that none gains an option
+#: inputs, of the Gram lift, whose steps tol and a fixed step bound decide, and
+#: of the Gram-point recovery and loop functions, so that none gains an option
 SIGNATURES = {
     "square_map": ["pf"],
     "lift_path": ["cp", "start"],
     "connect_to_standard": ["z", "max_step"],
-    "lift_gram_path": ["path", "tol", "max_step"],
-    "holonomy_sign": ["loop", "tol", "max_step"],
+    "lift_gram_path": ["path", "tol"],
+    "holonomy_sign": ["loop", "tol"],
     "frame_from_gram": ["R"],
     "tangent_report": ["R", "tol"],
     "to_gram_loop": ["path", "tol"],

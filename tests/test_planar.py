@@ -541,12 +541,10 @@ def test_gram_loop_is_one_product(monkeypatch):
 @pytest.mark.parametrize("step", [0.0, -0.05, np.nan, np.inf])
 def test_max_step_must_be_finite_positive(step):
     z = fl.random_planar_frame(6, np.random.default_rng(12))
-    loop = fl.to_gram_loop(fl.case1_explicit_path())
     for call in (lambda: fl.connect_to_standard(z, step),
                  lambda: fl.chain_straighten(fl.square_map(z), step),
                  lambda: fl.case1_explicit_path(step),
                  lambda: fl.case3_explicit_path(step),
-                 lambda: fl.holonomy_sign(loop, max_step=step),
                  lambda: FramePath("chain", (0.0, 1.0), (np.ones(3), np.ones(3)), step)):
         with pytest.raises(ValueError, match="max_step"):
             call()

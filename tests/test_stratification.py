@@ -564,7 +564,10 @@ def test_chart_rank_is_the_gram_dimension_at_every_small_shape():
     less the rank of the diagonal-extraction differential; the rank of its
     frame differences, along the same directions, is dim F.  Every shape
     3 <= k <= 10, 1 <= n < k of both fields, the one sampler's n = 2,
-    k - 2 and k - 1 included; the cut sits in a wide gap of each spectrum."""
+    k - 2 and k - 1 included.  The cut 1e-2 sits in a wide gap of each
+    spectrum: at most 3.8e-4 (Gram side) and 3.1e-3 (frame side, R(6,4))
+    is dropped, and the least value kept is 1.38 or more, over 2000 times
+    the most dropped."""
     rng = np.random.default_rng(33)
     shapes = [(field, k, n) for field in "RC" for k in range(3, 11) for n in range(1, k)]
     assert len(shapes) == 88
@@ -575,10 +578,10 @@ def test_chart_rank_is_the_gram_dimension_at_every_small_shape():
         dims = fl.expected_dimensions(k, n, field)
         rank, kept, dropped = gram_side
         assert rank == dims["dimG"] == T.ambient_dim - T.rank, (field, k, n, rank)
-        assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
+        assert kept >= 1 and dropped <= 1e-3 and kept >= 1e3 * dropped, (field, k, n)
         rank, kept, dropped = frame_side
         assert rank == dims["dimF"], (field, k, n, rank)
-        assert kept >= 1 and dropped <= 1e-2, (field, k, n, kept, dropped)
+        assert kept >= 1 and dropped <= 5e-3 and kept >= 1e3 * dropped, (field, k, n)
 
 
 def _direct_sum(*parts):
@@ -604,7 +607,8 @@ def test_chart_rank_at_singular_block_points(field, parts):
     diagonal-extraction rank, which is dim G + 1, so the manifold condition
     fails without the partition being asked; held to the blocks it is
     stratum_dim; and it is the same at the frame_from_gram frame of the
-    Naimark complement.  The cut sits in a wide gap."""
+    Naimark complement.  The cut 1e-2 sits in a wide gap: at most 1.3e-3
+    is dropped and at least 6.5 kept, over 10^4 times the most dropped."""
     rng = np.random.default_rng(34)
     F = _direct_sum(*(fl.random_tight_frame(k, n, field, rng, spread=0.05) for k, n in parts))
     R = fl.gram(F)
@@ -619,4 +623,4 @@ def test_chart_rank_at_singular_block_points(field, parts):
     assert held[0] == T.stratum_dim
     assert naimark[0] == full[0]
     for rank, kept, dropped in (full, held, naimark):
-        assert kept >= 1 and dropped <= 1e-2, (rank, kept, dropped)
+        assert kept >= 1 and dropped <= 5e-3 and kept >= 1e3 * dropped, (rank, kept, dropped)
