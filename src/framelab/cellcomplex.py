@@ -13,7 +13,11 @@ orientability on the orientation double cover of the faces, and
 connectivity on that cover for a closed surface, else on the 1-skeleton.
 
 ``Complex2`` and ``SurfaceReport`` derive from ``defaults._Record``, the
-one base of every framelab value type, which loads no numpy.
+one base of every framelab value type, which loads no numpy.  A
+``Complex2``'s containers are read-only too: its constructor checks its own
+frozen copies of the caller's set and dicts, so a complex is checked once
+and can be shared.  ``build_g42`` and ``build_g52`` return one cached complex
+each, and ``connected_components`` returns a connected complex itself.
 
 The two built-in data sets are transcriptions: each gluing direction is
 forced by the vertex classes of the identified edge pair, and an endpoint
@@ -29,20 +33,28 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, defaultdict
+from types import MappingProxyType
 
 from .defaults import _Record
 
 
 class Complex2(_Record):
-    """A labeled 2-complex.
+    """A labeled 2-complex, read-only down to its containers.
 
-    vertices: set of labels.
-    edges: {label: (tail, head)} giving each edge a reference direction.
-    faces: {label: ((edge, +1|-1), ...)} closed boundary walks; dir +1
-    traverses the edge tail -> head.
+    vertices: frozenset of labels.
+    edges: read-only mapping {label: (tail, head)} giving each edge a
+    reference direction.
+    faces: read-only mapping {label: ((edge, +1|-1), ...)} of closed
+    boundary walks; dir +1 traverses the edge tail -> head.
+
+    The constructor takes any iterable of labels and any two mappings, and
+    checks and keeps its own frozen copies of them (the ends and walks are
+    kept as given: tuples from every framelab producer).  Pickle and copy
+    go through the constructor, so a tampered pickle is refused.
     """
 
-    def __init__(self, vertices: set, edges: dict, faces: dict):
+    def __init__(self, vertices, edges, faces):
+        vertices, edges, faces = frozenset(vertices), dict(edges), dict(faces)
         for e, (a, b) in edges.items():
             if a not in vertices or b not in vertices:
                 raise ValueError(f"edge {e!r} has undeclared endpoint")
@@ -60,7 +72,11 @@ class Complex2(_Record):
                 raise ValueError(f"face {f!r} boundary is not a closed walk")
         if any(c > 2 for c in Counter(e for walk in faces.values() for e, _ in walk).values()):
             raise ValueError("an edge appears more than twice in face boundaries")
-        vars(self).update(vertices=vertices, edges=edges, faces=faces)
+        vars(self).update(vertices=vertices, edges=MappingProxyType(edges),
+                          faces=MappingProxyType(faces))
+
+    def __reduce__(self):
+        return type(self), (self.vertices, dict(self.edges), dict(self.faces))
 
 
 class SurfaceReport(_Record):
@@ -188,8 +204,11 @@ def surface_report(C: Complex2) -> SurfaceReport:
 
 def connected_components(C: Complex2):
     """Split a complex into its connected sub-complexes, ordered by their
-    smallest vertex label (labels compared as strings)."""
+    smallest vertex label (labels compared as strings).  A connected
+    complex is its own one component."""
     comps = _vertex_components(C)
+    if len(comps) == 1:
+        return [C]
     where = {v: i for i, verts in enumerate(comps) for v in verts}
     edges, faces = [{} for _ in comps], [{} for _ in comps]
     for e, ab in C.edges.items():  # an edge goes with its tail
@@ -203,9 +222,11 @@ def connected_components(C: Complex2):
 # built-in complex: the graph of four-vector planar frame classes
 
 
+@functools.cache
 def build_g42() -> Complex2:
     """The graph glued from six marked circles: twelve vertices of degree
-    four joined by twenty-four arcs (no 2-cells)."""
+    four joined by twenty-four arcs (no 2-cells).  Built and checked once;
+    every call returns that complex."""
     marks = ("1", "i", "-1", "-i")
     # each merged vertex class lists its two (circle index p, sign, mark)
     classes = {
@@ -230,7 +251,7 @@ def build_g42() -> Complex2:
                 a = where[(p, sign, marks[j])]
                 b = where[(p, sign, marks[(j + 1) % 4])]
                 edges[f"tau{p}{sign}:arc{j}"] = (a, b)
-    return Complex2(set(classes), edges, {})
+    return Complex2(classes.keys(), edges, {})
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +307,16 @@ def build_g52() -> Complex2:
     vertices merge into 96 classes of sizes (2,4,4,4,4,2) per sign vector.
     The gluing direction of every identified edge pair is derived from the
     vertex classes of its endpoints; a mismatch raises ValueError.  Glued
-    once per transcription, each call checks a new complex on copies.
+    and checked once per transcription: every call returns the one complex
+    cached under the contents of the two class tables, so a changed table
+    is glued and checked again.
     """
-    vertices, edges, faces = _glue(tuple(_VERTEX_CLASS.items()), tuple(_EDGE_CLASS.items()))
-    return Complex2(set(vertices), dict(edges), dict(faces))
+    return _glue(tuple(_VERTEX_CLASS.items()), tuple(_EDGE_CLASS.items()))
 
 
 @functools.lru_cache(maxsize=1)
-def _glue(vtable: tuple, etable: tuple):
-    """build_g52's vertices, edges and faces for the items of the two tables."""
+def _glue(vtable: tuple, etable: tuple) -> Complex2:
+    """build_g52's complex for the items of the two tables."""
     signs = ["".join(s) for s in itertools.product("+-", repeat=4)]
     mask = {s: m for m, s in enumerate(signs)}  # sign string -> 4-bit mask
     vclass = [(name, mask[_sgn(tw)]) for name, tw in map(dict(vtable).__getitem__, _VSEQ)]
@@ -313,4 +335,4 @@ def _glue(vtable: tuple, etable: tuple):
                     f"classes {step} but its partner was recorded with {ends}")
             walk.append((ec, 1 if ends == step else -1))
         faces[f"B|{sign}"] = tuple(walk)
-    return vertices, edges, faces
+    return Complex2(vertices, edges, faces)

@@ -44,7 +44,7 @@ class _Record:
     """Read-only fields, set once by a subclass's __init__ through
     ``vars(self).update(...)`` in its parameter order; equality, hash and
     repr go by those fields in that order (hashing a record that holds an
-    array or a set raises TypeError)."""
+    array or a read-only mapping raises TypeError)."""
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__qualname__} is read-only: "

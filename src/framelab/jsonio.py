@@ -169,7 +169,7 @@ def path_from_dict(d: dict) -> FramePath:
     samples = d["samples"]
     p = FramePath(d["kind"], [_number(s["t"], "'t'") for s in samples],
                   _matrix_in([s["z"] for s in samples], "C"),
-                  _number(d.get("max_step", 1.0), "'max_step'"))
+                  _number(d["max_step"], "'max_step'"))
     if p.k != _integer(d, "k"):
         raise ValueError("path samples do not match the declared k")
     return p

@@ -4,13 +4,14 @@ import inspect
 import itertools
 import pickle
 import random
+import types
 from collections import defaultdict, deque
 
 import numpy as np
 import pytest
 
 import framelab as fl
-from framelab import cellcomplex, cli, defaults
+from framelab import cellcomplex, cli, defaults, jsonio
 
 
 def torus() -> fl.Complex2:
@@ -468,7 +469,7 @@ RECORDS = {
     "Complex2": (torus, "faces", klein_bottle().faces),
     "SurfaceReport": (lambda: fl.surface_report(torus()), "orientable", False),
 }
-#: the records with no array, set or dict field, which hash by their fields
+#: the records with no array or mapping field, which hash by their fields
 HASHABLE = {"EllipsoidSpec", "FrameBounds", "GramCheck", "Partition", "TangentReport",
             "PathReport", "SurfaceReport"}
 
@@ -518,16 +519,66 @@ def test_surface_records_repr_literally():
     assert r == fl.surface_report(torus()) and r != fl.surface_report(klein_bottle())
 
 
-def test_g52_builds_share_no_container():
-    """build_g52 glues once, and every call returns its own containers."""
-    first, second = fl.build_g52(), fl.build_g52()
-    assert first == second
-    for field in ("vertices", "edges", "faces"):
-        assert getattr(first, field) is not getattr(second, field)
-    first.vertices.add("x")
-    first.edges["X|++++"] = ("x", "x")
-    first.faces.clear()
-    assert fl.build_g52() == second == fl.Complex2(*_letter_by_letter_g52())
+def test_no_caller_can_change_a_complex():
+    """Every producer returns a frozen complex, so a shared build cannot be
+    changed by one caller under another."""
+    decoded = jsonio.complex_from_dict(jsonio.complex_to_dict(fl.build_g52()))
+    split = fl.connected_components(disjoint_union(torus(), torus()))
+    for C in (fl.build_g42(), fl.build_g52(), decoded, split[0],
+              fl.connected_components(torus())[0], torus()):
+        with pytest.raises(AttributeError):
+            C.vertices.add("x")
+        with pytest.raises(TypeError):
+            C.edges["X|++++"] = ("x", "x")
+        with pytest.raises(AttributeError):
+            C.faces.clear()
+        assert type(C.vertices) is frozenset
+        assert type(C.edges) is type(C.faces) is types.MappingProxyType
+    assert fl.build_g52() == fl.Complex2(*_letter_by_letter_g52())
+    assert fl.build_g42() is fl.build_g42() and fl.build_g52() is fl.build_g52()
+
+
+def test_complex_keeps_its_own_copies():
+    """Changing the set and dicts given to the constructor afterwards leaves
+    the complex as it was checked."""
+    vertices, edges = {"v"}, {"A": ("v", "v"), "B": ("v", "v")}
+    faces = {"F": (("A", 1), ("B", 1), ("A", -1), ("B", -1))}
+    C = fl.Complex2(vertices, edges, faces)
+    vertices.add("w")
+    edges["A"] = ("v", "w")
+    faces.clear()
+    assert C == torus() and fl.surface_report(C).genus == 1
+    with pytest.raises(TypeError):
+        hash(C)
+    with pytest.raises(TypeError):
+        hash(fl.build_g52())
+
+
+@pytest.mark.parametrize("build", [torus, fl.build_g42, fl.build_g52])
+def test_pickle_and_copy_go_through_the_constructor(build):
+    C = build()
+    for twin in (pickle.loads(pickle.dumps(C)), copy.copy(C), copy.deepcopy(C)):
+        assert twin == C and twin is not C
+        assert type(twin.vertices) is frozenset
+        assert type(twin.edges) is type(twin.faces) is types.MappingProxyType
+
+
+def test_tampered_pickle_is_refused():
+    """A pickle whose edge end was rewritten to an undeclared label is
+    refused on load, as the constructor refuses it."""
+    end = "".join(["p", "x"])  # not the vertex's string object, so pickled apart
+    data = pickle.dumps(fl.Complex2({"px"}, {"A": (end, end)}, {}))
+    at = data.rindex(b"px")
+    with pytest.raises(ValueError, match="edge 'A' has undeclared endpoint"):
+        pickle.loads(data[:at] + b"py" + data[at + 2:])
+
+
+@pytest.mark.parametrize("build", [fl.build_g52, fl.build_g42, torus])
+def test_a_connected_complex_is_its_own_component(build):
+    """torus is the torus fixture of demos/04_surface_complexes.py."""
+    C = build()
+    comps = fl.connected_components(C)
+    assert comps == [C] and comps[0] is C
 
 
 def test_g52_transcription_check_fires_after_a_build(monkeypatch):

@@ -719,6 +719,27 @@ def test_lift_refuses_non_number_fields(tmp_path, capsys, path, value):
     assert "must be a JSON number" in err
 
 
+def test_path_without_max_step_is_malformed():
+    """A path's max_step is the bound its steps are checked to, so a document
+    without one is refused rather than read with a looser bound."""
+    z = fl.random_planar_frame(9, np.random.default_rng(0))
+    doc = jsonio.path_to_dict(fl.chain_straighten(fl.square_map(z)))
+    assert jsonio.path_from_dict(doc).max_step == doc["max_step"] == 0.05
+    del doc["max_step"]
+    with pytest.raises(ValueError, match="malformed JSON document.*'max_step'"):
+        jsonio.path_from_dict(doc)
+
+
+def test_lift_refuses_a_path_without_max_step(tmp_path, capsys):
+    fpath = write(tmp_path, "f.json", _SEEDS["planar"])
+    doc = copy.deepcopy(_SEEDS["chainpath"])
+    assert run(capsys, "lift", write(tmp_path, "cp.json", doc), fpath)[0] == 0
+    del doc["max_step"]
+    code, out, err = run(capsys, "lift", write(tmp_path, "bad.json", doc), fpath)
+    _one_line_error(code, out, err)
+    assert "'max_step'" in err
+
+
 @pytest.mark.parametrize("cmd,kinds,path", [
     ("verify", ("frame",), ("entries", 0, 1)),
     ("complement", ("gram",), ("entries", 0, 1)),

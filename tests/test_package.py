@@ -103,22 +103,26 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_topology_stages_run_without_numpy():
-    """complex g52 | surface-report - through cli.main never loads numpy,
-    nor dataclasses and the inspect module it pulls in."""
+    """complex g42 | surface-report - and complex g52 | surface-report -
+    through cli.main never load numpy, nor dataclasses and the inspect
+    module it pulls in."""
     doc = _fresh_python(
         "import contextlib, io, json, sys\n"
         "from framelab import cli\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        "    built = cli.main(['complex', 'g52'])\n"
-        "sys.stdin, report = io.StringIO(out.getvalue()), io.StringIO()\n"
-        "with contextlib.redirect_stdout(report):\n"
-        "    checked = cli.main(['surface-report', '-'])\n"
-        "print(json.dumps({'codes': [built, checked], 'report': json.loads(report.getvalue()),\n"
-        "                  'loaded': [m for m in ('numpy', 'dataclasses', 'inspect')\n"
-        "                             if m in sys.modules]}))")
-    assert doc["codes"] == [0, 0]
-    assert (doc["report"]["v"], doc["report"]["e"], doc["report"]["f"]) == (96, 160, 16)
+        "def pipe(which):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        built = cli.main(['complex', which])\n"
+        "    sys.stdin, report = io.StringIO(out.getvalue()), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(report):\n"
+        "        checked = cli.main(['surface-report', '-'])\n"
+        "    return {'codes': [built, checked], 'report': json.loads(report.getvalue())}\n"
+        "runs = [pipe('g42'), pipe('g52')]\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps({'runs': runs, 'loaded': loaded}))")
+    assert [run["codes"] for run in doc["runs"]] == [[0, 0], [0, 0]]
+    assert [(r["v"], r["e"], r["f"]) for r in (run["report"] for run in doc["runs"])] == [
+        (12, 24, 0), (96, 160, 16)]
     assert doc["loaded"] == []
 
 
